@@ -50,13 +50,6 @@ _CHOICE_FIELDS = {
     "file_format": ("raw", "csv"),
 }
 
-_INT_FIELDS = {
-    "samples", "adc_bits", "seed", "max_iter", "decimation", "filter_order",
-    "envelope_order", "envelope_min_run", "diplex_order", "diplex_samples",
-}
-
-_MATRIX_FIELDS = {"coupling"}
-
 _FIELD_HELP = {
     "scenario": "signal scenario to synthesize",
     "samples": "record length in samples",
@@ -216,12 +209,13 @@ class RunConfig:
     @staticmethod
     def parse_field(name: str, token: str) -> object:
         """Parse one field's text token; raises ValueError with context."""
+        kind = _FIELD_TYPES.get(name)
         try:
-            if name in _MATRIX_FIELDS:
+            if kind == "np.ndarray":
                 return fileio.parse_matrix(token)
-            if name in _INT_FIELDS:
+            if kind == "int":
                 return int(token)
-            if name in _CHOICE_FIELDS:
+            if kind == "str":
                 return token
             # Remaining fields are floats; sentinel tokens allowed.
             return metrics.parse_metric_value(token)
@@ -256,6 +250,11 @@ class RunConfig:
             if token is not None:
                 updates[spec.name] = self.parse_field(spec.name, token)
         return replace(self, **updates) if updates else self
+
+
+# Annotation text per field (this module postpones annotations); the
+# field's type decides how parse_field reads its token.
+_FIELD_TYPES = {spec.name: spec.type for spec in fields(RunConfig)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -352,16 +351,6 @@ def _corrupt(clean: signalgen.MultichannelSignal, cfg: RunConfig) -> signalgen.M
     return mixed
 
 
-def _truth_density(
-    track1: signalgen.PhaseTrack,
-    track2: signalgen.PhaseTrack,
-    params: signalgen.InterferometerParams,
-) -> np.ndarray:
-    lam1, lam2 = params.wavelength1, params.wavelength2
-    denom = params.electron_radius * (lam1 * lam1 - lam2 * lam2)
-    return (track1.samples * lam1 - track2.samples * lam2) / denom
-
-
 def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
     params = cfg.interferometer()
@@ -379,7 +368,7 @@ def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
     tracks_path = out / "tracks.csv"
     fileio.write_signal(tracks_path, tracks)
     density = signalgen.MultichannelSignal(
-        _truth_density(track1, track2, params)[None, :], cfg.sample_rate)
+        params.line_density(track1.samples, track2.samples)[None, :], cfg.sample_rate)
     density_path = out / "density_truth.csv"
     fileio.write_signal(density_path, density)
     manifest_path = out / "manifest.cfg"
@@ -441,10 +430,7 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
             metrics.isr(corrected.data[i], truth.data[i]) for i in range(2))
         scales = np.sqrt(np.mean(truth.data**2, axis=1))
         gain = result.w_full @ cfg.coupling @ np.diag(scales)
-        aligned = np.array([
-            assignment.signs[slot] * gain[assignment.perm[slot]]
-            for slot in range(2)])
-        gain_error = metrics.signed_permutation_error(aligned)[2]
+        gain_error = metrics.signed_permutation_error(assignment.apply_rows(gain))[2]
     report = metrics.QualityReport(
         iterations=result.iterations,
         converged=result.converged,
@@ -466,15 +452,10 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def _lost_decimated_indices(
-    lost: tuple[tuple[int, int], ...], decimation: int, length: int,
-) -> set[int]:
-    bad: set[int] = set()
+def _mask_lost(keep: np.ndarray, lost: tuple[tuple[int, int], ...], decimation: int) -> None:
+    """Clear keep at every decimated sample taken inside a lost input range."""
     for start, stop in lost:
-        first = (start + decimation - 1) // decimation
-        last = (stop - 1) // decimation
-        bad.update(range(max(first, 0), min(last + 1, length)))
-    return bad
+        keep[(start + decimation - 1) // decimation: (stop - 1) // decimation + 1] = False
 
 
 def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -527,14 +508,10 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
         truth = truth_signal.data[0][::cfg.decimation]
         if truth.shape[0] != len(density):
             raise ValueError("truth density length does not match the input record")
-        settle = density.settle
-        keep = np.ones(len(density), dtype=bool)
-        keep[:settle] = False
-        keep[len(density) - settle:] = False
+        keep = np.zeros(len(density), dtype=bool)
+        keep[density.settle: len(density) - density.settle] = True
         for phase in phases:
-            for idx in _lost_decimated_indices(
-                    phase.lost_ranges, cfg.decimation, len(density)):
-                keep[idx] = False
+            _mask_lost(keep, phase.lost_ranges, cfg.decimation)
         if np.any(keep):
             err = density.samples[keep] - truth[keep]
             report["rms_error"] = float(np.sqrt(np.mean(err**2)))

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diplexer import design_fir_lowpass
-from .signalgen import InterferometerParams, MultichannelSignal
+from .signalgen import InterferometerParams, as_channel
 
 __all__ = [
     "PhaseTrackingLostError",
@@ -55,8 +55,28 @@ class PhaseTrackingLostError(RuntimeError):
         self.ranges = ranges
 
 
+class _Settled:
+    """Shared by the series types: read-only 1-D samples, settle transients at both ends."""
+
+    def __post_init__(self) -> None:
+        samples = np.asarray(self.samples, dtype=np.float64)
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+        if samples.ndim != 1:
+            raise ValueError("samples must be 1-D")
+
+    def __len__(self) -> int:
+        return self.samples.shape[0]
+
+    def steady(self) -> np.ndarray:
+        """The samples with both settle transients removed."""
+        if 2 * self.settle >= len(self):
+            return self.samples[0:0]
+        return self.samples[self.settle: len(self) - self.settle]
+
+
 @dataclass(frozen=True)
-class PhaseSeries:
+class PhaseSeries(_Settled):
     """Unwrapped phase track in radians at the decimated rate.
 
     settle counts decimated samples at each end still inside the filter
@@ -72,32 +92,19 @@ class PhaseSeries:
     lost_ranges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1:
-            raise ValueError("samples must be 1-D")
+        super().__post_init__()
         if not (self.sample_rate > 0 and self.carrier > 0 and self.decimation >= 1):
             raise ValueError("sample_rate, carrier, and decimation must be positive")
         if not (0 <= self.settle):
             raise ValueError("settle must be non-negative")
 
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
     @property
     def tracking_lost(self) -> bool:
         return len(self.lost_ranges) > 0
 
-    def steady(self) -> np.ndarray:
-        """The samples with both settle transients removed."""
-        if 2 * self.settle >= len(self):
-            return self.samples[0:0]
-        return self.samples[self.settle: len(self) - self.settle]
-
 
 @dataclass(frozen=True)
-class DensitySeries:
+class DensitySeries(_Settled):
     """Line-integrated electron density in 1/m^2 at the phase-track rate."""
 
     samples: np.ndarray
@@ -105,21 +112,9 @@ class DensitySeries:
     settle: int
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1:
-            raise ValueError("samples must be 1-D")
+        super().__post_init__()
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
-    def steady(self) -> np.ndarray:
-        if 2 * self.settle >= len(self):
-            return self.samples[0:0]
-        return self.samples[self.settle: len(self) - self.settle]
 
 
 def unwrap(wrapped: np.ndarray) -> np.ndarray:
@@ -134,9 +129,7 @@ def unwrap(wrapped: np.ndarray) -> np.ndarray:
         raise ValueError("wrapped must be 1-D")
     if w.size == 0:
         return w.copy()
-    diffs = np.diff(w)
-    diffs = np.pi - np.mod(np.pi - diffs, 2.0 * np.pi)  # maps into (-pi, pi]
-    return np.concatenate(([w[0]], w[0] + np.cumsum(diffs)))
+    return np.concatenate(([w[0]], w[0] + np.cumsum(_wrap_pi(np.diff(w)))))
 
 
 def _wrap_pi(values: np.ndarray) -> np.ndarray:
@@ -161,6 +154,12 @@ def _image_comb(carrier: float, sample_rate: float, max_len: int = 512) -> np.nd
         return np.ones(1)
     box = np.ones(frac.denominator) / frac.denominator
     return np.convolve(box, box)
+
+
+def _lowpass(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """FIR output with the (taps.size - 1) // 2 sample delay removed, same length as x."""
+    delay = (taps.size - 1) // 2
+    return np.convolve(x, taps, mode="full")[delay:delay + x.shape[0]]
 
 
 def _find_runs(mask: np.ndarray, min_run: int) -> list[tuple[int, int]]:
@@ -204,18 +203,7 @@ def demodulate(
     Accepts a single-channel MultichannelSignal or a 1-D array plus
     sample_rate.
     """
-    if isinstance(channel, MultichannelSignal):
-        if channel.channels != 1:
-            raise ValueError(f"expected a single channel, got {channel.channels}")
-        data, rate = channel.data[0], channel.sample_rate
-    else:
-        data = np.asarray(channel, dtype=np.float64)
-        if data.ndim != 1:
-            raise ValueError(f"expected a 1-D array, got shape {data.shape}")
-        if sample_rate is None:
-            raise ValueError("sample_rate is required with a bare array input")
-        rate = float(sample_rate)
-
+    data, rate = as_channel(channel, sample_rate)
     nyquist = 0.5 * rate
     if not (0.0 < carrier < nyquist):
         raise ValueError(f"carrier must be in (0, {nyquist}), got {carrier}")
@@ -233,7 +221,15 @@ def demodulate(
             f"envelope_cutoff must be in [lowpass_cutoff, {nyquist}), "
             f"got {envelope_cutoff}")
 
+    # Narrow rail: windowed sinc cascaded with the image comb, unity DC.
+    # A record shorter than this filter never leaves its transient.
+    lp_taps = design_fir_lowpass(filter_order, lowpass_cutoff, rate).taps
+    taps = np.convolve(lp_taps, _image_comb(carrier, rate))
+    taps = taps / taps.sum()
     n = data.shape[0]
+    if n < taps.size:
+        raise ValueError(
+            f"record length {n} shorter than the demodulation filter ({taps.size} taps)")
     t = np.arange(n) / rate
     in_phase_mix = 2.0 * data * np.cos(2.0 * np.pi * carrier * t)
     quadrature_mix = -2.0 * data * np.sin(2.0 * np.pi * carrier * t)
@@ -241,10 +237,7 @@ def demodulate(
     # Envelope rail first: a wide lowpass at the full rate, so crosstalk
     # beat nulls show up instead of being averaged away.
     env_taps = design_fir_lowpass(envelope_order, envelope_cutoff, rate).taps
-    env_delay = envelope_order // 2
-    env_i = np.convolve(in_phase_mix, env_taps, mode="full")[env_delay:env_delay + n]
-    env_q = np.convolve(quadrature_mix, env_taps, mode="full")[env_delay:env_delay + n]
-    envelope = np.hypot(env_i, env_q)
+    envelope = np.hypot(_lowpass(in_phase_mix, env_taps), _lowpass(quadrature_mix, env_taps))
     margin = min(envelope_order, n // 4)
     core = envelope[margin: n - margin] if n > 2 * margin else envelope
     floor = envelope_floor * float(np.median(core))
@@ -260,15 +253,8 @@ def demodulate(
             f"{len(lost)} interval(s); first at input samples "
             f"[{first[0]}, {first[1]})", lost)
 
-    # Narrow rail: windowed sinc cascaded with the image comb, unity DC.
-    lp_taps = design_fir_lowpass(filter_order, lowpass_cutoff, rate).taps
-    taps = np.convolve(lp_taps, _image_comb(carrier, rate))
-    taps = taps / taps.sum()
-    delay = (taps.size - 1) // 2
-    rail_i = np.convolve(in_phase_mix, taps, mode="full")[delay:delay + n]
-    rail_q = np.convolve(quadrature_mix, taps, mode="full")[delay:delay + n]
-    rail_i = rail_i[::decimation]
-    rail_q = rail_q[::decimation]
+    rail_i = _lowpass(in_phase_mix, taps)[::decimation]
+    rail_q = _lowpass(quadrature_mix, taps)[::decimation]
 
     wrapped = _wrap_pi(np.arctan2(rail_q, rail_i) + 0.5 * np.pi)
     phase = unwrap(wrapped)
@@ -289,24 +275,18 @@ def line_integrated_density(
 ) -> DensitySeries:
     """Two-color line-integrated density from a pair of phase tracks.
 
-    phase1 is the long-wavelength channel. The output at each sample is
-
-        (phase1 * wavelength1 - phase2 * wavelength2)
-        / (electron_radius * (wavelength1**2 - wavelength2**2))
-
-    which cancels path-length (vibration) phase and converts the plasma
-    phase to electron density integrated along the line of sight.
+    phase1 is the long-wavelength channel; the relation, which cancels
+    path-length (vibration) phase and converts the plasma phase to
+    electron density integrated along the line of sight, is
+    InterferometerParams.line_density.
     """
     if len(phase1) != len(phase2):
         raise ValueError(f"length mismatch: {len(phase1)} vs {len(phase2)}")
     if not math.isclose(phase1.sample_rate, phase2.sample_rate, rel_tol=1e-9):
         raise ValueError(
             f"rate mismatch: {phase1.sample_rate} vs {phase2.sample_rate}")
-    lam1, lam2 = params.wavelength1, params.wavelength2
-    denom = params.electron_radius * (lam1 * lam1 - lam2 * lam2)
-    samples = (phase1.samples * lam1 - phase2.samples * lam2) / denom
     return DensitySeries(
-        samples=samples,
+        samples=params.line_density(phase1.samples, phase2.samples),
         sample_rate=phase1.sample_rate,
         settle=max(phase1.settle, phase2.settle),
     )

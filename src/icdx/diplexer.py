@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fastica, preprocess
-from .signalgen import MultichannelSignal
+from .signalgen import MultichannelSignal, as_channel
 
 __all__ = [
     "FirFilter",
@@ -130,20 +130,6 @@ def design_fir_lowpass(order: int, cutoff: float, sample_rate: float) -> FirFilt
     return FirFilter(taps=taps, band=(0.0, cutoff), design_rate=sample_rate)
 
 
-def _as_channel(signal, sample_rate):
-    """Accept a single-channel MultichannelSignal or a bare 1-D array."""
-    if isinstance(signal, MultichannelSignal):
-        if signal.channels != 1:
-            raise ValueError(f"expected a single channel, got {signal.channels}")
-        return signal.data[0], signal.sample_rate
-    arr = np.asarray(signal, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D array, got shape {arr.shape}")
-    if sample_rate is None:
-        raise ValueError("sample_rate is required with a bare array input")
-    return arr, float(sample_rate)
-
-
 def filter_signal(
     signal, fir: FirFilter, sample_rate: float | None = None,
 ) -> np.ndarray:
@@ -153,7 +139,7 @@ def filter_signal(
     aligned outputs compensate with that constant. The signal rate must
     match the filter's design rate.
     """
-    channel, rate = _as_channel(signal, sample_rate)
+    channel, rate = as_channel(signal, sample_rate)
     if not math.isclose(rate, fir.design_rate, rel_tol=1e-9):
         raise ValueError(f"signal rate {rate} != filter design rate {fir.design_rate}")
     if channel.size < fir.taps.size:
@@ -178,7 +164,7 @@ def fir_split(
     stage exists both as the front end of diplex() and as the baseline
     it is measured against.
     """
-    channel, rate = _as_channel(composite, sample_rate)
+    channel, rate = as_channel(composite, sample_rate)
     if freq_a == freq_b:
         raise ValueError("tone frequencies must be distinct")
     if not (0.0 < band_frac < 1.0):

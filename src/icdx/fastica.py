@@ -28,8 +28,9 @@ verification steps.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -183,30 +184,37 @@ def _check_whitened(data: np.ndarray, tol: float) -> None:
             f"(tolerance {tol:g})")
 
 
-def _iterate_unit(
+def _iterate(
     data: np.ndarray,
     w: np.ndarray,
     cfg: FastIcaConfig,
     budget: int,
-    basis: np.ndarray | None,
+    project: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, int, bool]:
-    """Run the fixed-point update from w for at most budget iterations."""
+    """Run the fixed-point update from w for at most budget iterations.
+
+    w is one unit (1-D) or all rows at once (2-D); project decorrelates
+    and normalizes each update. Converged when every row has
+    1 - |<w_new, w_old>| within tolerance.
+    """
     n = data.shape[1]
     for it in range(1, budget + 1):
-        u = w @ data
-        g, gprime = contrast_eval(u, cfg.contrast, cfg.contrast_shape)
-        w_new = (data @ g) / n - gprime.mean() * w
-        if basis is not None and basis.shape[0] > 0:
-            w_new = w_new - basis.T @ (basis @ w_new)
-        norm = float(np.linalg.norm(w_new))
-        if norm == 0.0 or not math.isfinite(norm):
-            raise ConvergenceError("fixed-point update collapsed to zero")
-        w_new = w_new / norm
-        delta = 1.0 - abs(float(w_new @ w))
+        g, gprime = contrast_eval(w @ data, cfg.contrast, cfg.contrast_shape)
+        w_new = project((data @ g.T).T / n - gprime.mean(axis=-1, keepdims=True) * w)
+        delta = 1.0 - np.min(np.abs(np.sum(w_new * w, axis=-1)))
         w = w_new
         if delta <= cfg.tol:
             return w, it, True
     return w, budget, False
+
+
+def _gram_schmidt(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Deflation's projection: w minus its part in the accepted rows, normalized."""
+    w = w - basis.T @ (basis @ w)
+    norm = float(np.linalg.norm(w))
+    if norm == 0.0 or not math.isfinite(norm):
+        raise ConvergenceError("fixed-point update collapsed to zero")
+    return w / norm
 
 
 def fit_one_unit(
@@ -228,7 +236,8 @@ def fit_one_unit(
         raise ValueError(f"w0 must have shape ({data.shape[0]},), got {w0.shape}")
     if abs(float(np.linalg.norm(w0)) - 1.0) > 1e-8:
         raise ValueError("w0 must be a unit vector")
-    return _iterate_unit(data, w0, cfg, cfg.max_iter, None)
+    no_basis = np.zeros((0, data.shape[0]))
+    return _iterate(data, w0, cfg, cfg.max_iter, partial(_gram_schmidt, no_basis))
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -244,7 +253,7 @@ def _settle_unit(
     w0: np.ndarray,
     cfg: FastIcaConfig,
     rng: np.random.Generator,
-    basis: np.ndarray | None,
+    basis: np.ndarray,
 ) -> tuple[np.ndarray, int, bool]:
     """Converge, then verify stability by perturb-and-resume.
 
@@ -252,20 +261,20 @@ def _settle_unit(
     to the same direction. Otherwise the iteration escaped a saddle; the
     new point is adopted and verified in turn. Iteration counts accumulate.
     """
-    w, total, converged = _iterate_unit(data, w0, cfg, cfg.max_iter, basis)
+    project = partial(_gram_schmidt, basis)
+    w, total, converged = _iterate(data, w0, cfg, cfg.max_iter, project)
     for _ in range(_MAX_ESCAPES):
         if not converged:
             break
         kick = rng.standard_normal(w.shape[0])
-        if basis is not None and basis.shape[0] > 0:
-            kick = kick - basis.T @ (basis @ kick)
+        kick = kick - basis.T @ (basis @ kick)
         kick = kick - (kick @ w) * w
         knorm = float(np.linalg.norm(kick))
         if knorm == 0.0:
             break  # no orthogonal direction left to test
         w_try = w + _KICK_SIZE * (kick / knorm)
         w_try = w_try / float(np.linalg.norm(w_try))
-        w_new, used, converged = _iterate_unit(data, w_try, cfg, cfg.max_iter, basis)
+        w_new, used, converged = _iterate(data, w_try, cfg, cfg.max_iter, project)
         total += used
         if abs(float(w_new @ w)) >= _STABLE_MATCH:
             return w_new, total, converged  # came back: a genuine attractor
@@ -323,13 +332,16 @@ class Assignment:
 
     def apply(self, signal: MultichannelSignal) -> MultichannelSignal:
         """Reorder and sign-correct component rows."""
-        if signal.channels != len(self.perm):
+        return signal.with_data(self.apply_rows(signal.data))
+
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """A copy of rows with slot i holding signs[i] * rows[perm[i]]."""
+        if rows.shape[0] != len(self.perm):
             raise ValueError(
-                f"signal has {signal.channels} channels, assignment has {len(self.perm)}")
-        data = np.empty_like(signal.data)
-        for slot, (src, sign) in enumerate(zip(self.perm, self.signs)):
-            data[slot] = sign * signal.data[src]
-        return signal.with_data(data)
+                f"got {rows.shape[0]} channels, assignment has {len(self.perm)}")
+        out = rows[list(self.perm)]
+        out *= np.array(self.signs, dtype=np.float64)[:, None]
+        return out
 
 
 @dataclass(frozen=True)
@@ -435,45 +447,21 @@ def fit(
             w_mat[i] -= w_mat[:i].T @ (w_mat[:i] @ w_mat[i])
             w_mat[i] /= np.linalg.norm(w_mat[i])
     else:
-        w_mat = _orthonormalize(rng.standard_normal((c, c)))
-        sweeps = 0
-        converged = False
-        n = data.shape[1]
-        for _ in range(cfg.max_iter):
-            u = w_mat @ data
-            g, gprime = contrast_eval(u, cfg.contrast, cfg.contrast_shape)
-            w_new = (g @ data.T) / n - gprime.mean(axis=1, keepdims=True) * w_mat
-            w_new = _orthonormalize(w_new)
-            delta = 1.0 - np.min(np.abs(np.sum(w_new * w_mat, axis=1)))
-            w_mat = w_new
-            sweeps += 1
-            if delta <= cfg.tol:
-                converged = True
-                break
+        w_mat, sweeps, converged = _iterate(
+            data, _orthonormalize(rng.standard_normal((c, c))), cfg, cfg.max_iter,
+            _orthonormalize)
         # Stability pass: kick all rows, resume, accept on self-match.
         for _ in range(_MAX_ESCAPES):
             if not converged:
                 break
-            kicked = w_mat + _KICK_SIZE * rng.standard_normal(w_mat.shape)
-            kicked = _orthonormalize(kicked)
-            w_try = kicked
-            resumed = False
-            for _ in range(cfg.max_iter - sweeps if cfg.max_iter > sweeps else 1):
-                u = w_try @ data
-                g, gprime = contrast_eval(u, cfg.contrast, cfg.contrast_shape)
-                w_new = (g @ data.T) / n - gprime.mean(axis=1, keepdims=True) * w_try
-                w_new = _orthonormalize(w_new)
-                delta = 1.0 - np.min(np.abs(np.sum(w_new * w_try, axis=1)))
-                w_try = w_new
-                sweeps += 1
-                if delta <= cfg.tol:
-                    resumed = True
-                    break
+            kicked = _orthonormalize(w_mat + _KICK_SIZE * rng.standard_normal(w_mat.shape))
+            w_try, used, resumed = _iterate(
+                data, kicked, cfg, max(cfg.max_iter - sweeps, 1), _orthonormalize)
+            sweeps += used
             match = np.min(np.abs(np.sum(w_try * w_mat, axis=1)))
-            if resumed and match >= _STABLE_MATCH:
-                w_mat = w_try
-                break
             w_mat = w_try
+            if resumed and match >= _STABLE_MATCH:
+                break
             converged = resumed
         counts = [sweeps] * c
         flags = [converged] * c

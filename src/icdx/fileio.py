@@ -75,11 +75,17 @@ def write_signal(path: str | Path, signal: MultichannelSignal) -> None:
 
 
 def read_signal(path: str | Path) -> MultichannelSignal:
-    """Read a signal written by write_signal, dispatching on the suffix."""
+    """Read a signal written by write_signal, dispatching on the suffix.
+
+    Samples MultichannelSignal rejects (non-finite ones) raise FormatError.
+    """
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        return _read_csv(path)
-    return _read_raw(path)
+    reader = _read_csv if path.suffix.lower() == ".csv" else _read_raw
+    data, rate = reader(path)
+    try:
+        return MultichannelSignal(data, rate)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _write_raw(path: Path, signal: MultichannelSignal) -> None:
@@ -91,7 +97,7 @@ def _write_raw(path: Path, signal: MultichannelSignal) -> None:
         fh.write(frames.tobytes())
 
 
-def _read_raw(path: Path) -> MultichannelSignal:
+def _read_raw(path: Path) -> tuple[np.ndarray, float]:
     with open(path, "rb") as fh:
         block = fh.read(HEADER_SIZE)
         if len(block) != HEADER_SIZE:
@@ -111,7 +117,7 @@ def _read_raw(path: Path) -> MultichannelSignal:
         raise FormatError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}")
     frames = np.frombuffer(payload, dtype="<f8").reshape(length, channels)
-    return MultichannelSignal(frames.T.copy(), rate)
+    return frames.T.copy(), rate
 
 
 def _write_csv(path: Path, signal: MultichannelSignal) -> None:
@@ -124,7 +130,7 @@ def _write_csv(path: Path, signal: MultichannelSignal) -> None:
         np.savetxt(fh, table, delimiter=",", fmt="%.17g")
 
 
-def _read_csv(path: Path) -> MultichannelSignal:
+def _read_csv(path: Path) -> tuple[np.ndarray, float]:
     rate = None
     header_index = None
     with open(path, "r") as fh:
@@ -162,7 +168,7 @@ def _read_csv(path: Path) -> MultichannelSignal:
         if dt <= 0:
             raise FormatError(f"{path}: non-increasing time column")
         rate = 1.0 / dt
-    return MultichannelSignal(table[:, 1:].T.copy(), rate)
+    return table[:, 1:].T.copy(), rate
 
 
 def format_matrix(mat: np.ndarray) -> str:

@@ -14,7 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .signalgen import MultichannelSignal
+from .signalgen import as_channel
 
 __all__ = [
     "QualityReport",
@@ -44,16 +44,26 @@ def _series(x, name: str) -> np.ndarray:
     return arr
 
 
-def best_fit_scale(estimated, truth) -> float:
-    """Least-squares scalar c minimizing |estimated - c * truth|."""
+def _pair(estimated, truth) -> tuple[np.ndarray, np.ndarray]:
+    """Both series validated, with equal shapes."""
     e = _series(estimated, "estimated")
     t = _series(truth, "truth")
     if e.shape != t.shape:
         raise ValueError(f"shape mismatch: {e.shape} vs {t.shape}")
+    return e, t
+
+
+def _fit(e: np.ndarray, t: np.ndarray) -> tuple[float, float]:
+    """(c, t.t) with c = e.t / t.t the least-squares scale of truth t in e."""
     tt = float(t @ t)
     if tt == 0.0:
         raise ValueError("truth is identically zero")
-    return float(e @ t) / tt
+    return float(e @ t) / tt, tt
+
+
+def best_fit_scale(estimated, truth) -> float:
+    """Least-squares scalar c minimizing |estimated - c * truth|."""
+    return _fit(*_pair(estimated, truth))[0]
 
 
 def isr(estimated, truth) -> float:
@@ -65,16 +75,10 @@ def isr(estimated, truth) -> float:
     power returns -inf (exact recovery up to scale); an estimate
     orthogonal to the truth returns +inf.
     """
-    e = _series(estimated, "estimated")
-    t = _series(truth, "truth")
-    if e.shape != t.shape:
-        raise ValueError(f"shape mismatch: {e.shape} vs {t.shape}")
-    tt = float(t @ t)
-    if tt == 0.0:
-        raise ValueError("truth is identically zero")
+    e, t = _pair(estimated, truth)
+    c, tt = _fit(e, t)
     if float(e @ e) == 0.0:
         raise ValueError("estimated is identically zero")
-    c = float(e @ t) / tt
     fit_power = c * c * tt
     residual = e - c * t
     residual_power = float(residual @ residual)
@@ -92,10 +96,7 @@ def snr(estimated, truth) -> float:
     rescaling: calibration errors count as noise). Returns +inf for an
     exact match.
     """
-    e = _series(estimated, "estimated")
-    t = _series(truth, "truth")
-    if e.shape != t.shape:
-        raise ValueError(f"shape mismatch: {e.shape} vs {t.shape}")
+    e, t = _pair(estimated, truth)
     signal_power = float(np.mean(t * t))
     if signal_power == 0.0:
         raise ValueError("truth is identically zero")
@@ -122,15 +123,8 @@ def envelope_depth(
     result lies in [0, 1]: 0 for a clean constant-amplitude carrier,
     approaching 1 when interference beats the envelope through zero.
     """
-    if isinstance(channel, MultichannelSignal):
-        if channel.channels != 1:
-            raise ValueError(f"expected a single channel, got {channel.channels}")
-        data, rate = channel.data[0], channel.sample_rate
-    else:
-        data = _series(channel, "channel")
-        if sample_rate is None:
-            raise ValueError("sample_rate is required with a bare array input")
-        rate = float(sample_rate)
+    data, rate = as_channel(channel, sample_rate)
+    data = _series(data, "channel")
     if not (0.0 < carrier < 0.5 * rate):
         raise ValueError(f"carrier must be in (0, {0.5 * rate}), got {carrier}")
     if not (0.0 < band_frac < 1.0):
@@ -171,15 +165,8 @@ def cross_tone_residual_db(
     two bands do not contaminate each other). Returns -inf when the
     foreign band is empty of energy.
     """
-    if isinstance(channel, MultichannelSignal):
-        if channel.channels != 1:
-            raise ValueError(f"expected a single channel, got {channel.channels}")
-        data, rate = channel.data[0], channel.sample_rate
-    else:
-        data = _series(channel, "channel")
-        if sample_rate is None:
-            raise ValueError("sample_rate is required with a bare array input")
-        rate = float(sample_rate)
+    data, rate = as_channel(channel, sample_rate)
+    data = _series(data, "channel")
     n = data.shape[0]
     nyquist = 0.5 * rate
     for name, freq in (("own_freq", own_freq), ("other_freq", other_freq)):

@@ -13,7 +13,7 @@ seed must produce bit-identical signals on every run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,6 +88,18 @@ class InterferometerParams:
         """Vibration phase scale from channel 2 to channel 1 (inverse wavelength)."""
         return self.wavelength2 / self.wavelength1
 
+    def line_density(self, phase1: np.ndarray, phase2: np.ndarray) -> np.ndarray:
+        """Two-color line-integrated density in 1/m^2 from the phases in radians:
+
+            (phase1 * wavelength1 - phase2 * wavelength2)
+            / (electron_radius * (wavelength1**2 - wavelength2**2))
+
+        Vibration phase (~ 1/wavelength) cancels; plasma phase (~ wavelength) stays.
+        """
+        lam1, lam2 = self.wavelength1, self.wavelength2
+        denom = self.electron_radius * (lam1 * lam1 - lam2 * lam2)
+        return (phase1 * lam1 - phase2 * lam2) / denom
+
 
 @dataclass(frozen=True)
 class PhaseTrack:
@@ -151,6 +163,20 @@ class MultichannelSignal:
 
     def with_data(self, data: np.ndarray) -> "MultichannelSignal":
         return replace(self, data=data)
+
+
+def as_channel(signal, sample_rate: float | None) -> tuple[np.ndarray, float]:
+    """(samples, rate) of a single-channel MultichannelSignal or a bare 1-D array."""
+    if isinstance(signal, MultichannelSignal):
+        if signal.channels != 1:
+            raise ValueError(f"expected a single channel, got {signal.channels}")
+        return signal.data[0], signal.sample_rate
+    arr = np.asarray(signal, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D array, got shape {arr.shape}")
+    if sample_rate is None:
+        raise ValueError("sample_rate is required with a bare array input")
+    return arr, float(sample_rate)
 
 
 def synth_clean_pair(

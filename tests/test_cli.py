@@ -10,6 +10,8 @@ import icdx
 from icdx.cli import RunConfig, main
 from icdx.fileio import parse_matrix, read_kv
 
+from helpers import RATE
+
 
 def _floats(kv, key):
     return [icdx.parse_metric_value(tok) for tok in kv.values[key].split(",")]
@@ -103,6 +105,26 @@ def test_missing_input_exit_4(tmp_path, capsys):
     assert main(["unmix", "--in", str(tmp_path / "absent.bin"),
                  "--out-dir", str(tmp_path)]) == 4
     assert "error" in capsys.readouterr().err
+
+
+def test_non_finite_input_exit_4(tmp_path, capsys):
+    csv_path = tmp_path / "nan.csv"
+    csv_path.write_text("t,ch0,ch1\n0,1,2\n1,nan,2\n2,1,2\n")
+    icdx.write_signal(tmp_path / "ok.bin", icdx.MultichannelSignal(np.ones((2, 4)), RATE))
+    raw = bytearray((tmp_path / "ok.bin").read_bytes())
+    raw[-8:] = np.array([np.inf], dtype="<f8").tobytes()
+    (tmp_path / "inf.bin").write_bytes(bytes(raw))
+    for path in (csv_path, tmp_path / "inf.bin"):
+        assert main(["unmix", "--in", str(path), "--out-dir", str(tmp_path)]) == 4
+        assert "finite" in capsys.readouterr().err
+
+
+def test_density_on_record_shorter_than_filter_exit_2(tmp_path, capsys):
+    assert main(["gen", "--out-dir", str(tmp_path), "--samples", "16"]) == 0
+    assert main(["density", "--in", str(tmp_path / "clean.bin"),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "shorter than the demodulation filter" in capsys.readouterr().err
+    assert not (tmp_path / "density_report.cfg").exists()
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

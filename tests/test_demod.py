@@ -163,6 +163,10 @@ def test_demodulate_validation():
     two = icdx.MultichannelSignal(np.zeros((2, 64)), RATE)
     with pytest.raises(ValueError, match="single channel"):
         icdx.demodulate(two, CARRIER_1, 4.0e4, 8)
+    # 263 taps: a 257-tap windowed sinc cascaded with a 7-tap image comb.
+    with pytest.raises(ValueError, match="shorter than the demodulation filter"):
+        icdx.demodulate(x[:262], CARRIER_1, 4.0e4, 8, RATE)
+    assert len(icdx.demodulate(x[:263], CARRIER_1, 4.0e4, 8, RATE)) == 33
 
 
 def test_phase_series_steady_degenerate():
