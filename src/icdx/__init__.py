@@ -36,6 +36,7 @@ from .fastica import (
     gaussian_reference,
     identify_components,
     negentropy_estimate,
+    separate,
     unmix,
 )
 from .fileio import ConfigError, FormatError, read_kv, read_signal, write_kv, write_signal
@@ -120,6 +121,7 @@ __all__ = [
     "quantize_adc",
     "read_kv",
     "read_signal",
+    "separate",
     "signed_permutation_error",
     "snr",
     "synth_clean_pair",

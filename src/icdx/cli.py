@@ -84,10 +84,6 @@ _FIELD_HELP = {
 }
 
 
-def _default_coupling() -> np.ndarray:
-    return np.array([[1.0, 0.4], [0.3, 1.0]])
-
-
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """Every tunable of the pipeline, with its default."""
@@ -124,7 +120,7 @@ class RunConfig:
     file_format: str = "raw"
 
     def __post_init__(self) -> None:
-        coupling = self.coupling if self.coupling is not None else _default_coupling()
+        coupling = [[1.0, 0.4], [0.3, 1.0]] if self.coupling is None else self.coupling
         coupling = np.asarray(coupling, dtype=np.float64)
         coupling.flags.writeable = False
         object.__setattr__(self, "coupling", coupling)
@@ -400,13 +396,8 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
     mixed = fileio.read_signal(args.input)
     if mixed.channels != 2:
         raise ValueError(f"unmix expects 2 channels, got {mixed.channels}")
-    whitened, transform = preprocess.whiten(mixed)
-    result = fastica.fit(whitened, cfg.ica(), transform)
-    components = fastica.unmix(mixed, result, transform)
-    assignment = fastica.identify_components(
-        components, {"ch1": cfg.f_het1, "ch2": cfg.f_het2})
-    result = result.with_assignment(assignment)
-    corrected = assignment.apply(components)
+    corrected, result, transform = fastica.separate(
+        mixed, cfg.ica(), {"ch1": cfg.f_het1, "ch2": cfg.f_het2})
 
     corrected_path = out / _signal_name("corrected", cfg)
     fileio.write_signal(corrected_path, corrected)
@@ -414,12 +405,10 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
     fileio.write_kv(out / "whitening.cfg", transform.to_mapping())
 
     carriers = (cfg.f_het1, cfg.f_het2)
-    depth_raw = tuple(
-        metrics.envelope_depth(mixed.data[i], carriers[i], mixed.sample_rate)
-        for i in range(2))
-    depth_fixed = tuple(
-        metrics.envelope_depth(corrected.data[i], carriers[i], corrected.sample_rate)
-        for i in range(2))
+    depth_raw, depth_fixed = (
+        tuple(metrics.envelope_depth(sig.data[i], carriers[i], sig.sample_rate)
+              for i in range(2))
+        for sig in (mixed, corrected))
     isr_db = None
     gain_error = None
     if args.truth:
@@ -430,7 +419,8 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
             metrics.isr(corrected.data[i], truth.data[i]) for i in range(2))
         scales = np.sqrt(np.mean(truth.data**2, axis=1))
         gain = result.w_full @ cfg.coupling @ np.diag(scales)
-        gain_error = metrics.signed_permutation_error(assignment.apply_rows(gain))[2]
+        gain_error = metrics.signed_permutation_error(
+            result.assignment.apply_rows(gain))[2]
     report = metrics.QualityReport(
         iterations=result.iterations,
         converged=result.converged,
@@ -519,9 +509,8 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
     fileio.write_kv(out / "density_report.cfg", report)
     manifest_path = out / "density_manifest.cfg"
     _write_manifest(manifest_path, cfg)
-    _emit(density_path)
-    _emit(out / "density_report.cfg")
-    _emit(manifest_path)
+    for path in (density_path, out / "density_report.cfg", manifest_path):
+        _emit(path)
     if status != "ok":
         ranges = "; ".join(
             f"ch{i + 1} {phase.lost_ranges}" for i, phase in enumerate(phases)
@@ -580,8 +569,7 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not directory.is_dir():
         raise OSError(f"not a directory: {directory}")
     kv_paths = sorted(directory.glob("*.cfg"))
-    signal_paths = sorted(
-        p for p in list(directory.glob("*.bin")) + list(directory.glob("*.csv")))
+    signal_paths = sorted([*directory.glob("*.bin"), *directory.glob("*.csv")])
     if not kv_paths and not signal_paths:
         print(f"nothing to report in {directory}")
         return _EXIT_OK
@@ -608,9 +596,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.handler(args, cfg)
-    except fileio.ConfigError as exc:
-        print(f"icdx: error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
     except (preprocess.RankDeficientError, fastica.ConvergenceError,
             fastica.IdentificationError, demod.PhaseTrackingLostError) as exc:
         print(f"icdx: error: {exc}", file=sys.stderr)
@@ -618,7 +603,7 @@ def main(argv: list[str] | None = None) -> int:
     except (fileio.FormatError, OSError) as exc:
         print(f"icdx: error: {exc}", file=sys.stderr)
         return _EXIT_IO
-    except ValueError as exc:
+    except ValueError as exc:  # fileio.ConfigError included
         print(f"icdx: error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
 

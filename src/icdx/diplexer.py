@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fastica, preprocess
+from . import fastica
 from .signalgen import MultichannelSignal, as_channel
 
 __all__ = [
@@ -189,14 +189,15 @@ def diplex(
     """Split a two-tone composite into clean per-tone channels, FIR then ICA.
 
     The FIR branch outputs from fir_split() are treated as a linear
-    mixture of the two tones, whitened, and unmixed; components are
-    matched back to the tone frequencies and peak-normalized to
-    amplitude 1. Output channels are ordered (tone_a, tone_b).
+    mixture of the two tones and separated by fastica.separate(), which
+    matches components to the tone frequencies; each is peak-normalized
+    to amplitude 1. Output channels are ordered (tone_a, tone_b).
 
     Raises RankDeficientError when the composite does not actually
-    contain two distinct tones, ConvergenceError if the unmixing stage
-    fails, and IdentificationError if the components cannot be told
-    apart by frequency.
+    contain two distinct tones, IdentificationError if the components
+    cannot be told apart by frequency, and ConvergenceError if the
+    unmixing stage fails. Identification comes first, so a run that
+    fails both raises IdentificationError.
     """
     fir_only = fir_split(composite, freq_a, freq_b, order, sample_rate, band_frac)
 
@@ -205,16 +206,11 @@ def diplex(
     # transient is enough rank-2 energy to mask a genuinely
     # one-dimensional input (a single tone must fail as rank deficient,
     # not limp through to a component identification collision).
-    steady = MultichannelSignal(fir_only.data[:, order:], fir_only.sample_rate)
-    whitened, transform = preprocess.whiten(steady)
-    result = fastica.fit(whitened, cfg, transform)
+    separated, result, _ = fastica.separate(
+        fir_only, cfg, {"tone_a": freq_a, "tone_b": freq_b}, skip=order)
     if not all(result.converged):
         raise fastica.ConvergenceError(
             f"unmixing did not converge (iterations {result.iterations})")
-    components = fastica.unmix(fir_only, result, transform)
-    assignment = fastica.identify_components(
-        components, {"tone_a": freq_a, "tone_b": freq_b})
-    separated = assignment.apply(components)
 
     # Tones carry no DC: pin each output mean to zero exactly, then
     # normalize to unit peak.

@@ -34,6 +34,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from . import preprocess
 from .preprocess import WhiteningTransform
 from .signalgen import MultichannelSignal
 
@@ -52,6 +53,7 @@ __all__ = [
     "gaussian_reference",
     "identify_components",
     "negentropy_estimate",
+    "separate",
     "unmix",
 ]
 
@@ -302,13 +304,6 @@ def _orthonormalize(w_mat: np.ndarray) -> np.ndarray:
     raise ConvergenceError("symmetric orthonormalization did not converge")
 
 
-def _identity_assignment(channels: int) -> "Assignment":
-    return Assignment(
-        labels=tuple(f"component{i}" for i in range(channels)),
-        perm=tuple(range(channels)),
-        signs=(1,) * channels)
-
-
 @dataclass(frozen=True)
 class Assignment:
     """Permutation plus signs mapping separated rows to named channels.
@@ -431,12 +426,8 @@ def fit(
         for _ in range(c):
             basis = np.array(rows) if rows else np.zeros((0, c))
             w0 = _random_unit(rng, c)
-            if basis.shape[0] > 0:
-                w0 = w0 - basis.T @ (basis @ w0)
-                norm = float(np.linalg.norm(w0))
-                if norm < 1e-9:
-                    raise ConvergenceError("could not draw a start outside accepted span")
-                w0 = w0 / norm
+            if rows:
+                w0 = _gram_schmidt(basis, w0)
             w, used, ok = _settle_unit(data, w0, cfg, rng, basis)
             rows.append(w)
             counts.append(used)
@@ -471,7 +462,8 @@ def fit(
         w=w_mat,
         iterations=tuple(counts),
         converged=tuple(flags),
-        assignment=_identity_assignment(c),
+        assignment=Assignment(labels=tuple(f"component{i}" for i in range(c)),
+                              perm=tuple(range(c)), signs=(1,) * c),
         w_full=w_full,
     )
 
@@ -483,16 +475,40 @@ def unmix(
 ) -> MultichannelSignal:
     """Recover component time series from a raw (unwhitened) signal.
 
-    Applies the whitening transform, the estimated rotation, and the
+    One product applies the whitener, the estimated rotation, and the
     result's current assignment (identity until components have been
-    identified).
+    identified) to the centered record.
     """
     if signal.channels != result.channels:
         raise ValueError(
             f"signal has {signal.channels} channels, result has {result.channels}")
-    whitened = transform.apply(signal)
-    components = signal.with_data(result.w @ whitened.data)
-    return result.assignment.apply(components)
+    w_full = result.assignment.apply_rows(result.w @ transform.whitener)
+    return signal.with_data(w_full @ (signal.data - transform.mean[:, None]))
+
+
+def separate(
+    signal: MultichannelSignal,
+    cfg: FastIcaConfig,
+    expected: dict[str, float],
+    skip: int = 0,
+) -> tuple[MultichannelSignal, SeparationResult, WhiteningTransform]:
+    """The separation stage: whiten, fit, unmix, identify.
+
+    Whitening and the fit see signal.data[:, skip:] only (skip drops a
+    startup transient); unmixing and identification cover the whole
+    record. Returns (corrected, result, transform); corrected holds the
+    expected carriers in order and result the identified assignment.
+    Non-convergence is recorded in result.converged, never raised.
+    """
+    if not 0 <= skip < signal.length:
+        raise ValueError(f"skip must be in [0, {signal.length}), got {skip}")
+    # Layers are looked up at call time, so wrappers on module attributes see them.
+    whitened, transform = preprocess.whiten(
+        signal.with_data(signal.data[:, skip:]) if skip else signal)
+    result = fit(whitened, cfg, transform)
+    components = unmix(signal, result, transform)
+    assignment = identify_components(components, expected)
+    return assignment.apply(components), result.with_assignment(assignment), transform
 
 
 def identify_components(

@@ -117,7 +117,7 @@ def _read_raw(path: Path) -> tuple[np.ndarray, float]:
         raise FormatError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}")
     frames = np.frombuffer(payload, dtype="<f8").reshape(length, channels)
-    return frames.T.copy(), rate
+    return frames.T, rate
 
 
 def _write_csv(path: Path, signal: MultichannelSignal) -> None:
@@ -168,7 +168,7 @@ def _read_csv(path: Path) -> tuple[np.ndarray, float]:
         if dt <= 0:
             raise FormatError(f"{path}: non-increasing time column")
         rate = 1.0 / dt
-    return table[:, 1:].T.copy(), rate
+    return table[:, 1:].T, rate
 
 
 def format_matrix(mat: np.ndarray) -> str:

@@ -195,18 +195,19 @@ class WhiteningTransform:
     def channels(self) -> int:
         return self.mean.shape[0]
 
-    def apply(self, signal: MultichannelSignal) -> MultichannelSignal:
-        """Center with the stored means, then whiten."""
+    def _check(self, signal: MultichannelSignal) -> None:
         if signal.channels != self.channels:
             raise ValueError(
                 f"signal has {signal.channels} channels, transform has {self.channels}")
+
+    def apply(self, signal: MultichannelSignal) -> MultichannelSignal:
+        """Center with the stored means, then whiten."""
+        self._check(signal)
         return signal.with_data(self.whitener @ (signal.data - self.mean[:, None]))
 
     def restore(self, signal: MultichannelSignal) -> MultichannelSignal:
         """Invert apply(): dewhiten and re-add the stored means."""
-        if signal.channels != self.channels:
-            raise ValueError(
-                f"signal has {signal.channels} channels, transform has {self.channels}")
+        self._check(signal)
         return signal.with_data(self.dewhitener @ signal.data + self.mean[:, None])
 
     def to_mapping(self) -> dict[str, object]:

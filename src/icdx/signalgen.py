@@ -46,7 +46,7 @@ SHOT_RAMP_PLATEAU_RAD = 2.0
 
 
 def _readonly_f64(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64, order="C")
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

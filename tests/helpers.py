@@ -63,16 +63,9 @@ def two_tone_clean(n: int = 2**18) -> icdx.MultichannelSignal:
 
 
 def separate(mixed: icdx.MultichannelSignal, seed: int = 0, **cfg_kw):
-    """whiten + fit + identify; returns (corrected, result, transform)."""
-    whitened, transform = icdx.whiten(mixed)
-    cfg = icdx.FastIcaConfig(seed=seed, **cfg_kw)
-    result = icdx.fit(whitened, cfg, transform)
-    components = icdx.unmix(mixed, result, transform)
-    assignment = icdx.identify_components(
-        components, {"ch1": CARRIER_1, "ch2": CARRIER_2})
-    result = result.with_assignment(assignment)
-    corrected = assignment.apply(components)
-    return corrected, result, transform
+    """icdx.separate on the default carriers; returns (corrected, result, transform)."""
+    return icdx.separate(mixed, icdx.FastIcaConfig(seed=seed, **cfg_kw),
+                         {"ch1": CARRIER_1, "ch2": CARRIER_2})
 
 
 def aligned_gain(result, transform, coupling, source_rms):

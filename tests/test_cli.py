@@ -200,6 +200,9 @@ def test_unmix_nonconvergence_exit_3(tmp_path):
                "--out-dir", str(tmp_path / "u"),
                "--max-iter", "1", "--tol", "1e-15"])
     assert rc == 3
+    # The outputs are still written for inspection.
+    for name in ("corrected.bin", "separation.cfg", "quality.cfg"):
+        assert (tmp_path / "u" / name).exists(), name
 
 
 def test_density_on_strong_coupling_partial_exit_3(tmp_path, capsys):

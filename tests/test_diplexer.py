@@ -160,6 +160,12 @@ def test_diplex_deterministic():
     assert np.array_equal(first.data, second.data)
 
 
+def test_diplex_nonconvergence_raises():
+    cfg = icdx.FastIcaConfig(seed=0, max_iter=1, tol=1e-15)
+    with pytest.raises(icdx.ConvergenceError, match="did not converge"):
+        icdx.diplex(_composite(2**14), _TONE_A, _TONE_B, 5, cfg)
+
+
 def test_diplex_single_tone_is_rank_deficient():
     # A one-tone input has no second component; the failure must be the
     # rank check at whitening, not a later misidentification.

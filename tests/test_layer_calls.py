@@ -1,0 +1,63 @@
+"""Every separation reaches its layers through their module attributes.
+
+A profiler or tracer observes a layer by replacing its module attribute
+(icdx.preprocess.whiten, icdx.fastica.fit, ...). These tests install
+counting wrappers the same way and check that each entry point into the
+separation stage calls every layer exactly once, so no layer is called
+through a name bound at import time, and none is called twice.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+import icdx
+from icdx.cli import main
+
+from helpers import CARRIER_1, CARRIER_2, scenario_pair
+
+LAYERS = (
+    (icdx.preprocess, "whiten"),
+    (icdx.fastica, "fit"),
+    (icdx.fastica, "unmix"),
+    (icdx.fastica, "identify_components"),
+)
+ONCE = {name: 1 for _, name in LAYERS}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = collections.Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for module, name in LAYERS:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return counts
+
+
+def test_separate_calls_each_layer_once(calls):
+    _, _, _, mixed = scenario_pair(n=2**14)
+    icdx.separate(mixed, icdx.FastIcaConfig(seed=0), {"ch1": CARRIER_1, "ch2": CARRIER_2})
+    assert calls == ONCE
+
+
+def test_cli_unmix_calls_each_layer_once(calls, tmp_path):
+    assert main(["gen", "--out-dir", str(tmp_path), "--samples", "16384"]) == 0
+    calls.clear()
+    assert main(["unmix", "--in", str(tmp_path / "mixed.bin"),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert calls == ONCE
+
+
+def test_diplex_calls_each_layer_once(calls):
+    rate, tone_a, tone_b = 200.0e6, 25.0e6, 40.0e6
+    t = np.arange(2**14) / rate
+    composite = np.sin(2.0 * np.pi * tone_a * t) + 0.8 * np.sin(2.0 * np.pi * tone_b * t)
+    icdx.diplex(composite, tone_a, tone_b, 5, icdx.FastIcaConfig(seed=0), sample_rate=rate)
+    assert calls == ONCE
