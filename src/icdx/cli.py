@@ -467,6 +467,10 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
             strict=False,
         ))
     density = demod.line_integrated_density(phases[0], phases[1], params)
+    if density.steady().size == 0:
+        raise ValueError(
+            f"no steady density: {len(density)} decimated samples, {density.settle} "
+            "settle at each end; use a longer record or a smaller decimation")
 
     lost_samples = [
         sum(stop - start for start, stop in phase.lost_ranges) for phase in phases]

@@ -156,10 +156,32 @@ def _image_comb(carrier: float, sample_rate: float, max_len: int = 512) -> np.nd
     return np.convolve(box, box)
 
 
-def _lowpass(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """FIR output with the (taps.size - 1) // 2 sample delay removed, same length as x."""
+def _lowpass(x: np.ndarray, taps: np.ndarray, step: int = 1) -> np.ndarray:
+    """FIR output with the (taps.size - 1) // 2 sample delay removed, every step-th sample.
+
+    Equals the delay-compensated full-rate output (same length as x)
+    sliced [::step], but computes only the kept samples: the polyphase
+    form splits taps into step phases taps[p::step], each convolved at
+    the output rate with the input taken at stride step (Crochiere &
+    Rabiner, Multirate Digital Signal Processing, 1983).
+    """
+    n = x.shape[0]
     delay = (taps.size - 1) // 2
-    return np.convolve(x, taps, mode="full")[delay:delay + x.shape[0]]
+    per_phase = -(-taps.size // step)
+    kept = -(-n // step)
+    # Taps zero-padded to per_phase in every phase. Output i of phase p
+    # reads x[delay - p + step * (i - q)] for q < per_phase; the zeros
+    # around x keep every strided read in bounds.
+    phases = np.concatenate((taps, np.zeros(step * per_phase - taps.size)))
+    left = step * per_phase - 1 - delay
+    padded = np.concatenate((np.zeros(left), x, np.zeros(delay)))
+    out = None
+    for p in range(min(step, taps.size)):
+        start = left + delay - p - step * (per_phase - 1)
+        strided = padded[start: start + step * (kept + per_phase - 1): step]
+        part = np.convolve(strided, phases[p::step], mode="valid")
+        out = part if out is None else np.add(out, part, out=out)
+    return out
 
 
 def _find_runs(mask: np.ndarray, min_run: int) -> list[tuple[int, int]]:
@@ -253,17 +275,16 @@ def demodulate(
             f"{len(lost)} interval(s); first at input samples "
             f"[{first[0]}, {first[1]})", lost)
 
-    rail_i = _lowpass(in_phase_mix, taps)[::decimation]
-    rail_q = _lowpass(quadrature_mix, taps)[::decimation]
+    rail_i = _lowpass(in_phase_mix, taps, decimation)
+    rail_q = _lowpass(quadrature_mix, taps, decimation)
 
     wrapped = _wrap_pi(np.arctan2(rail_q, rail_i) + 0.5 * np.pi)
-    phase = unwrap(wrapped)
     return PhaseSeries(
-        samples=phase,
+        samples=unwrap(wrapped),
         sample_rate=rate / decimation,
         carrier=carrier,
         decimation=decimation,
-        settle=min(taps.size - 1, phase.shape[0] // 2),
+        settle=taps.size - 1,
         lost_ranges=lost,
     )
 

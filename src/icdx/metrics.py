@@ -133,12 +133,13 @@ def envelope_depth(
         raise ValueError(f"edge_trim must be in [0, 0.5), got {edge_trim}")
 
     n = data.shape[0]
-    spectrum = np.fft.fft(data)
-    freqs = np.fft.fftfreq(n, d=1.0 / rate)
-    band = (freqs > 0) & (np.abs(freqs - carrier) <= band_frac * carrier)
-    if not np.any(band):
+    spectrum = np.fft.rfft(data)
+    # An even n's Nyquist bin is its own negative twin: keep it out of the band.
+    freqs = np.fft.rfftfreq(n, d=1.0 / rate)[: (n + 1) // 2]
+    band = np.flatnonzero((freqs > 0) & (np.abs(freqs - carrier) <= band_frac * carrier))
+    if band.size == 0:
         raise ValueError("no FFT bins fall inside the carrier band")
-    analytic = np.zeros_like(spectrum)
+    analytic = np.zeros(n, dtype=np.complex128)
     analytic[band] = 2.0 * spectrum[band]
     envelope = np.abs(np.fft.ifft(analytic))
     trim = int(edge_trim * n)

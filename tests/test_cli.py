@@ -127,6 +127,17 @@ def test_density_on_record_shorter_than_filter_exit_2(tmp_path, capsys):
     assert not (tmp_path / "density_report.cfg").exists()
 
 
+@pytest.mark.parametrize("extra", [(), ("--decimation", "100000")])
+def test_density_without_steady_samples_exit_2(tmp_path, capsys, extra):
+    # 4096 samples decimate to 512 (or 1) samples, all inside the settle.
+    assert main(["gen", "--out-dir", str(tmp_path), "--samples", "4096"]) == 0
+    assert main(["density", "--in", str(tmp_path / "clean.bin"),
+                 "--out-dir", str(tmp_path), *extra]) == 2
+    assert "no steady density" in capsys.readouterr().err
+    assert not (tmp_path / "density.csv").exists()
+    assert not (tmp_path / "density_report.cfg").exists()
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("ICDX_OUT_DIR", str(tmp_path / "envout"))
     assert main(["gen", "--samples", "16384"]) == 0

@@ -166,7 +166,10 @@ def test_demodulate_validation():
     # 263 taps: a 257-tap windowed sinc cascaded with a 7-tap image comb.
     with pytest.raises(ValueError, match="shorter than the demodulation filter"):
         icdx.demodulate(x[:262], CARRIER_1, 4.0e4, 8, RATE)
-    assert len(icdx.demodulate(x[:263], CARRIER_1, 4.0e4, 8, RATE)) == 33
+    # Its 33 decimated samples all sit inside the 262-sample settle.
+    short = icdx.demodulate(x[:263], CARRIER_1, 4.0e4, 8, RATE)
+    assert len(short) == 33
+    assert short.settle == 262 and short.steady().size == 0
 
 
 def test_phase_series_steady_degenerate():

@@ -3,18 +3,24 @@
 Each property compares an implementation against an independent
 reference: numpy.unwrap, a per-row permutation loop, a brute-force set
 of lost decimated indices, a decomposition built to have a known
-least-squares answer, or the step-by-step form of a fused product.
+least-squares answer, the step-by-step form of a fused product, the
+full-rate convolution, the complex-FFT envelope, or np.savetxt.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import icdx
 from icdx.cli import _mask_lost
+from icdx.demod import _lowpass
+from icdx.fileio import _write_csv
 
 from helpers import RATE
 
@@ -142,3 +148,91 @@ def test_unmix_matches_whiten_rotate_assign(case):
     fused = icdx.unmix(signal, result, transform)
     expected = _unmix_reference(signal, result, transform)
     assert np.max(np.abs(fused.data - expected.data)) <= 1e-12
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_decimating_lowpass_keeps_every_step_th_output(data):
+    n = data.draw(st.integers(1, 400))
+    x = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    taps = data.draw(arrays(np.float64, st.integers(1, 64), elements=st.floats(-1.0, 1.0)))
+    step = data.draw(st.integers(1, n + 8))
+    delay = (taps.size - 1) // 2
+    full = np.convolve(x, taps, mode="full")[delay:delay + n]
+    tol = 1e-12 * np.sum(np.abs(x))
+    assert np.max(np.abs(_lowpass(x, taps) - full)) <= tol
+    decimated = _lowpass(x, taps, step)
+    assert decimated.shape == full[::step].shape
+    assert np.max(np.abs(decimated - _lowpass(x, taps)[::step])) <= tol
+
+
+def _envelope_depth_reference(data, carrier, rate, band_frac, edge_trim):
+    """The complex-FFT form: full spectrum, negative frequencies zeroed."""
+    n = data.shape[0]
+    spectrum = np.fft.fft(data)
+    freqs = np.fft.fftfreq(n, d=1.0 / rate)
+    band = (freqs > 0) & (np.abs(freqs - carrier) <= band_frac * carrier)
+    if not np.any(band):
+        raise ValueError("no FFT bins fall inside the carrier band")
+    analytic = np.zeros_like(spectrum)
+    analytic[band] = 2.0 * spectrum[band]
+    envelope = np.abs(np.fft.ifft(analytic))
+    trim = int(edge_trim * n)
+    if trim > 0:
+        envelope = envelope[trim: n - trim]
+    hi, lo = float(np.max(envelope)), float(np.min(envelope))
+    return min(max((hi - lo) / (hi + lo), 0.0), 1.0)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(16, 4096),
+    st.floats(0.01, 0.49),
+    st.floats(0.05, 0.95),
+    st.floats(0.0, 0.2),
+    st.floats(-3.0, 0.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_envelope_depth_matches_complex_fft(n, carrier_frac, band_frac, edge_trim,
+                                            log_noise, seed):
+    carrier = carrier_frac * RATE
+    t = np.arange(n) / RATE
+    rng = np.random.default_rng(seed)
+    x = np.cos(2.0 * np.pi * carrier * t + rng.uniform(0.0, 2.0 * np.pi))
+    x += 10.0**log_noise * rng.standard_normal(n)
+    try:
+        expected = _envelope_depth_reference(x, carrier, RATE, band_frac, edge_trim)
+    except ValueError:
+        with pytest.raises(ValueError):
+            icdx.envelope_depth(x, carrier, RATE, band_frac, edge_trim)
+        return
+    got = icdx.envelope_depth(x, carrier, RATE, band_frac, edge_trim)
+    assert abs(got - expected) <= 1e-12
+
+
+def _write_csv_reference(path, signal):
+    """The np.savetxt form of the CSV writer."""
+    table = np.column_stack([signal.times(), signal.data.T])
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# sample_rate_hz = {signal.sample_rate!r}\n")
+        fh.write("t," + ",".join(f"ch{i}" for i in range(signal.channels)) + "\n")
+        np.savetxt(fh, table, delimiter=",", fmt="%.17g")
+
+
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -9.99e299)),
+)
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 50)),
+              elements=_CSV_VALUES),
+       st.floats(1.0, 1e9))
+def test_csv_writer_matches_savetxt(data, rate):
+    signal = icdx.MultichannelSignal(data, rate)
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, reference = Path(tmp) / "ours.csv", Path(tmp) / "reference.csv"
+        _write_csv(ours, signal)
+        _write_csv_reference(reference, signal)
+        assert ours.read_bytes() == reference.read_bytes()
