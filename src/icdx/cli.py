@@ -538,10 +538,7 @@ def _cmd_diplex(args: argparse.Namespace, cfg: RunConfig) -> int:
                 + np.sin(2.0 * np.pi * cfg.tone_b * t))
         composite = signalgen.MultichannelSignal(comp[None, :], cfg.diplex_rate)
 
-    fir_only = diplexer.fir_split(
-        composite, cfg.tone_a, cfg.tone_b, cfg.diplex_order,
-        band_frac=cfg.diplex_band_frac)
-    separated = diplexer.diplex(
+    fir_only, separated = diplexer.diplex(
         composite, cfg.tone_a, cfg.tone_b, cfg.diplex_order, cfg.ica(),
         band_frac=cfg.diplex_band_frac)
 

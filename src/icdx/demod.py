@@ -80,8 +80,12 @@ class PhaseSeries(_Settled):
     """Unwrapped phase track in radians at the decimated rate.
 
     settle counts decimated samples at each end still inside the filter
-    transient; analyses should exclude them. lost_ranges lists envelope
-    null intervals in input-sample indices (empty when tracking held).
+    transient; analyses should exclude them. The delay-compensated
+    narrow rail reads past the record for taps.size // 2 input samples
+    at the start and (taps.size - 1) // 2 at the end, so settle is the
+    former rounded up to whole decimated samples. lost_ranges lists
+    envelope null intervals in input-sample indices (empty when tracking
+    held).
     """
 
     samples: np.ndarray
@@ -284,7 +288,7 @@ def demodulate(
         sample_rate=rate / decimation,
         carrier=carrier,
         decimation=decimation,
-        settle=taps.size - 1,
+        settle=-(-(taps.size // 2) // decimation),
         lost_ranges=lost,
     )
 

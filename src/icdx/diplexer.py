@@ -73,9 +73,17 @@ class FirFilter:
         return phase @ self.taps
 
 
-def _hamming(order: int) -> np.ndarray:
-    n = np.arange(order + 1)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / order)
+def _windowed_sinc(order: int, f_lo: float, f_hi: float, sample_rate: float) -> np.ndarray:
+    """Hamming-windowed ideal bandpass taps for (f_lo, f_hi); f_lo = 0 gives the lowpass."""
+    m = np.arange(order + 1) - 0.5 * order
+    w_lo = 2.0 * np.pi * f_lo / sample_rate
+    w_hi = 2.0 * np.pi * f_hi / sample_rate
+    with np.errstate(invalid="ignore"):
+        ideal = (np.sin(w_hi * m) - np.sin(w_lo * m)) / (np.pi * m)
+    if order % 2 == 0:
+        ideal[order // 2] = (w_hi - w_lo) / np.pi
+    hamming = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(order + 1) / order)
+    return ideal * hamming
 
 
 def design_fir_bandpass(
@@ -96,14 +104,7 @@ def design_fir_bandpass(
         raise ValueError(
             f"band edges must satisfy 0 < f_lo < f_hi < {nyquist}, "
             f"got ({f_lo}, {f_hi})")
-    m = np.arange(order + 1) - 0.5 * order
-    w_lo = 2.0 * np.pi * f_lo / sample_rate
-    w_hi = 2.0 * np.pi * f_hi / sample_rate
-    with np.errstate(invalid="ignore"):
-        ideal = (np.sin(w_hi * m) - np.sin(w_lo * m)) / (np.pi * m)
-    if order % 2 == 0:
-        ideal[order // 2] = (w_hi - w_lo) / np.pi
-    taps = ideal * _hamming(order)
+    taps = _windowed_sinc(order, f_lo, f_hi, sample_rate)
     center = 0.5 * (f_lo + f_hi)
     n = np.arange(order + 1)
     gain = abs(np.sum(taps * np.exp(-2j * np.pi * center * n / sample_rate)))
@@ -119,13 +120,7 @@ def design_fir_lowpass(order: int, cutoff: float, sample_rate: float) -> FirFilt
     nyquist = 0.5 * sample_rate
     if not (0.0 < cutoff < nyquist):
         raise ValueError(f"cutoff must be in (0, {nyquist}), got {cutoff}")
-    m = np.arange(order + 1) - 0.5 * order
-    w_c = 2.0 * np.pi * cutoff / sample_rate
-    with np.errstate(invalid="ignore"):
-        ideal = np.sin(w_c * m) / (np.pi * m)
-    if order % 2 == 0:
-        ideal[order // 2] = w_c / np.pi
-    taps = ideal * _hamming(order)
+    taps = _windowed_sinc(order, 0.0, cutoff, sample_rate)
     taps = taps / taps.sum()
     return FirFilter(taps=taps, band=(0.0, cutoff), design_rate=sample_rate)
 
@@ -185,13 +180,15 @@ def diplex(
     cfg: fastica.FastIcaConfig,
     sample_rate: float | None = None,
     band_frac: float = 0.2,
-) -> MultichannelSignal:
+) -> tuple[MultichannelSignal, MultichannelSignal]:
     """Split a two-tone composite into clean per-tone channels, FIR then ICA.
 
     The FIR branch outputs from fir_split() are treated as a linear
     mixture of the two tones and separated by fastica.separate(), which
     matches components to the tone frequencies; each is peak-normalized
-    to amplitude 1. Output channels are ordered (tone_a, tone_b).
+    to amplitude 1. Returns (fir_only, separated): the FIR branches, the
+    baseline the cascade is measured against, and the cleaned channels,
+    both ordered (tone_a, tone_b).
 
     Raises RankDeficientError when the composite does not actually
     contain two distinct tones, IdentificationError if the components
@@ -218,4 +215,4 @@ def diplex(
     peaks = np.max(np.abs(data), axis=1)
     if np.any(peaks == 0.0):
         raise fastica.ConvergenceError("separated component is identically zero")
-    return separated.with_data(data / peaks[:, None])
+    return fir_only, separated.with_data(data / peaks[:, None])

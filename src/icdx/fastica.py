@@ -12,9 +12,8 @@ super-Gaussian sources.
 
 Estimation of a full unmixing matrix supports deflation (one unit at a
 time with Gram-Schmidt against accepted rows) and symmetric mode (all
-rows updated jointly, re-orthonormalized each sweep by the iterative
-scheme W <- 1.5 W - 0.5 W W.T W, which avoids an explicit matrix square
-root).
+rows updated jointly, re-orthonormalized each sweep as
+W <- (W W.T)^(-1/2) W, the polar factor U V.T of the SVD W = U S V.T).
 
 The absolute-value convergence test cannot tell a sign flip from
 convergence, and for symmetric source pairs the diagonal directions
@@ -285,23 +284,18 @@ def _settle_unit(
 
 
 def _orthonormalize(w_mat: np.ndarray) -> np.ndarray:
-    """Iterative symmetric orthonormalization (no matrix square root).
+    """Symmetric orthonormalization W <- (W W.T)^(-1/2) W.
 
-    Prescales by the Frobenius norm of W W.T (an upper bound on its
-    spectral norm) so every singular value starts in (0, 1], then runs
-    W <- 1.5 W - 0.5 W W.T W until W W.T is the identity within 1e-10.
+    That is the polar factor U V.T of the SVD W = U S V.T. A non-finite
+    W, or one singular to working precision (the numpy.linalg.matrix_rank
+    tolerance), has no such factor and raises ConvergenceError.
     """
-    gram = w_mat @ w_mat.T
-    scale = float(np.linalg.norm(gram))
-    if scale == 0.0 or not math.isfinite(scale):
-        raise ConvergenceError("degenerate matrix in symmetric orthonormalization")
-    w_mat = w_mat / math.sqrt(scale)
-    eye = np.eye(w_mat.shape[0])
-    for _ in range(500):
-        if np.linalg.norm(w_mat @ w_mat.T - eye) < 1e-10:
-            return w_mat
-        w_mat = 1.5 * w_mat - 0.5 * (w_mat @ w_mat.T @ w_mat)
-    raise ConvergenceError("symmetric orthonormalization did not converge")
+    if not np.all(np.isfinite(w_mat)):
+        raise ConvergenceError("non-finite matrix in symmetric orthonormalization")
+    u, s, vt = np.linalg.svd(w_mat)
+    if s[-1] <= s[0] * max(w_mat.shape) * np.finfo(np.float64).eps:
+        raise ConvergenceError("singular matrix in symmetric orthonormalization")
+    return u @ vt
 
 
 @dataclass(frozen=True)
@@ -435,8 +429,7 @@ def fit(
         w_mat = np.array(rows)
         # Final pass: re-orthonormalize accumulated rounding, row by row.
         for i in range(1, c):
-            w_mat[i] -= w_mat[:i].T @ (w_mat[:i] @ w_mat[i])
-            w_mat[i] /= np.linalg.norm(w_mat[i])
+            w_mat[i] = _gram_schmidt(w_mat[:i], w_mat[i])
     else:
         w_mat, sweeps, converged = _iterate(
             data, _orthonormalize(rng.standard_normal((c, c))), cfg, cfg.max_iter,

@@ -4,16 +4,14 @@ The whitening stage maps a centered multichannel signal onto
 unit-covariance coordinates: B = diag(eigvals)**-1/2 @ U.T @ X. The
 independent-component search then only has to look for a rotation.
 
-The eigensolver is deliberately self-contained: a closed form for the
-2x2 case and a cyclic Jacobi sweep for larger symmetric matrices. That
-keeps the numerical path identical across platforms and makes the
-whitening contract easy to audit. Library eigensolvers are used only as
-cross-checks in the test suite.
+The eigenpairs come from numpy.linalg.eigh (LAPACK's symmetric
+solver, which reads the lower triangle); eigendecompose() adds the
+input checks, the descending order and a sign rule that make the
+decomposition deterministic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,70 +61,6 @@ def covariance(signal: MultichannelSignal, mean_tol: float = 1e-8) -> np.ndarray
     return (data @ data.T) / data.shape[1]
 
 
-def _eigh_2x2(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = sym[0, 0]
-    d = sym[1, 1]
-    b = 0.5 * (sym[0, 1] + sym[1, 0])
-    if b == 0.0:
-        order = np.argsort([a, d])[::-1]
-        eigvals = np.array([a, d])[order]
-        eigvecs = np.eye(2)[:, order]
-        return eigvals, eigvecs
-    theta = 0.5 * math.atan2(2.0 * b, a - d)
-    c, s = math.cos(theta), math.sin(theta)
-    # (c, s) is the eigenvector of the larger eigenvalue by construction.
-    lam_hi = a * c * c + 2.0 * b * c * s + d * s * s
-    lam_lo = a * s * s - 2.0 * b * c * s + d * c * c
-    eigvals = np.array([lam_hi, lam_lo])
-    eigvecs = np.array([[c, -s], [s, c]])
-    return eigvals, eigvecs
-
-
-def _eigh_jacobi(sym: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations until the off-diagonal mass is negligible."""
-    a = sym.astype(np.float64, copy=True)
-    dim = a.shape[0]
-    v = np.eye(dim)
-    scale = np.linalg.norm(sym)
-    if scale == 0.0:
-        return np.zeros(dim), v
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= 1e-12 * scale:
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                apq = a[p, q]
-                if abs(apq) <= 1e-14 * scale:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                mask = np.ones(dim, dtype=bool)
-                mask[[p, q]] = False
-                aip = a[mask, p].copy()
-                aiq = a[mask, q].copy()
-                a[mask, p] = aip - s * (aiq + tau * aip)
-                a[mask, q] = aiq + s * (aip - tau * aiq)
-                a[p, mask] = a[mask, p]
-                a[q, mask] = a[mask, q]
-                vip = v[:, p].copy()
-                viq = v[:, q].copy()
-                v[:, p] = vip - s * (viq + tau * vip)
-                v[:, q] = viq + s * (vip - tau * viq)
-    else:
-        raise RuntimeError("Jacobi eigendecomposition did not converge")
-    eigvals = np.diag(a).copy()
-    return eigvals, v
-
-
 def eigendecompose(sym: np.ndarray, sym_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric matrix, eigenvalues sorted descending.
 
@@ -142,20 +76,11 @@ def eigendecompose(sym: np.ndarray, sym_tol: float = 1e-10) -> tuple[np.ndarray,
     scale = np.linalg.norm(mat)
     if np.linalg.norm(mat - mat.T) > sym_tol * max(scale, np.finfo(np.float64).tiny):
         raise ValueError("matrix is not symmetric within tolerance")
-    if mat.shape[0] == 1:
-        return np.ones((1, 1)), np.array([float(mat[0, 0])])
-    if mat.shape[0] == 2:
-        eigvals, eigvecs = _eigh_2x2(mat)
-    else:
-        eigvals, eigvecs = _eigh_jacobi(mat)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
+    eigvals, eigvecs = np.linalg.eigh(mat)
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
     # Deterministic sign: largest-magnitude entry of each column positive.
-    for j in range(eigvecs.shape[1]):
-        k = int(np.argmax(np.abs(eigvecs[:, j])))
-        if eigvecs[k, j] < 0.0:
-            eigvecs[:, j] = -eigvecs[:, j]
+    peak = eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(mat.shape[0])]
+    eigvecs = eigvecs * np.where(peak < 0.0, -1.0, 1.0)
     return eigvecs, eigvals
 
 

@@ -1,11 +1,12 @@
 """Shared fixtures-in-spirit for the test suite.
 
 Expected values in the tests come from independent oracles: library
-routines (numpy.linalg.eigh, numpy.unwrap), closed-form hand arithmetic
-frozen as literals, higher-order quadrature, or seeded Monte Carlo with
-a control variate. Helpers here only build inputs and measure outputs;
-they never re-derive the quantities under test with the implementation
-being tested.
+routines the code under test does not call (numpy.unwrap,
+numpy.savetxt), closed-form hand arithmetic frozen as literals,
+higher-order quadrature, or seeded Monte Carlo with a control variate.
+Helpers here only build inputs and measure outputs; they never
+re-derive the quantities under test with the implementation being
+tested.
 """
 
 from __future__ import annotations

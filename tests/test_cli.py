@@ -129,13 +129,26 @@ def test_density_on_record_shorter_than_filter_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [(), ("--decimation", "100000")])
 def test_density_without_steady_samples_exit_2(tmp_path, capsys, extra):
-    # 4096 samples decimate to 512 (or 1) samples, all inside the settle.
-    assert main(["gen", "--out-dir", str(tmp_path), "--samples", "4096"]) == 0
+    # 336 samples decimate to 42, all inside the 21-sample settle at each
+    # end of the 335-tap ch2 filter; at decimation 100000, 4096 samples
+    # leave one sample.
+    samples = "4096" if extra else "336"
+    assert main(["gen", "--out-dir", str(tmp_path), "--samples", samples]) == 0
     assert main(["density", "--in", str(tmp_path / "clean.bin"),
                  "--out-dir", str(tmp_path), *extra]) == 2
     assert "no steady density" in capsys.readouterr().err
     assert not (tmp_path / "density.csv").exists()
     assert not (tmp_path / "density_report.cfg").exists()
+
+
+@pytest.mark.parametrize("samples", ["337", "4096"])
+def test_density_on_short_record_past_the_settle(tmp_path, samples):
+    # 337 samples decimate to 43: one sample clears the 21-sample settle.
+    assert main(["gen", "--out-dir", str(tmp_path), "--samples", samples]) == 0
+    assert main(["density", "--in", str(tmp_path / "clean.bin"),
+                 "--out-dir", str(tmp_path)]) == 0
+    report = read_kv(tmp_path / "density_report.cfg")
+    assert report.values["status"] == "ok" and report.values["settle"] == "21"
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

@@ -166,10 +166,30 @@ def test_demodulate_validation():
     # 263 taps: a 257-tap windowed sinc cascaded with a 7-tap image comb.
     with pytest.raises(ValueError, match="shorter than the demodulation filter"):
         icdx.demodulate(x[:262], CARRIER_1, 4.0e4, 8, RATE)
-    # Its 33 decimated samples all sit inside the 262-sample settle.
+    # Its 33 decimated samples all sit inside the 17-sample settle at
+    # each end: 263 // 2 = 131 input samples, rounded up to 17 at 8:1.
     short = icdx.demodulate(x[:263], CARRIER_1, 4.0e4, 8, RATE)
     assert len(short) == 33
-    assert short.settle == 262 and short.steady().size == 0
+    assert short.settle == 17 and short.steady().size == 0
+
+
+@pytest.mark.parametrize("decimation", [1, 3, 8, 64])
+def test_settle_covers_exactly_the_filter_transient(decimation):
+    # Embed a record in more data, shifted by whole carrier periods and
+    # decimation steps. Steady samples read nothing outside the record,
+    # so they agree; the last settle sample at the start reads past it.
+    rng = np.random.default_rng(decimation)
+    pad = 8 * decimation * 40
+    x = rng.standard_normal(4096)
+    wide = np.concatenate((rng.standard_normal(pad), x, rng.standard_normal(pad)))
+    inner = icdx.demodulate(x, CARRIER_1, 4.0e4, decimation, RATE, strict=False)
+    outer = icdx.demodulate(wide, CARRIER_1, 4.0e4, decimation, RATE, strict=False)
+    shift = pad // decimation
+    diff = np.angle(np.exp(1j * (inner.samples - outer.samples[shift: shift + len(inner)])))
+    settle = inner.settle
+    assert settle == -(-131 // decimation)  # 263 taps: 131 input samples
+    assert np.max(np.abs(diff[settle: len(inner) - settle])) < 1e-9
+    assert abs(diff[settle - 1]) > 1e-7
 
 
 def test_phase_series_steady_degenerate():

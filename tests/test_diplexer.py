@@ -56,6 +56,30 @@ def test_bandpass_validation():
         icdx.design_fir_bandpass(8, 0.0, 30.0e6, _RATE)
 
 
+def _reference_sinc(order, w_lo, w_hi, ideal):
+    # The two separate tap formulas the shared windowed-sinc body replaced.
+    if order % 2 == 0:
+        ideal[order // 2] = (w_hi - w_lo) / np.pi
+    n = np.arange(order + 1)
+    return ideal * (0.54 - 0.46 * np.cos(2.0 * np.pi * n / order))
+
+
+@pytest.mark.parametrize("order", [2, 5, 32, 129, 256])
+def test_designs_match_their_reference_formulas_bitwise(order):
+    m = np.arange(order + 1) - 0.5 * order
+    w_lo, w_hi = 2.0 * np.pi * 20.0e6 / _RATE, 2.0 * np.pi * 30.0e6 / _RATE
+    with np.errstate(invalid="ignore"):
+        band = _reference_sinc(
+            order, w_lo, w_hi, (np.sin(w_hi * m) - np.sin(w_lo * m)) / (np.pi * m))
+        low = _reference_sinc(order, 0.0, w_lo, np.sin(w_lo * m) / (np.pi * m))
+    n = np.arange(order + 1)
+    gain = abs(np.sum(band * np.exp(-2j * np.pi * 25.0e6 * n / _RATE)))
+    assert np.array_equal(
+        icdx.design_fir_bandpass(order, 20.0e6, 30.0e6, _RATE).taps, band / gain)
+    assert np.array_equal(
+        icdx.design_fir_lowpass(order, 20.0e6, _RATE).taps, low / low.sum())
+
+
 def test_lowpass_unity_dc_gain():
     fir = icdx.design_fir_lowpass(64, 5.0e6, _RATE)
     assert abs(fir.taps.sum() - 1.0) < 1e-14
@@ -130,7 +154,9 @@ def test_fir_split_leakage_matches_filter_response():
 def test_diplex_cleans_both_branches():
     composite = _composite()
     cfg = icdx.FastIcaConfig(seed=0)
-    cleaned = icdx.diplex(composite, _TONE_A, _TONE_B, 5, cfg)
+    fir_only, cleaned = icdx.diplex(composite, _TONE_A, _TONE_B, 5, cfg)
+    assert np.array_equal(
+        fir_only.data, icdx.fir_split(composite, _TONE_A, _TONE_B, 5).data)
     assert cleaned.channels == 2
     # Output order is (tone_a, tone_b); each branch holds its own tone.
     for row, own, other in ((0, _TONE_A, _TONE_B), (1, _TONE_B, _TONE_A)):
@@ -145,7 +171,7 @@ def test_diplex_cleans_both_branches():
 def test_diplex_seed_sweep():
     composite = _composite()
     for seed in range(4):
-        cleaned = icdx.diplex(
+        _, cleaned = icdx.diplex(
             composite, _TONE_A, _TONE_B, 5, icdx.FastIcaConfig(seed=seed))
         for row, own, other in ((0, _TONE_A, _TONE_B), (1, _TONE_B, _TONE_A)):
             assert icdx.cross_tone_residual_db(
@@ -155,8 +181,8 @@ def test_diplex_seed_sweep():
 def test_diplex_deterministic():
     composite = _composite(2**14)
     cfg = icdx.FastIcaConfig(seed=5)
-    first = icdx.diplex(composite, _TONE_A, _TONE_B, 5, cfg)
-    second = icdx.diplex(composite, _TONE_A, _TONE_B, 5, cfg)
+    _, first = icdx.diplex(composite, _TONE_A, _TONE_B, 5, cfg)
+    _, second = icdx.diplex(composite, _TONE_A, _TONE_B, 5, cfg)
     assert np.array_equal(first.data, second.data)
 
 

@@ -4,7 +4,9 @@ A profiler or tracer observes a layer by replacing its module attribute
 (icdx.preprocess.whiten, icdx.fastica.fit, ...). These tests install
 counting wrappers the same way and check that each entry point into the
 separation stage calls every layer exactly once, so no layer is called
-through a name bound at import time, and none is called twice.
+through a name bound at import time, and none is called twice. The
+diplexer's FIR split is counted too: a diplex run splits its composite
+once.
 """
 
 import collections
@@ -24,6 +26,7 @@ LAYERS = (
     (icdx.fastica, "identify_components"),
 )
 ONCE = {name: 1 for _, name in LAYERS}
+DIPLEX_ONCE = {**ONCE, "fir_split": 1}
 
 
 @pytest.fixture
@@ -36,7 +39,7 @@ def calls(monkeypatch):
             return original(*args, **kwargs)
         return counted
 
-    for module, name in LAYERS:
+    for module, name in (*LAYERS, (icdx.diplexer, "fir_split")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return counts
 
@@ -60,4 +63,9 @@ def test_diplex_calls_each_layer_once(calls):
     t = np.arange(2**14) / rate
     composite = np.sin(2.0 * np.pi * tone_a * t) + 0.8 * np.sin(2.0 * np.pi * tone_b * t)
     icdx.diplex(composite, tone_a, tone_b, 5, icdx.FastIcaConfig(seed=0), sample_rate=rate)
-    assert calls == ONCE
+    assert calls == DIPLEX_ONCE
+
+
+def test_cli_diplex_splits_once(calls, tmp_path):
+    assert main(["diplex", "--out-dir", str(tmp_path), "--diplex-samples", "16384"]) == 0
+    assert calls == DIPLEX_ONCE

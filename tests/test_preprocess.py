@@ -1,4 +1,9 @@
-"""Centering, covariance, the self-contained eigensolver, whitening."""
+"""Centering, covariance, eigendecomposition, whitening.
+
+eigendecompose() takes its eigenpairs from numpy.linalg.eigh, so the
+oracles here are cases solved by hand and the defining properties, not
+another library solver.
+"""
 
 import numpy as np
 import pytest
@@ -58,8 +63,24 @@ def test_eigendecompose_2x2_hand_case():
     assert np.max(np.abs(recon - [[2.0, 1.0], [1.0, 2.0]])) < 1e-14
 
 
+def test_eigendecompose_3x3_hand_case():
+    # The tridiagonal [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]: eigenvalues
+    # 2 + 2 cos(k pi / 4) for k = 1, 2, 3, with eigenvectors
+    # sin(j k pi / 4), j = 1, 2, 3. Signed by the largest-entry rule; the
+    # middle vector's two largest entries tie, so its sign is not pinned.
+    sym = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    eigvecs, eigvals = icdx.eigendecompose(sym)
+    root2 = np.sqrt(2.0)
+    assert np.allclose(eigvals, [2.0 + root2, 2.0, 2.0 - root2], rtol=0, atol=1e-14)
+    assert np.allclose(eigvecs[:, 0], [-0.5, root2 / 2.0, -0.5], rtol=0, atol=1e-14)
+    assert np.allclose(np.abs(eigvecs[:, 1]), [1.0 / root2, 0.0, 1.0 / root2],
+                       rtol=0, atol=1e-14)
+    assert abs(eigvecs[0, 1] + eigvecs[2, 1]) < 1e-14
+    assert np.allclose(eigvecs[:, 2], [0.5, root2 / 2.0, 0.5], rtol=0, atol=1e-14)
+
+
 def test_eigendecompose_matches_library_solver():
-    # Cross-check against numpy.linalg.eigh on random SPD matrices with
+    # Cross-check against numpy.linalg.eigvalsh on random SPD matrices with
     # condition numbers up to 1e6 and sizes 2 through 6.
     rng = np.random.default_rng(1234)
     for trial in range(40):

@@ -4,7 +4,11 @@ Each property compares an implementation against an independent
 reference: numpy.unwrap, a per-row permutation loop, a brute-force set
 of lost decimated indices, a decomposition built to have a known
 least-squares answer, the step-by-step form of a fused product, the
-full-rate convolution, the complex-FFT envelope, or np.savetxt.
+full-rate convolution, the complex-FFT envelope, or np.savetxt. The
+linear-algebra properties check the defining equations instead: a
+matrix rebuilt from its eigenpairs, the polar factor's orthonormality
+and symmetric positive semidefinite remainder, whiten() undone by
+restore().
 """
 
 import math
@@ -20,6 +24,7 @@ from hypothesis.extra.numpy import arrays
 import icdx
 from icdx.cli import _mask_lost
 from icdx.demod import _lowpass
+from icdx.fastica import _orthonormalize
 from icdx.fileio import _write_csv
 
 from helpers import RATE
@@ -236,3 +241,81 @@ def test_csv_writer_matches_savetxt(data, rate):
         _write_csv(ours, signal)
         _write_csv_reference(reference, signal)
         assert ours.read_bytes() == reference.read_bytes()
+
+
+@st.composite
+def _symmetric(draw):
+    dim = draw(st.integers(1, 6))
+    # Values from a short list repeat often, so do eigenvalues.
+    eigvals = np.array(draw(st.lists(
+        st.sampled_from((-2.0, 0.0, 1.0, 3.0)) | st.floats(-10.0, 10.0),
+        min_size=dim, max_size=dim)))
+    basis, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+                            .standard_normal((dim, dim)))
+    sym = (basis * eigvals) @ basis.T
+    return 0.5 * (sym + sym.T), eigvals
+
+
+@settings(deadline=None)
+@given(_symmetric())
+def test_eigendecompose_rebuilds_sorted_signed_orthonormal(case):
+    sym, built = case
+    eigvecs, eigvals = icdx.eigendecompose(sym)
+    dim = sym.shape[0]
+    tol = 1e-12 * (1.0 + np.max(np.abs(built)))
+    assert np.max(np.abs((eigvecs * eigvals) @ eigvecs.T - sym)) <= tol
+    assert np.max(np.abs(eigvecs.T @ eigvecs - np.eye(dim))) <= 1e-12
+    assert np.all(np.diff(eigvals) <= 0.0)
+    assert np.max(np.abs(eigvals - np.sort(built)[::-1])) <= tol
+    peaks = eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(dim)]
+    assert np.all(peaks > 0.0)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(-6, 6))
+def test_orthonormalize_returns_the_polar_factor(dim, seed, log_scale):
+    w = np.random.default_rng(seed).standard_normal((dim, dim)) * 10.0**log_scale
+    singular = np.linalg.svd(w, compute_uv=False)
+    assume(singular[-1] > 1e-6 * singular[0])
+    q = _orthonormalize(w)
+    assert np.max(np.abs(q @ q.T - np.eye(dim))) <= 1e-12
+    # W = Q P with P symmetric positive semidefinite: Q is the polar factor.
+    p = q.T @ w
+    assert np.max(np.abs(p - p.T)) <= 1e-12 * singular[0]
+    assert np.min(np.linalg.eigvalsh(0.5 * (p + p.T))) >= -1e-12 * singular[0]
+
+
+@settings(deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from(("nan", "inf", "zero row", "equal rows", "zero")))
+def test_orthonormalize_rejects_nonfinite_and_singular(dim, seed, defect):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((dim, dim))
+    i, j = rng.choice(dim, 2, replace=False)
+    if defect in ("nan", "inf"):
+        w[i, j] = float(defect)
+    elif defect == "zero row":
+        w[i] = 0.0
+    elif defect == "equal rows":
+        w[i] = w[j]
+    else:
+        w[:] = 0.0
+    with pytest.raises(icdx.ConvergenceError):
+        _orthonormalize(w)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), st.integers(16, 400), st.integers(0, 2**32 - 1))
+def test_whiten_then_restore_reproduces_the_input(channels, n, seed):
+    rng = np.random.default_rng(seed)
+    mixing = rng.standard_normal((channels, channels))
+    assume(np.linalg.cond(mixing) < 1e3)
+    data = mixing @ rng.standard_normal((channels, n)) + rng.uniform(-5.0, 5.0, (channels, 1))
+    signal = icdx.MultichannelSignal(data, RATE)
+    whitened, transform = icdx.whiten(signal)
+    assert np.max(np.abs(np.cov(whitened.data, bias=True).reshape(channels, channels)
+                         - np.eye(channels))) <= 1e-9
+    assert (np.max(np.abs(transform.apply(signal).data - whitened.data))
+            <= 1e-12 * np.max(np.abs(whitened.data)))
+    scale = np.max(np.abs(data))
+    assert np.max(np.abs(transform.restore(whitened).data - data)) <= 1e-12 * scale
