@@ -41,7 +41,6 @@ from .fastica import (
 )
 from .fileio import ConfigError, FormatError, read_kv, read_signal, write_kv, write_signal
 from .metrics import (
-    QualityReport,
     best_fit_scale,
     cross_tone_residual_db,
     envelope_depth,
@@ -88,7 +87,6 @@ __all__ = [
     "PhaseSeries",
     "PhaseTrack",
     "PhaseTrackingLostError",
-    "QualityReport",
     "RankDeficientError",
     "SeparationResult",
     "WhiteningTransform",

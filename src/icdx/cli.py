@@ -329,12 +329,11 @@ def _signal_name(stem: str, cfg: RunConfig) -> str:
     return f"{stem}.{'csv' if cfg.file_format == 'csv' else 'bin'}"
 
 
-def _write_manifest(path: Path, cfg: RunConfig) -> None:
-    fileio.write_kv(path, cfg.to_mapping())
-
-
-def _emit(path: Path) -> None:
-    print(f"wrote {path}")
+def _finish(cfg: RunConfig, manifest: Path, *written: Path) -> None:
+    """Write the run's manifest, then list every file written, manifest last."""
+    fileio.write_kv(manifest, cfg.to_mapping())
+    for path in (*written, manifest):
+        print(f"wrote {path}")
 
 
 def _corrupt(clean: signalgen.MultichannelSignal, cfg: RunConfig) -> signalgen.MultichannelSignal:
@@ -367,10 +366,7 @@ def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
         params.line_density(track1.samples, track2.samples)[None, :], cfg.sample_rate)
     density_path = out / "density_truth.csv"
     fileio.write_signal(density_path, density)
-    manifest_path = out / "manifest.cfg"
-    _write_manifest(manifest_path, cfg)
-    for path in (clean_path, mixed_path, tracks_path, density_path, manifest_path):
-        _emit(path)
+    _finish(cfg, out / "manifest.cfg", clean_path, mixed_path, tracks_path, density_path)
     return _EXIT_OK
 
 
@@ -384,10 +380,7 @@ def _cmd_mix(args: argparse.Namespace, cfg: RunConfig) -> int:
     mixed = _corrupt(clean, cfg)
     mixed_path = out / _signal_name("mixed", cfg)
     fileio.write_signal(mixed_path, mixed)
-    manifest_path = out / "mix_manifest.cfg"
-    _write_manifest(manifest_path, cfg)
-    _emit(mixed_path)
-    _emit(manifest_path)
+    _finish(cfg, out / "mix_manifest.cfg", mixed_path)
     return _EXIT_OK
 
 
@@ -421,20 +414,19 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
         gain = result.w_full @ cfg.coupling @ np.diag(scales)
         gain_error = metrics.signed_permutation_error(
             result.assignment.apply_rows(gain))[2]
-    report = metrics.QualityReport(
-        iterations=result.iterations,
-        converged=result.converged,
-        isr_db=isr_db,
-        envelope_depth_raw=depth_raw,
-        envelope_depth_corrected=depth_fixed,
-        gain_error=gain_error,
-    )
-    fileio.write_kv(out / "quality.cfg", report.to_mapping())
-    manifest_path = out / "unmix_manifest.cfg"
-    _write_manifest(manifest_path, cfg)
-    for name in (corrected_path.name, "separation.cfg", "whitening.cfg",
-                 "quality.cfg", manifest_path.name):
-        _emit(out / name)
+    # Truth-dependent entries (None without --truth) are left out.
+    report = {
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "isr_db": isr_db,
+        "envelope_depth_raw": depth_raw,
+        "envelope_depth_corrected": depth_fixed,
+        "gain_error": gain_error,
+    }
+    fileio.write_kv(out / "quality.cfg",
+                    {key: value for key, value in report.items() if value is not None})
+    _finish(cfg, out / "unmix_manifest.cfg", corrected_path, out / "separation.cfg",
+            out / "whitening.cfg", out / "quality.cfg")
     if not all(result.converged):
         print(f"icdx: error: separation did not converge "
               f"(iterations {result.iterations})", file=sys.stderr)
@@ -511,10 +503,7 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
             report["rms_error"] = float(np.sqrt(np.mean(err**2)))
             report["truth_rms"] = float(np.sqrt(np.mean(truth[keep] ** 2)))
     fileio.write_kv(out / "density_report.cfg", report)
-    manifest_path = out / "density_manifest.cfg"
-    _write_manifest(manifest_path, cfg)
-    for path in (density_path, out / "density_report.cfg", manifest_path):
-        _emit(path)
+    _finish(cfg, out / "density_manifest.cfg", density_path, out / "density_report.cfg")
     if status != "ok":
         ranges = "; ".join(
             f"ch{i + 1} {phase.lost_ranges}" for i, phase in enumerate(phases)
@@ -558,10 +547,7 @@ def _cmd_diplex(args: argparse.Namespace, cfg: RunConfig) -> int:
         report[f"{name}_mean"] = float(np.mean(separated.data[i]))
         report[f"{name}_peak"] = float(np.max(np.abs(separated.data[i])))
     fileio.write_kv(out / "diplex_report.cfg", report)
-    manifest_path = out / "diplex_manifest.cfg"
-    _write_manifest(manifest_path, cfg)
-    for path in (fir_path, sep_path, out / "diplex_report.cfg", manifest_path):
-        _emit(path)
+    _finish(cfg, out / "diplex_manifest.cfg", fir_path, sep_path, out / "diplex_report.cfg")
     return _EXIT_OK
 
 

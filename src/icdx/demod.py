@@ -265,12 +265,11 @@ def demodulate(
     env_taps = design_fir_lowpass(envelope_order, envelope_cutoff, rate).taps
     envelope = np.hypot(_lowpass(in_phase_mix, env_taps), _lowpass(quadrature_mix, env_taps))
     margin = min(envelope_order, n // 4)
-    core = envelope[margin: n - margin] if n > 2 * margin else envelope
-    floor = envelope_floor * float(np.median(core))
+    floor = envelope_floor * float(np.median(envelope[margin: n - margin]))
     mask = envelope < floor
-    if margin > 0:  # filter transients are not evidence of signal loss
-        mask[:margin] = False
-        mask[n - margin:] = False
+    # Filter transients are not evidence of signal loss.
+    mask[:margin] = False
+    mask[n - margin:] = False
     lost = tuple(_find_runs(mask, envelope_min_run))
     if lost and strict:
         first = lost[0]

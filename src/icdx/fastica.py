@@ -380,11 +380,11 @@ class SeparationResult:
         out: dict[str, object] = {
             "channels": self.channels,
             "w": self.w,
-            "iterations": ",".join(str(i) for i in self.iterations),
-            "converged": ",".join(str(int(flag)) for flag in self.converged),
-            "labels": ",".join(self.assignment.labels),
-            "perm": ",".join(str(p) for p in self.assignment.perm),
-            "signs": ",".join(str(s) for s in self.assignment.signs),
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "labels": self.assignment.labels,
+            "perm": self.assignment.perm,
+            "signs": self.assignment.signs,
         }
         if self.w_full is not None:
             out["w_full"] = self.w_full

@@ -197,27 +197,28 @@ def _format_value(value: object) -> str:
         if "\n" in value:
             raise ValueError("values must be single-line")
         return value
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)):  # bool included: 0/1
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format_metric_value(float(value))
     if isinstance(value, np.ndarray):
-        if value.ndim == 1:
-            return ",".join(format_metric_value(float(v)) for v in value)
         if value.ndim == 2:
             return format_matrix(value)
-        raise ValueError(f"cannot serialize array of rank {value.ndim}")
+        if value.ndim != 1:
+            raise ValueError(f"cannot serialize array of rank {value.ndim}")
+        value = value.tolist()
+    if isinstance(value, (tuple, list)):
+        return ",".join(_format_value(v) for v in value)
     raise TypeError(f"cannot serialize {type(value).__name__} values")
 
 
 def write_kv(path: str | Path, mapping: dict[str, object]) -> None:
     """Write "key = value" lines in the mapping's order.
 
-    Floats go through the metric formatter, so infinities appear as the
-    neg-inf / pos-inf tokens; arrays flatten to ',' and ';' separated
-    entries.
+    Booleans are written as 0/1 and floats go through the metric
+    formatter, so infinities appear as the neg-inf / pos-inf tokens.
+    Tuples, lists and 1-D arrays join their entries' forms with ',';
+    2-D arrays are format_matrix rows.
     """
     lines = []
     for key, value in mapping.items():

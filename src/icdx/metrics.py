@@ -9,7 +9,6 @@ written as bare floating-point inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .signalgen import as_channel
 
 __all__ = [
-    "QualityReport",
     "best_fit_scale",
     "cross_tone_residual_db",
     "envelope_depth",
@@ -243,44 +241,3 @@ def parse_metric_value(token: str) -> float:
         return math.inf
     return float(token)
 
-
-@dataclass(frozen=True)
-class QualityReport:
-    """Per-channel quality metrics for one separation run.
-
-    Optional entries are None when the quantity was not measurable in
-    the producing context (no ground truth available, for instance).
-    """
-
-    iterations: tuple[int, ...]
-    converged: tuple[bool, ...]
-    isr_db: tuple[float, ...] | None = None
-    snr_db: tuple[float, ...] | None = None
-    envelope_depth_raw: tuple[float, ...] | None = None
-    envelope_depth_corrected: tuple[float, ...] | None = None
-    gain_error: float | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.iterations) != len(self.converged):
-            raise ValueError("iterations and converged must have equal length")
-        for name in ("isr_db", "snr_db"):
-            values = getattr(self, name)
-            if values is not None and any(math.isnan(v) for v in values):
-                raise ValueError(f"{name} must not contain NaN")
-        for name in ("envelope_depth_raw", "envelope_depth_corrected"):
-            values = getattr(self, name)
-            if values is not None and any(not (0.0 <= v <= 1.0) for v in values):
-                raise ValueError(f"{name} entries must lie in [0, 1]")
-
-    def to_mapping(self) -> dict[str, object]:
-        out: dict[str, object] = {
-            "iterations": ",".join(str(i) for i in self.iterations),
-            "converged": ",".join(str(int(flag)) for flag in self.converged),
-        }
-        for name in ("isr_db", "snr_db", "envelope_depth_raw", "envelope_depth_corrected"):
-            values = getattr(self, name)
-            if values is not None:
-                out[name] = ",".join(format_metric_value(v) for v in values)
-        if self.gain_error is not None:
-            out["gain_error"] = format_metric_value(self.gain_error)
-        return out

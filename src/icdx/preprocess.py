@@ -65,8 +65,10 @@ def eigendecompose(sym: np.ndarray, sym_tol: float = 1e-10) -> tuple[np.ndarray,
     """Eigenpairs of a symmetric matrix, eigenvalues sorted descending.
 
     Returns (eigvecs, eigvals) with eigenvectors in columns. The sign of
-    each eigenvector is fixed so its largest-magnitude entry is positive,
-    making the decomposition deterministic.
+    each eigenvector is fixed so its first entry within a relative 1e-12
+    of the largest magnitude is positive, making the decomposition
+    deterministic: entries that tie in exact arithmetic but differ in
+    their last bits do not decide the sign by rounding.
     """
     mat = np.asarray(sym, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -78,8 +80,9 @@ def eigendecompose(sym: np.ndarray, sym_tol: float = 1e-10) -> tuple[np.ndarray,
         raise ValueError("matrix is not symmetric within tolerance")
     eigvals, eigvecs = np.linalg.eigh(mat)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
-    # Deterministic sign: largest-magnitude entry of each column positive.
-    peak = eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(mat.shape[0])]
+    mag = np.abs(eigvecs)
+    lead = np.argmax(mag >= mag.max(axis=0) * (1.0 - 1e-12), axis=0)
+    peak = eigvecs[lead, np.arange(mat.shape[0])]
     eigvecs = eigvecs * np.where(peak < 0.0, -1.0, 1.0)
     return eigvecs, eigvals
 

@@ -150,16 +150,8 @@ class MultichannelSignal:
     def length(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.data.shape[1] / self.sample_rate
-
     def times(self) -> np.ndarray:
         return np.arange(self.data.shape[1]) / self.sample_rate
-
-    def channel(self, index: int) -> np.ndarray:
-        """One channel as a read-only 1-D view."""
-        return self.data[index]
 
     def with_data(self, data: np.ndarray) -> "MultichannelSignal":
         return replace(self, data=data)

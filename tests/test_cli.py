@@ -21,11 +21,14 @@ def _gen(out, *extra):
     return main(["gen", "--out-dir", str(out), "--samples", "65536", *extra])
 
 
-def test_gen_writes_expected_files(tmp_path):
+def test_gen_writes_expected_files(tmp_path, capsys):
     assert _gen(tmp_path) == 0
-    for name in ("clean.bin", "mixed.bin", "tracks.csv",
-                 "density_truth.csv", "manifest.cfg"):
+    names = ("clean.bin", "mixed.bin", "tracks.csv", "density_truth.csv", "manifest.cfg")
+    for name in names:
         assert (tmp_path / name).exists(), name
+    # Every written file is listed once, in write order, manifest last.
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {tmp_path / name}" for name in names]
     mixed = icdx.read_signal(tmp_path / "mixed.bin")
     assert mixed.channels == 2 and mixed.length == 65536
     tracks = icdx.read_signal(tmp_path / "tracks.csv")
@@ -180,6 +183,9 @@ def test_full_pipeline_noiseless(tmp_path):
         assert (run / name).exists(), name
 
     quality = read_kv(run / "quality.cfg")
+    assert list(quality.values) == [
+        "iterations", "converged", "isr_db", "envelope_depth_raw",
+        "envelope_depth_corrected", "gain_error"]
     assert quality.values["converged"] == "1,1"
     isr_db = _floats(quality, "isr_db")
     assert all(v <= -40.0 for v in isr_db)
@@ -205,16 +211,23 @@ def test_full_pipeline_noiseless(tmp_path):
     assert density.length == 65536 // 8
 
 
-def test_unmix_reruns_byte_identical(tmp_path):
+def test_unmix_reruns_byte_identical(tmp_path, capsys):
     run = tmp_path / "run"
     assert _gen(run) == 0
     first, second = tmp_path / "u1", tmp_path / "u2"
+    names = ("corrected.bin", "separation.cfg", "whitening.cfg",
+             "quality.cfg", "unmix_manifest.cfg")
     for out in (first, second):
+        capsys.readouterr()
         assert main(["unmix", "--in", str(run / "mixed.bin"),
                      "--out-dir", str(out)]) == 0
-    for name in ("corrected.bin", "separation.cfg", "whitening.cfg",
-                 "quality.cfg", "unmix_manifest.cfg"):
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}" for name in names]
+    for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    # Without --truth, quality.cfg has no truth-dependent keys.
+    assert list(read_kv(first / "quality.cfg").values) == [
+        "iterations", "converged", "envelope_depth_raw", "envelope_depth_corrected"]
 
 
 def test_unmix_nonconvergence_exit_3(tmp_path):

@@ -249,7 +249,7 @@ def test_unmix_channel_mismatch_raises():
         icdx.unmix(wrong, result, transform)
 
 
-def test_separation_result_validation_and_mapping():
+def test_separation_result_validation_and_mapping(tmp_path):
     with pytest.raises(ValueError, match="orthonormal"):
         icdx.SeparationResult(
             w=np.array([[1.0, 0.0], [0.6, 0.8]]),
@@ -259,12 +259,15 @@ def test_separation_result_validation_and_mapping():
     result = icdx.SeparationResult(
         w=np.eye(2), iterations=(3, 4), converged=(True, False),
         assignment=icdx.Assignment(("a", "b"), (1, 0), (1, -1)))
-    mapping = result.to_mapping()
-    assert mapping["iterations"] == "3,4"
-    assert mapping["converged"] == "1,0"
-    assert mapping["perm"] == "1,0"
-    assert mapping["signs"] == "1,-1"
-    assert "w_full" not in mapping
+    path = tmp_path / "separation.cfg"
+    icdx.write_kv(path, result.to_mapping())
+    values = icdx.read_kv(path).values
+    assert values["iterations"] == "3,4"
+    assert values["converged"] == "1,0"
+    assert values["labels"] == "a,b"
+    assert values["perm"] == "1,0"
+    assert values["signs"] == "1,-1"
+    assert "w_full" not in values
 
 
 def test_assignment_apply_hand_case():

@@ -180,19 +180,21 @@ def test_metric_value_round_trip():
         icdx.format_metric_value(math.nan)
 
 
-def test_quality_report_mapping():
-    report = icdx.QualityReport(
-        iterations=(4, 3),
-        converged=(True, True),
-        isr_db=(-130.0, -math.inf),
-        snr_db=(55.0, 60.0),
-        envelope_depth_raw=(0.9, 0.85),
-        envelope_depth_corrected=(0.01, 0.02),
-        gain_error=3.4e-6)
-    mapping = report.to_mapping()
-    assert mapping["isr_db"] == "-130.0,neg-inf"
-    assert mapping["iterations"] == "4,3"
-    assert mapping["converged"] == "1,1"
-    assert mapping["gain_error"] == repr(3.4e-6)
-    none_measured = icdx.QualityReport(iterations=(1,), converged=(True,))
-    assert "isr_db" not in none_measured.to_mapping()
+def test_quality_report_mapping(tmp_path):
+    # quality.cfg is a plain mapping of per-channel tuples; write_kv joins
+    # each tuple's entries with ',' (booleans as 0/1, infinities as tokens).
+    path = tmp_path / "quality.cfg"
+    icdx.write_kv(path, {
+        "iterations": (4, 3),
+        "converged": (True, True),
+        "isr_db": (-130.0, -math.inf),
+        "envelope_depth_raw": (0.9, 0.85),
+        "envelope_depth_corrected": (0.01, 0.02),
+        "gain_error": 3.4e-6,
+    })
+    values = icdx.read_kv(path).values
+    assert values["isr_db"] == "-130.0,neg-inf"
+    assert values["iterations"] == "4,3"
+    assert values["converged"] == "1,1"
+    assert values["envelope_depth_corrected"] == "0.01,0.02"
+    assert values["gain_error"] == repr(3.4e-6)

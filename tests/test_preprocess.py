@@ -66,17 +66,33 @@ def test_eigendecompose_2x2_hand_case():
 def test_eigendecompose_3x3_hand_case():
     # The tridiagonal [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]: eigenvalues
     # 2 + 2 cos(k pi / 4) for k = 1, 2, 3, with eigenvectors
-    # sin(j k pi / 4), j = 1, 2, 3. Signed by the largest-entry rule; the
-    # middle vector's two largest entries tie, so its sign is not pinned.
+    # sin(j k pi / 4), j = 1, 2, 3. Signed so the first entry within 1e-12
+    # of the largest magnitude is positive: the middle vector's two largest
+    # entries tie, and the first of them decides.
     sym = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     eigvecs, eigvals = icdx.eigendecompose(sym)
     root2 = np.sqrt(2.0)
     assert np.allclose(eigvals, [2.0 + root2, 2.0, 2.0 - root2], rtol=0, atol=1e-14)
     assert np.allclose(eigvecs[:, 0], [-0.5, root2 / 2.0, -0.5], rtol=0, atol=1e-14)
-    assert np.allclose(np.abs(eigvecs[:, 1]), [1.0 / root2, 0.0, 1.0 / root2],
-                       rtol=0, atol=1e-14)
-    assert abs(eigvecs[0, 1] + eigvecs[2, 1]) < 1e-14
+    assert np.allclose(eigvecs[:, 1], [1.0 / root2, 0.0, -1.0 / root2], rtol=0, atol=1e-14)
     assert np.allclose(eigvecs[:, 2], [0.5, root2 / 2.0, 0.5], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_eigendecompose_signs_tied_entries_by_the_first(dim):
+    # The tridiagonal [-1, 2, -1] family has eigenvalues 2 - 2 cos(k pi / (dim + 1))
+    # and eigenvectors sin(j k pi / (dim + 1)); symmetric and antisymmetric ones
+    # have entries of equal magnitude, where rounding alone picks the largest.
+    sym = 2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1)
+    eigvecs, eigvals = icdx.eigendecompose(sym)
+    k = np.arange(dim, 0, -1)
+    angle = k * np.pi / (dim + 1)
+    assert np.allclose(eigvals, 2.0 - 2.0 * np.cos(angle), rtol=0, atol=1e-13)
+    expected = np.sin(np.outer(np.arange(1, dim + 1), angle)) * np.sqrt(2.0 / (dim + 1))
+    for col in expected.T:
+        first = np.flatnonzero(np.abs(col) >= np.max(np.abs(col)) * (1.0 - 1e-9))[0]
+        col *= np.sign(col[first])
+    assert np.allclose(eigvecs, expected, rtol=0, atol=1e-13)
 
 
 def test_eigendecompose_matches_library_solver():

@@ -173,3 +173,19 @@ def test_multichannel_signal_is_readonly():
     signal = icdx.MultichannelSignal(np.zeros((1, 8)), RATE)
     with pytest.raises(ValueError):
         signal.data[0, 0] = 1.0
+
+
+def test_containers_do_not_share_the_callers_array():
+    # Writing to the array handed in must not reach the constructed object.
+    samples = np.arange(8.0)
+    track = icdx.PhaseTrack(samples, RATE, "density")
+    data = np.arange(16.0).reshape(2, 8)
+    signal = icdx.MultichannelSignal(data, RATE)
+    replacement = -data
+    derived = signal.with_data(replacement)
+    samples[:] = 99.0
+    data[:] = 99.0
+    replacement[:] = 99.0
+    assert np.array_equal(track.samples, np.arange(8.0))
+    assert np.array_equal(signal.data, np.arange(16.0).reshape(2, 8))
+    assert np.array_equal(derived.data, -np.arange(16.0).reshape(2, 8))
