@@ -29,7 +29,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +95,7 @@ class RunConfig:
     f_het2: float = 1.1e6
     wavelength1: float = 10.591e-6
     wavelength2: float = 1.064e-6
-    coupling: np.ndarray = None  # replaced in __post_init__
+    coupling: np.ndarray = field(default_factory=lambda: [[1.0, 0.4], [0.3, 1.0]])
     snr_db: float = math.inf
     adc_bits: int = 0
     adc_full_scale: float = 2.0
@@ -120,10 +120,7 @@ class RunConfig:
     file_format: str = "raw"
 
     def __post_init__(self) -> None:
-        coupling = [[1.0, 0.4], [0.3, 1.0]] if self.coupling is None else self.coupling
-        coupling = np.asarray(coupling, dtype=np.float64)
-        coupling.flags.writeable = False
-        object.__setattr__(self, "coupling", coupling)
+        signalgen.own_arrays(self, coupling=2)
 
     def validate(self) -> None:
         """Range-check every field; raises ValueError on the first violation."""
@@ -136,8 +133,8 @@ class RunConfig:
         # Interferometer geometry and ICA settings validate themselves.
         self.interferometer()
         self.ica()
-        if self.coupling.shape != (2, 2):
-            raise ValueError(f"coupling must be 2x2, got {self.coupling.shape}")
+        if np.shape(self.coupling) != (2, 2):
+            raise ValueError(f"coupling must be 2x2, got {np.shape(self.coupling)}")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
         if self.adc_bits != 0 and not (2 <= self.adc_bits <= 24):
@@ -389,6 +386,9 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
     mixed = fileio.read_signal(args.input)
     if mixed.channels != 2:
         raise ValueError(f"unmix expects 2 channels, got {mixed.channels}")
+    truth = fileio.read_signal(args.truth) if args.truth else None
+    if truth is not None and truth.data.shape != mixed.data.shape:
+        raise ValueError("truth signal shape does not match the input")
     corrected, result, transform = fastica.separate(
         mixed, cfg.ica(), {"ch1": cfg.f_het1, "ch2": cfg.f_het2})
 
@@ -404,10 +404,7 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
         for sig in (mixed, corrected))
     isr_db = None
     gain_error = None
-    if args.truth:
-        truth = fileio.read_signal(args.truth)
-        if truth.channels != 2 or truth.length != corrected.length:
-            raise ValueError("truth signal shape does not match the input")
+    if truth is not None:
         isr_db = tuple(
             metrics.isr(corrected.data[i], truth.data[i]) for i in range(2))
         scales = np.sqrt(np.mean(truth.data**2, axis=1))

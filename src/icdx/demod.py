@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diplexer import design_fir_lowpass
-from .signalgen import InterferometerParams, as_channel
+from .signalgen import InterferometerParams, as_channel, own_arrays
 
 __all__ = [
     "PhaseTrackingLostError",
@@ -40,6 +40,9 @@ __all__ = [
     "demodulate",
     "line_integrated_density",
 ]
+
+
+_IMAGE_COMB_MAX_LEN = 512  # longest moving average the image comb may use
 
 
 class PhaseTrackingLostError(RuntimeError):
@@ -56,14 +59,14 @@ class PhaseTrackingLostError(RuntimeError):
 
 
 class _Settled:
-    """Shared by the series types: read-only 1-D samples, settle transients at both ends."""
+    """Shared by the series types: owned 1-D samples, a finite rate, settle at both ends."""
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1:
-            raise ValueError("samples must be 1-D")
+        own_arrays(self, samples=1)
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate!r}")
+        if self.settle < 0:
+            raise ValueError("settle must be non-negative")
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -97,10 +100,8 @@ class PhaseSeries(_Settled):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not (self.sample_rate > 0 and self.carrier > 0 and self.decimation >= 1):
-            raise ValueError("sample_rate, carrier, and decimation must be positive")
-        if not (0 <= self.settle):
-            raise ValueError("settle must be non-negative")
+        if not (self.carrier > 0 and self.decimation >= 1):
+            raise ValueError("carrier and decimation must be positive")
 
     @property
     def tracking_lost(self) -> bool:
@@ -114,11 +115,6 @@ class DensitySeries(_Settled):
     samples: np.ndarray
     sample_rate: float
     settle: int
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
 
 
 def unwrap(wrapped: np.ndarray) -> np.ndarray:
@@ -141,7 +137,7 @@ def _wrap_pi(values: np.ndarray) -> np.ndarray:
     return np.pi - np.mod(np.pi - values, 2.0 * np.pi)
 
 
-def _image_comb(carrier: float, sample_rate: float, max_len: int = 512) -> np.ndarray:
+def _image_comb(carrier: float, sample_rate: float) -> np.ndarray:
     """Double moving average with an exact zero at the 2 x carrier image.
 
     A length-L moving average has transmission zeros at multiples of
@@ -153,7 +149,7 @@ def _image_comb(carrier: float, sample_rate: float, max_len: int = 512) -> np.nd
     the image rejection available.
     """
     ratio = 2.0 * carrier / sample_rate
-    frac = Fraction(ratio).limit_denominator(max_len)
+    frac = Fraction(ratio).limit_denominator(_IMAGE_COMB_MAX_LEN)
     if frac.denominator <= 1 or abs(float(frac) - ratio) > 1e-12:
         return np.ones(1)
     box = np.ones(frac.denominator) / frac.denominator

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fastica
-from .signalgen import MultichannelSignal, as_channel
+from .signalgen import MultichannelSignal, as_channel, own_arrays
 
 __all__ = [
     "FirFilter",
@@ -41,13 +41,10 @@ class FirFilter:
     design_rate: float
 
     def __post_init__(self) -> None:
-        taps = np.asarray(self.taps, dtype=np.float64)
-        taps.flags.writeable = False
-        object.__setattr__(self, "taps", taps)
-        if taps.ndim != 1 or taps.size < 2:
-            raise ValueError("taps must be a 1-D array with at least 2 entries")
-        if not np.all(np.isfinite(taps)):
-            raise ValueError("taps must be finite")
+        own_arrays(self, taps=1)
+        taps = self.taps
+        if taps.size < 2:
+            raise ValueError("taps must have at least 2 entries")
         f_lo, f_hi = self.band
         nyquist = 0.5 * self.design_rate
         if not (0.0 <= f_lo < f_hi < nyquist):

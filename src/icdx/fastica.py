@@ -35,7 +35,7 @@ import numpy as np
 
 from . import preprocess
 from .preprocess import WhiteningTransform
-from .signalgen import MultichannelSignal
+from .signalgen import MultichannelSignal, own_arrays
 
 __all__ = [
     "CONTRASTS",
@@ -64,6 +64,8 @@ ORTHO_MODES = ("deflation", "symmetric")
 _KICK_SIZE = 1e-2
 _STABLE_MATCH = 1.0 - 1e-5
 _MAX_ESCAPES = 3
+
+_SIGN_WINDOW = 256  # leading samples whose phase fixes each identified sign
 
 
 class ConvergenceError(RuntimeError):
@@ -350,15 +352,10 @@ class SeparationResult:
     w_full: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=np.float64)
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
-        if self.w_full is not None:
-            wf = np.asarray(self.w_full, dtype=np.float64)
-            wf.flags.writeable = False
-            object.__setattr__(self, "w_full", wf)
+        own_arrays(self, w=2, w_full=2)
+        w = self.w
         c = w.shape[0]
-        if w.ndim != 2 or w.shape[1] != c:
+        if w.shape[1] != c:
             raise ValueError(f"w must be square, got shape {w.shape}")
         if len(self.iterations) != c or len(self.converged) != c:
             raise ValueError("iterations and converged must have one entry per row")
@@ -507,7 +504,6 @@ def separate(
 def identify_components(
     components: MultichannelSignal,
     expected: dict[str, float],
-    sign_window: int = 256,
 ) -> Assignment:
     """Match separated components to expected carrier frequencies.
 
@@ -545,7 +541,7 @@ def identify_components(
                 f"carriers {taken[idx]!r} and {label!r} both match component {idx} "
                 f"(component peaks at {peak_freq[idx]:.6g} Hz)")
         taken[idx] = label
-        window = min(sign_window, components.length)
+        window = min(_SIGN_WINDOW, components.length)
         t = np.arange(window) / components.sample_rate
         z = np.sum(components.data[idx, :window] * np.exp(-2j * np.pi * freq * t))
         # Demodulated phase convention: phase = angle(z) + pi/2, wrapped.

@@ -175,15 +175,15 @@ def _read_csv(path: Path) -> tuple[np.ndarray, float]:
 
 
 def format_matrix(mat: np.ndarray) -> str:
-    """Rows joined by ';', entries by ',': "1,0.4;0.3,1"."""
+    """Rows joined by ';', entries by ',' as metric tokens: "1.0,0.4;0.3,pos-inf"."""
     mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-    return ";".join(",".join(repr(float(v)) for v in row) for row in mat)
+    return ";".join(_format_value(row) for row in mat)
 
 
 def parse_matrix(text: str) -> np.ndarray:
     """Inverse of format_matrix. Raises ValueError on ragged rows."""
     rows = [
-        [float(tok) for tok in row.split(",")]
+        [parse_metric_value(tok) for tok in row.split(",")]
         for row in text.strip().split(";")
     ]
     widths = {len(r) for r in rows}

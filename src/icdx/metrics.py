@@ -29,6 +29,8 @@ __all__ = [
 # Relative power below which a residual counts as identically zero.
 _ZERO_RESIDUAL = 1e-24
 
+_TONE_HALF_WIDTH_BINS = 4  # cross_tone_residual_db(): band half-width in FFT bins
+
 _NEG_INF_TOKEN = "neg-inf"
 _POS_INF_TOKEN = "pos-inf"
 
@@ -155,11 +157,10 @@ def cross_tone_residual_db(
     own_freq: float,
     other_freq: float,
     sample_rate: float | None = None,
-    half_width_bins: int = 4,
 ) -> float:
     """Leakage of a foreign tone relative to the channel's own tone, dB.
 
-    Power is summed over a +-half_width_bins FFT band around each tone
+    Power is summed over a +-4-bin FFT band around each tone
     after Hann windowing (the window confines spectral splatter so the
     two bands do not contaminate each other). Returns -inf when the
     foreign band is empty of energy.
@@ -180,8 +181,8 @@ def cross_tone_residual_db(
 
     def band_power(freq: float) -> float:
         center = int(round(freq / bin_hz))
-        lo = max(center - half_width_bins, 0)
-        hi = min(center + half_width_bins + 1, spectrum.shape[0])
+        lo = max(center - _TONE_HALF_WIDTH_BINS, 0)
+        hi = min(center + _TONE_HALF_WIDTH_BINS + 1, spectrum.shape[0])
         return float(np.sum(spectrum[lo:hi]))
 
     own = band_power(own_freq)
@@ -204,6 +205,8 @@ def signed_permutation_error(gain: np.ndarray) -> tuple[tuple[int, ...], tuple[i
     g = np.asarray(gain, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"gain must be square, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gain must be finite")
     dim = g.shape[0]
     if dim > 8:
         raise ValueError("permutation search is limited to 8 channels")

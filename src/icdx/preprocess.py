@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signalgen import MultichannelSignal
+from .signalgen import MultichannelSignal, own_arrays
 
 __all__ = [
     "RankDeficientError",
@@ -26,6 +26,10 @@ __all__ = [
     "eigendecompose",
     "whiten",
 ]
+
+_MEAN_TOL = 1e-8  # covariance(): largest channel mean, relative to its RMS
+_SYM_TOL = 1e-10  # eigendecompose(): largest |A - A.T|, relative to |A|
+_RANK_FLOOR = 1e-12  # whiten(): eigenvalue floor, relative to the largest
 
 
 class RankDeficientError(ValueError):
@@ -43,16 +47,16 @@ def center(signal: MultichannelSignal) -> tuple[MultichannelSignal, np.ndarray]:
     return signal.with_data(signal.data - mean[:, None]), mean
 
 
-def covariance(signal: MultichannelSignal, mean_tol: float = 1e-8) -> np.ndarray:
+def covariance(signal: MultichannelSignal) -> np.ndarray:
     """Sample covariance (1/N normalization) of a centered signal.
 
     Rejects visibly uncentered input: each channel mean must be below
-    mean_tol relative to its RMS.
+    1e-8 of its RMS (_MEAN_TOL).
     """
     data = signal.data
     rms = np.sqrt(np.mean(data**2, axis=1))
     mean = data.mean(axis=1)
-    limit = mean_tol * np.maximum(rms, np.finfo(np.float64).tiny)
+    limit = _MEAN_TOL * np.maximum(rms, np.finfo(np.float64).tiny)
     if np.any(np.abs(mean) > limit):
         worst = int(np.argmax(np.abs(mean) / limit))
         raise ValueError(
@@ -61,7 +65,7 @@ def covariance(signal: MultichannelSignal, mean_tol: float = 1e-8) -> np.ndarray
     return (data @ data.T) / data.shape[1]
 
 
-def eigendecompose(sym: np.ndarray, sym_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def eigendecompose(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric matrix, eigenvalues sorted descending.
 
     Returns (eigvecs, eigvals) with eigenvectors in columns. The sign of
@@ -76,7 +80,7 @@ def eigendecompose(sym: np.ndarray, sym_tol: float = 1e-10) -> tuple[np.ndarray,
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix must be finite")
     scale = np.linalg.norm(mat)
-    if np.linalg.norm(mat - mat.T) > sym_tol * max(scale, np.finfo(np.float64).tiny):
+    if np.linalg.norm(mat - mat.T) > _SYM_TOL * max(scale, np.finfo(np.float64).tiny):
         raise ValueError("matrix is not symmetric within tolerance")
     eigvals, eigvecs = np.linalg.eigh(mat)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
@@ -104,10 +108,7 @@ class WhiteningTransform:
     dewhitener: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("mean", "eigvecs", "eigvals", "whitener", "dewhitener"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        own_arrays(self, mean=1, eigvecs=2, eigvals=1, whitener=2, dewhitener=2)
         c = self.mean.shape[0]
         if self.eigvecs.shape != (c, c) or self.whitener.shape != (c, c):
             raise ValueError("inconsistent transform shapes")
@@ -150,26 +151,23 @@ class WhiteningTransform:
         }
 
 
-def whiten(
-    signal: MultichannelSignal,
-    eps_factor: float = 1e-12,
-) -> tuple[MultichannelSignal, WhiteningTransform]:
+def whiten(signal: MultichannelSignal) -> tuple[MultichannelSignal, WhiteningTransform]:
     """PCA-whiten a multichannel signal.
 
     Centers the data, eigendecomposes the covariance, and rescales the
     principal components to unit variance. Eigenvalues at or below
-    eps_factor times the largest eigenvalue raise RankDeficientError:
+    1e-12 (_RANK_FLOOR) times the largest eigenvalue raise RankDeficientError:
     such directions carry no usable signal and would amplify noise
     without bound.
     """
     centered, mean = center(signal)
     sigma = covariance(centered)
     eigvecs, eigvals = eigendecompose(sigma)
-    floor = eps_factor * eigvals[0]
+    floor = _RANK_FLOOR * eigvals[0]
     if eigvals[0] <= 0.0 or np.any(eigvals <= floor):
         raise RankDeficientError(
             f"covariance eigenvalues {eigvals.tolist()} fall at or below the "
-            f"relative floor {eps_factor:g}; input is rank deficient")
+            f"relative floor {_RANK_FLOOR:g}; input is rank deficient")
     inv_root = 1.0 / np.sqrt(eigvals)
     whitener = inv_root[:, None] * eigvecs.T
     dewhitener = eigvecs * np.sqrt(eigvals)[None, :]

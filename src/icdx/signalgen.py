@@ -45,14 +45,23 @@ SHOT_RAMP_BREAKPOINTS = (0.1, 0.3, 0.7, 0.9)
 SHOT_RAMP_PLATEAU_RAD = 2.0
 
 
-def _readonly_f64(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, order="C")
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.flags.writeable = False
-    return arr
+def own_arrays(obj, **ndims: int) -> None:
+    """Lock each field named in ndims to its own float64 copy.
+
+    The copy is C-ordered, of rank ndims[name], finite and read-only, so
+    no view the caller kept can change the frozen object. None stays None.
+    """
+    for name, ndim in ndims.items():
+        value = getattr(obj, name)
+        if value is None:
+            continue
+        arr = np.array(value, dtype=np.float64, order="C")
+        if arr.ndim != ndim:
+            raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,7 @@ class PhaseTrack:
     _LABELS = ("density", "vibration", "combined")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", _readonly_f64(self.samples, "samples", 1))
+        own_arrays(self, samples=1)
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate!r}")
         if self.label not in self._LABELS:
@@ -136,7 +145,7 @@ class MultichannelSignal:
     sample_rate: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data", _readonly_f64(self.data, "data", 2))
+        own_arrays(self, data=2)
         if self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise ValueError(f"data must be non-empty, got shape {self.data.shape}")
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
@@ -175,20 +184,18 @@ def synth_clean_pair(
     params: InterferometerParams,
     track1: PhaseTrack,
     track2: PhaseTrack,
-    n: int | None = None,
 ) -> MultichannelSignal:
     """Two unit-amplitude phase-modulated heterodyne carriers.
 
-    Channel k is sin(2 pi f_het_k t + track_k). Tracks must match the
-    requested length and the sample rate in params.
+    Channel k is sin(2 pi f_het_k t + track_k). The tracks must have
+    equal lengths and the sample rate in params.
     """
-    if n is None:
-        n = len(track1)
+    n = len(track1)
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     for i, track in enumerate((track1, track2), start=1):
         if len(track) != n:
-            raise ValueError(f"track{i} length {len(track)} != requested {n}")
+            raise ValueError(f"track{i} length {len(track)} != track1 length {n}")
         if not math.isclose(track.sample_rate, params.sample_rate, rel_tol=1e-9):
             raise ValueError(
                 f"track{i} rate {track.sample_rate} != params rate {params.sample_rate}")

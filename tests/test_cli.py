@@ -230,6 +230,41 @@ def test_unmix_reruns_byte_identical(tmp_path, capsys):
         "iterations", "converged", "envelope_depth_raw", "envelope_depth_corrected"]
 
 
+def _written(out):
+    return sorted(path.name for path in out.iterdir()) if out.exists() else []
+
+
+@pytest.mark.parametrize("truth, code", [("absent.bin", 4), ("run/clean_short.bin", 2)])
+def test_unmix_reads_truth_before_writing(tmp_path, capsys, truth, code):
+    # A missing or misshapen --truth fails before the separation runs,
+    # so no output is left without its quality.cfg and manifest.
+    run = tmp_path / "run"
+    assert _gen(run, "--samples", "4096") == 0
+    clean = icdx.read_signal(run / "clean.bin")
+    icdx.write_signal(run / "clean_short.bin", clean.with_data(clean.data[:, :2048]))
+    out = tmp_path / "u"
+    assert main(["unmix", "--in", str(run / "mixed.bin"), "--truth", str(tmp_path / truth),
+                 "--out-dir", str(out)]) == code
+    assert "error" in capsys.readouterr().err
+    assert _written(out) == []
+
+
+def test_non_finite_coupling_exit_2(tmp_path, capsys):
+    # Neither a flag nor a manifest line can carry a NaN coupling into a run.
+    run = tmp_path / "run"
+    assert _gen(run, "--samples", "4096") == 0
+    manifest = tmp_path / "nan_manifest.cfg"
+    manifest.write_text((run / "manifest.cfg").read_text().replace(
+        "coupling = 1.0,0.4;0.3,1.0", "coupling = nan,0.0;0.0,1.0"))
+    out = tmp_path / "u"
+    for source in (["--coupling", "nan,0;0,1"], ["--config", str(manifest)]):
+        capsys.readouterr()
+        assert main(["unmix", "--in", str(run / "mixed.bin"), "--out-dir", str(out),
+                     *source]) == 2
+        assert "coupling must be finite" in capsys.readouterr().err
+        assert _written(out) == []
+
+
 def test_unmix_nonconvergence_exit_3(tmp_path):
     run = tmp_path / "run"
     assert _gen(run) == 0

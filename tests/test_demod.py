@@ -163,6 +163,10 @@ def test_demodulate_validation():
     two = icdx.MultichannelSignal(np.zeros((2, 64)), RATE)
     with pytest.raises(ValueError, match="single channel"):
         icdx.demodulate(two, CARRIER_1, 4.0e4, 8)
+    # A bare array skips MultichannelSignal's check; its NaN must not
+    # come back as NaN phases.
+    with pytest.raises(ValueError, match="finite"):
+        icdx.demodulate(np.where(np.arange(n) == 2000, np.nan, x), CARRIER_1, 4.0e4, 8, RATE)
     # 263 taps: a 257-tap windowed sinc cascaded with a 7-tap image comb.
     with pytest.raises(ValueError, match="shorter than the demodulation filter"):
         icdx.demodulate(x[:262], CARRIER_1, 4.0e4, 8, RATE)
@@ -231,8 +235,18 @@ def test_density_settle_and_validation():
     a = _phase_series(np.zeros(16), settle=3)
     b = _phase_series(np.zeros(16), settle=7)
     assert icdx.line_integrated_density(a, b, _PARAMS).settle == 7
+    with pytest.raises(ValueError, match="settle"):
+        icdx.DensitySeries(np.zeros(8), 1.0e6, -1)
     with pytest.raises(ValueError, match="length"):
         icdx.line_integrated_density(a, _phase_series(np.zeros(8)), _PARAMS)
     with pytest.raises(ValueError, match="rate"):
         icdx.line_integrated_density(
             a, _phase_series(np.zeros(16), rate=2.0e6), _PARAMS)
+
+
+@pytest.mark.parametrize("rate", [np.inf, np.nan])
+def test_series_types_require_a_positive_finite_rate(rate):
+    with pytest.raises(ValueError, match="sample_rate"):
+        _phase_series(np.zeros(8), rate=rate)
+    with pytest.raises(ValueError, match="sample_rate"):
+        icdx.DensitySeries(np.zeros(8), rate, 0)

@@ -125,6 +125,11 @@ def test_matrix_text_round_trip():
     assert np.array_equal(parse_matrix("1,0.4;0.3,1"), mat)
     with pytest.raises(ValueError, match="ragged"):
         parse_matrix("1,2;3")
+    assert format_matrix(np.array([[-np.inf, 0.5], [1.0, np.inf]])) == "neg-inf,0.5;1.0,pos-inf"
+    assert np.array_equal(parse_matrix("neg-inf,0.5;1.0,pos-inf"),
+                          [[-np.inf, 0.5], [1.0, np.inf]])
+    with pytest.raises(ValueError, match="NaN"):
+        format_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_kv_round_trip_with_sentinels(tmp_path):

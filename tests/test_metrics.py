@@ -166,6 +166,10 @@ def test_signed_permutation_error_validation():
         icdx.signed_permutation_error(np.ones((2, 3)))
     with pytest.raises(ValueError, match="8"):
         icdx.signed_permutation_error(np.eye(9))
+    # No signed permutation is nearest to a gain with a NaN or inf entry.
+    for bad in ([[1.0, np.nan], [0.0, 1.0]], np.full((2, 2), np.nan), [[np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            icdx.signed_permutation_error(np.array(bad))
 
 
 def test_metric_value_round_trip():

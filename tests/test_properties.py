@@ -368,6 +368,9 @@ def test_write_kv_round_trips_sequences_and_arrays(flags, ints, words, floats, v
               elements=_ANY_FLOAT))
 def test_matrix_text_round_trips(mat):
     text = format_matrix(mat)
+    # Each entry is its metric token: infinities as neg-inf / pos-inf.
+    assert text.replace(";", ",").split(",") == [
+        icdx.format_metric_value(v) for v in mat.ravel().tolist()]
     parsed = parse_matrix(text)
     assert parsed.shape == mat.shape
     assert _bits(parsed) == _bits(mat)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import icdx
+from icdx.cli import RunConfig
 from icdx.signalgen import SHOT_RAMP_PLATEAU_RAD, VIBRATION_COMPONENTS
 
 from helpers import RATE
@@ -79,8 +80,9 @@ def test_synth_clean_pair_unit_amplitude_tones():
 def test_synth_clean_pair_validates_lengths_and_rates():
     params = icdx.InterferometerParams()
     t1, t2 = icdx.make_scenario_tracks("quiet", 512, RATE, params)
-    with pytest.raises(ValueError):
-        icdx.synth_clean_pair(params, t1, t2, n=1024)
+    longer = icdx.PhaseTrack(np.zeros(1024), RATE, "vibration")
+    with pytest.raises(ValueError, match="length"):
+        icdx.synth_clean_pair(params, t1, longer)
     other = icdx.PhaseTrack(np.zeros(512), 2 * RATE, "combined")
     with pytest.raises(ValueError):
         icdx.synth_clean_pair(params, other, t2)
@@ -189,3 +191,79 @@ def test_containers_do_not_share_the_callers_array():
     assert np.array_equal(track.samples, np.arange(8.0))
     assert np.array_equal(signal.data, np.arange(16.0).reshape(2, 8))
     assert np.array_equal(derived.data, -np.arange(16.0).reshape(2, 8))
+
+
+# One valid instance per frozen value type: (constructor, its array fields).
+def _value_type(kind):
+    assignment = icdx.Assignment(("a", "b"), (0, 1), (1, 1))
+    builders = {
+        "MultichannelSignal": (
+            lambda **a: icdx.MultichannelSignal(sample_rate=RATE, **a),
+            {"data": np.arange(16.0).reshape(2, 8)}),
+        "PhaseTrack": (
+            lambda **a: icdx.PhaseTrack(sample_rate=RATE, label="density", **a),
+            {"samples": np.arange(8.0)}),
+        "PhaseSeries": (
+            lambda **a: icdx.PhaseSeries(
+                sample_rate=RATE, carrier=1.0e6, decimation=1, settle=0, **a),
+            {"samples": np.arange(8.0)}),
+        "DensitySeries": (
+            lambda **a: icdx.DensitySeries(sample_rate=RATE, settle=0, **a),
+            {"samples": np.arange(8.0)}),
+        "FirFilter": (
+            lambda **a: icdx.FirFilter(band=(0.0, 1.0e6), design_rate=RATE, **a),
+            {"taps": np.array([0.25, 0.5, 0.25])}),
+        "SeparationResult": (
+            lambda **a: icdx.SeparationResult(
+                iterations=(1, 1), converged=(True, True), assignment=assignment, **a),
+            {"w": np.eye(2), "w_full": np.array([[2.0, 0.5], [0.25, 3.0]])}),
+        "WhiteningTransform": (
+            icdx.WhiteningTransform,
+            {"mean": np.array([0.5, -0.5]), "eigvecs": np.eye(2),
+             "eigvals": np.array([4.0, 1.0]), "whitener": np.diag([0.5, 1.0]),
+             "dewhitener": np.diag([2.0, 1.0])}),
+        "RunConfig": (RunConfig, {"coupling": np.array([[1.0, 0.2], [0.1, 1.0]])}),
+    }
+    return builders[kind]
+
+
+_ARRAY_FIELDS = [
+    ("MultichannelSignal", "data"), ("PhaseTrack", "samples"),
+    ("PhaseSeries", "samples"), ("DensitySeries", "samples"), ("FirFilter", "taps"),
+    ("SeparationResult", "w"), ("SeparationResult", "w_full"),
+    *(("WhiteningTransform", name)
+      for name in ("mean", "eigvecs", "eigvals", "whitener", "dewhitener")),
+    ("RunConfig", "coupling"),
+]
+
+
+@pytest.mark.parametrize("kind, name", _ARRAY_FIELDS)
+def test_value_types_own_their_arrays(kind, name):
+    # Neither the caller's array nor a view of it taken before
+    # construction can change the object, and the caller's array stays
+    # the caller's: still writeable.
+    build, arrays = _value_type(kind)
+    given = arrays[name]
+    view = given.reshape(-1)
+    expected = given.copy()
+    obj = build(**arrays)
+    held = getattr(obj, name)
+    assert given.flags.writeable and view.flags.writeable
+    assert not held.flags.writeable
+    view[0] = 99.0
+    given[...] = 99.0
+    assert np.array_equal(held, expected)
+    assert held.dtype == np.float64 and held.flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind, name, bad", [
+    ("MultichannelSignal", "data", np.nan), ("PhaseTrack", "samples", np.inf),
+    ("PhaseSeries", "samples", np.nan), ("DensitySeries", "samples", -np.inf),
+    ("FirFilter", "taps", np.nan), ("SeparationResult", "w_full", np.inf),
+    ("WhiteningTransform", "eigvals", np.nan), ("RunConfig", "coupling", np.nan),
+])
+def test_value_types_reject_non_finite_arrays(kind, name, bad):
+    build, arrays = _value_type(kind)
+    arrays[name].reshape(-1)[0] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        build(**arrays)
