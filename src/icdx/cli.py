@@ -203,17 +203,16 @@ class RunConfig:
     def parse_field(name: str, token: str) -> object:
         """Parse one field's text token; raises ValueError with context."""
         kind = _FIELD_TYPES.get(name)
+        # Remaining fields are floats; sentinel tokens allowed.
+        parse = {"np.ndarray": fileio.parse_matrix, "int": int, "str": str}.get(
+            kind, metrics.parse_metric_value)
         try:
-            if kind == "np.ndarray":
-                return fileio.parse_matrix(token)
-            if kind == "int":
-                return int(token)
-            if kind == "str":
-                return token
-            # Remaining fields are floats; sentinel tokens allowed.
-            return metrics.parse_metric_value(token)
+            value = parse(token)
         except ValueError as exc:
             raise ValueError(f"field {name!r}: cannot parse {token!r}") from exc
+        if kind == "np.ndarray" and not np.all(np.isfinite(value)):
+            raise ValueError(f"field {name!r}: {name} must be finite, got {token!r}")
+        return value
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

@@ -14,6 +14,12 @@ the 2 x carrier mixing image, so a clean carrier demodulates to a phase
 track flat at the 1e-6 radian level rather than the 1e-4 ripple the
 windowed sinc alone would leave.
 
+No sample is mixed: mixing x by 2 e^(-j w k), w = 2 pi carrier / rate, then
+filtering with taps h gives I + jQ = 2 e^(-j w (n + d)) (x * g)(n + d) at output
+n, with d = (h.size - 1) // 2 and g(m) = h(m) e^(j w m). So the envelope is
+2 |x * g|, and the narrow rail needs the carrier factor only where it keeps
+samples. Both convolve by overlap-save over fixed blocks, one real FFT each.
+
 Density recovery combines the two unwrapped phase tracks with the
 standard two-color relation: path-length (vibration) phase scales as
 1/wavelength while plasma phase scales as wavelength, so the weighted
@@ -43,6 +49,8 @@ __all__ = [
 
 
 _IMAGE_COMB_MAX_LEN = 512  # longest moving average the image comb may use
+_BLOCK = 8192  # overlap-save FFT length (fastest of those measured at 2^20 samples)
+_GROUP = 8  # blocks per batched transform: temporaries stay O(_GROUP * _BLOCK)
 
 
 class PhaseTrackingLostError(RuntimeError):
@@ -156,32 +164,37 @@ def _image_comb(carrier: float, sample_rate: float) -> np.ndarray:
     return np.convolve(box, box)
 
 
-def _lowpass(x: np.ndarray, taps: np.ndarray, step: int = 1) -> np.ndarray:
-    """FIR output with the (taps.size - 1) // 2 sample delay removed, every step-th sample.
+def _overlap_save(x: np.ndarray, wide: np.ndarray, narrow: np.ndarray,
+                  step: int) -> tuple[np.ndarray, np.ndarray]:
+    """|x * wide| at every sample and x * narrow at every step-th, delay compensated.
 
-    Equals the delay-compensated full-rate output (same length as x)
-    sliced [::step], but computes only the kept samples: the polyphase
-    form splits taps into step phases taps[p::step], each convolved at
-    the output rate with the input taken at stride step (Crochiere &
-    Rabiner, Multirate Digital Signal Processing, 1983).
+    Output n of taps g is np.convolve(x, g)[n + (g.size - 1) // 2], x zero outside
+    the record: one rfft per block, Hermitian-extended, times each filter's spectrum,
+    inverted with one complex ifft.
     """
-    n = x.shape[0]
-    delay = (taps.size - 1) // 2
-    per_phase = -(-taps.size // step)
-    kept = -(-n // step)
-    # Taps zero-padded to per_phase in every phase. Output i of phase p
-    # reads x[delay - p + step * (i - q)] for q < per_phase; the zeros
-    # around x keep every strided read in bounds.
-    phases = np.concatenate((taps, np.zeros(step * per_phase - taps.size)))
-    left = step * per_phase - 1 - delay
-    padded = np.concatenate((np.zeros(left), x, np.zeros(delay)))
-    out = None
-    for p in range(min(step, taps.size)):
-        start = left + delay - p - step * (per_phase - 1)
-        strided = padded[start: start + step * (kept + per_phase - 1): step]
-        part = np.convolve(strided, phases[p::step], mode="valid")
-        out = part if out is None else np.add(out, part, out=out)
-    return out
+    n, size = x.shape[0], max(wide.size, narrow.size)
+    lead, overlap = (size - 1) // 2, size - 1
+    block = max(_BLOCK, 1 << (2 * overlap).bit_length())
+    valid = block - overlap
+    # Filters centred on delay lead, x at overlap - lead in padded: output j >=
+    # overlap of block b is the linear convolution at record sample b * valid + j - overlap.
+    spectra = [np.fft.fft(np.concatenate((np.zeros(lead - (g.size - 1) // 2), g)), block)
+               for g in (wide, narrow)]
+    blocks = -(-n // valid)
+    padded = np.zeros((blocks - 1) * valid + block)
+    padded[overlap - lead: overlap - lead + n] = x
+    frames = np.lib.stride_tricks.sliding_window_view(padded, block)[::valid]
+    envelope, kept = np.empty(n), np.empty(-(-n // step), dtype=complex)
+    for first in range(0, blocks, _GROUP):
+        half = np.fft.rfft(frames[first: first + _GROUP])
+        spectrum = np.concatenate((half, half[:, -2: 0: -1].conj()), axis=1)
+        lo = first * valid
+        out = np.fft.ifft(spectrum * spectra[0])[:, overlap:]
+        envelope[lo: lo + out.size] = np.abs(out).reshape(-1)[: n - lo]
+        out = np.fft.ifft(spectrum * spectra[1])[:, overlap:].reshape(-1)
+        i, stop = -(-lo // step), -(-min(lo + out.size, n) // step)
+        kept[i: stop] = out[i * step - lo:: step][: stop - i]
+    return envelope, kept
 
 
 def _find_runs(mask: np.ndarray, min_run: int) -> list[tuple[int, int]]:
@@ -212,7 +225,8 @@ def demodulate(
     -2 sin(2 pi carrier t), lowpass filtered (windowed sinc of
     filter_order taps plus the image comb), delay compensated, and
     decimated; phase is atan2(Q, I) + pi/2 unwrapped, so a clean
-    sin(2 pi carrier t + track) input returns the track itself.
+    sin(2 pi carrier t + track) input returns the track itself. It is
+    computed with carrier-modulated taps, as the module docstring derives.
 
     Envelope supervision runs before decimation on a separate wider
     rail (cutoff envelope_cutoff, defaulting to 0.4 * carrier) so that
@@ -222,8 +236,8 @@ def demodulate(
     With strict=True (default) that raises PhaseTrackingLostError;
     otherwise the ranges are recorded on the returned series.
 
-    Accepts a single-channel MultichannelSignal or a 1-D array plus
-    sample_rate.
+    Accepts a single-channel MultichannelSignal or a finite 1-D array
+    plus sample_rate.
     """
     data, rate = as_channel(channel, sample_rate)
     nyquist = 0.5 * rate
@@ -252,20 +266,17 @@ def demodulate(
     if n < taps.size:
         raise ValueError(
             f"record length {n} shorter than the demodulation filter ({taps.size} taps)")
-    t = np.arange(n) / rate
-    in_phase_mix = 2.0 * data * np.cos(2.0 * np.pi * carrier * t)
-    quadrature_mix = -2.0 * data * np.sin(2.0 * np.pi * carrier * t)
-
-    # Envelope rail first: a wide lowpass at the full rate, so crosstalk
-    # beat nulls show up instead of being averaged away.
+    # Envelope rail: a wide lowpass at the full rate, so crosstalk beat
+    # nulls show up instead of being averaged away. Mixing is on the taps.
     env_taps = design_fir_lowpass(envelope_order, envelope_cutoff, rate).taps
-    envelope = np.hypot(_lowpass(in_phase_mix, env_taps), _lowpass(quadrature_mix, env_taps))
+    wide, narrow = (2.0 * h * np.exp(2j * np.pi * carrier / rate * np.arange(h.size))
+                    for h in (env_taps, taps))
+    envelope, rail = _overlap_save(data, wide, narrow, decimation)
     margin = min(envelope_order, n // 4)
     floor = envelope_floor * float(np.median(envelope[margin: n - margin]))
     mask = envelope < floor
     # Filter transients are not evidence of signal loss.
-    mask[:margin] = False
-    mask[n - margin:] = False
+    mask[:margin] = mask[n - margin:] = False
     lost = tuple(_find_runs(mask, envelope_min_run))
     if lost and strict:
         first = lost[0]
@@ -274,10 +285,13 @@ def demodulate(
             f"{len(lost)} interval(s); first at input samples "
             f"[{first[0]}, {first[1]})", lost)
 
-    rail_i = _lowpass(in_phase_mix, taps, decimation)
-    rail_q = _lowpass(quadrature_mix, taps, decimation)
-
-    wrapped = _wrap_pi(np.arctan2(rail_q, rail_i) + 0.5 * np.pi)
+    # Carrier phase at kept input samples k; carrier / rate splits exactly into
+    # hi, whose 26 fractional bits keep k * hi exact, and a rest below 2^-26.
+    k = np.arange(0.0, n, float(decimation)) + (taps.size - 1) // 2
+    ratio = Fraction(carrier) / Fraction(rate)
+    hi = math.floor(ratio * 2**26) / 2**26
+    cycles = np.modf(k * hi)[0] + k * float(ratio - Fraction(hi))
+    wrapped = _wrap_pi(np.arctan2(rail.imag, rail.real) + 0.5 * np.pi - 2.0 * np.pi * cycles)
     return PhaseSeries(
         samples=unwrap(wrapped),
         sample_rate=rate / decimation,

@@ -141,7 +141,7 @@ def envelope_depth(
         raise ValueError("no FFT bins fall inside the carrier band")
     analytic = np.zeros(n, dtype=np.complex128)
     analytic[band] = 2.0 * spectrum[band]
-    envelope = np.abs(np.fft.ifft(analytic))
+    envelope = np.abs(np.fft.ifft(analytic, out=analytic))
     trim = int(edge_trim * n)
     if trim > 0:
         envelope = envelope[trim: n - trim]

@@ -177,6 +177,8 @@ def as_channel(signal, sample_rate: float | None) -> tuple[np.ndarray, float]:
         raise ValueError(f"expected a 1-D array, got shape {arr.shape}")
     if sample_rate is None:
         raise ValueError("sample_rate is required with a bare array input")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"channel must be finite, sample {np.argmin(np.isfinite(arr))} is not")
     return arr, float(sample_rate)
 
 

@@ -130,11 +130,12 @@ def test_density_on_record_shorter_than_filter_exit_2(tmp_path, capsys):
     assert not (tmp_path / "density_report.cfg").exists()
 
 
-@pytest.mark.parametrize("extra", [(), ("--decimation", "100000")])
+@pytest.mark.parametrize("extra", [
+    (), ("--decimation", "100000"), ("--decimation", "1000000000000")])
 def test_density_without_steady_samples_exit_2(tmp_path, capsys, extra):
     # 336 samples decimate to 42, all inside the 21-sample settle at each
     # end of the 335-tap ch2 filter; at decimation 100000, 4096 samples
-    # leave one sample.
+    # leave one sample, and no allocation grows with the decimation.
     samples = "4096" if extra else "336"
     assert main(["gen", "--out-dir", str(tmp_path), "--samples", samples]) == 0
     assert main(["density", "--in", str(tmp_path / "clean.bin"),
@@ -250,18 +251,23 @@ def test_unmix_reads_truth_before_writing(tmp_path, capsys, truth, code):
 
 
 def test_non_finite_coupling_exit_2(tmp_path, capsys):
-    # Neither a flag nor a manifest line can carry a NaN coupling into a run.
+    # Neither a flag nor a manifest line can carry a non-finite coupling
+    # into a run, and the error names the field and, from a file, its line.
     run = tmp_path / "run"
     assert _gen(run, "--samples", "4096") == 0
-    manifest = tmp_path / "nan_manifest.cfg"
-    manifest.write_text((run / "manifest.cfg").read_text().replace(
-        "coupling = 1.0,0.4;0.3,1.0", "coupling = nan,0.0;0.0,1.0"))
+    manifest = tmp_path / "inf_manifest.cfg"
+    lines = (run / "manifest.cfg").read_text().splitlines()
+    line = lines.index("coupling = 1.0,0.4;0.3,1.0")
+    lines[line] = "coupling = pos-inf,0.0;0.0,1.0"
+    manifest.write_text("\n".join(lines) + "\n")
     out = tmp_path / "u"
-    for source in (["--coupling", "nan,0;0,1"], ["--config", str(manifest)]):
+    for source, where in ((["--coupling", "nan,0;0,1"], "icdx: error: field 'coupling'"),
+                          (["--config", str(manifest)], f"{manifest}:{line + 1}: field 'coupling'")):
         capsys.readouterr()
         assert main(["unmix", "--in", str(run / "mixed.bin"), "--out-dir", str(out),
                      *source]) == 2
-        assert "coupling must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert where in err and "coupling must be finite" in err
         assert _written(out) == []
 
 

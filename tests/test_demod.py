@@ -60,6 +60,15 @@ def test_demodulate_pure_carrier_is_flat(phi0):
     assert np.max(np.abs(phase.steady() - phi0)) < 1e-6
 
 
+def test_demodulate_carrier_phase_does_not_drift():
+    # 1.1 MHz / 8 MHz has no exact binary form; the carrier phase taken
+    # off at the kept samples must not drift with the sample index.
+    n = 2**20
+    x = np.sin(2.0 * np.pi * CARRIER_2 * np.arange(n) / RATE + 0.3)
+    phase = icdx.demodulate(x, CARRIER_2, 4.0e4, 8, RATE)
+    assert np.max(np.abs(phase.steady() - 0.3)) < 1e-6
+
+
 def test_demodulate_series_geometry():
     n = 2**16
     decimation = 8
@@ -100,6 +109,49 @@ def _coupled_shot_ramp(coupling: float, n: int = 2**17) -> icdx.MultichannelSign
     clean = icdx.synth_clean_pair(_PARAMS, tracks[0], tracks[1])
     return icdx.apply_crosstalk(
         clean, np.array([[1.0, coupling], [coupling, 1.0]]))
+
+
+def _time_domain_demodulate(x, cutoff, decimation, filter_order=256):
+    """The mix-then-filter form at CARRIER_1 and default envelope settings.
+
+    Returns (phases, lost ranges).
+
+    Per-sample cos/sin mixes, full-rate direct convolutions with the
+    delay removed, the narrow rail sliced [::decimation].
+    """
+    n, carrier = x.size, CARRIER_1
+    t = np.arange(n) / RATE
+    mixes = (2.0 * x * np.cos(2.0 * np.pi * carrier * t),
+             -2.0 * x * np.sin(2.0 * np.pi * carrier * t))
+
+    def lowpass(taps):
+        delay = (taps.size - 1) // 2
+        return [np.convolve(mix, taps)[delay: delay + n] for mix in mixes]
+
+    envelope = np.hypot(*lowpass(icdx.design_fir_lowpass(128, 0.4 * carrier, RATE).taps))
+    margin = 128
+    low = envelope < 0.2 * np.median(envelope[margin: n - margin])
+    low[:margin] = low[n - margin:] = False
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], low.astype(np.int8), [0]))))
+    lost = tuple((int(a), int(b)) for a, b in zip(edges[::2], edges[1::2]) if b - a >= 4)
+    box = np.full(4, 0.25)  # the image comb: 2 x carrier is a quarter of the rate
+    taps = np.convolve(icdx.design_fir_lowpass(filter_order, cutoff, RATE).taps,
+                       np.convolve(box, box))
+    rail_i, rail_q = (rail[::decimation] for rail in lowpass(taps / taps.sum()))
+    return icdx.unwrap(np.angle(np.exp(1j * (np.arctan2(rail_q, rail_i) + 0.5 * np.pi)))), lost
+
+
+@pytest.mark.parametrize("decimation, filter_order, n", [
+    (1, 256, 2**17), (3, 256, 2**17), (8, 256, 2**17), (64, 256, 2**17),
+    (8, 5000, 2**15),  # a filter longer than half an overlap-save block
+])
+def test_demodulate_matches_time_domain_rails(decimation, filter_order, n):
+    x = _coupled_shot_ramp(0.9).data[0][:n]
+    phase = icdx.demodulate(x, CARRIER_1, 4.0e4, decimation, RATE,
+                            filter_order=filter_order, strict=False)
+    samples, lost = _time_domain_demodulate(x, 4.0e4, decimation, filter_order)
+    assert phase.tracking_lost and phase.lost_ranges == lost
+    assert np.max(np.abs(phase.samples - samples)) <= 1e-9
 
 
 def test_moderate_crosstalk_keeps_tracking():
@@ -165,7 +217,7 @@ def test_demodulate_validation():
         icdx.demodulate(two, CARRIER_1, 4.0e4, 8)
     # A bare array skips MultichannelSignal's check; its NaN must not
     # come back as NaN phases.
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="channel must be finite, sample 2000 is not"):
         icdx.demodulate(np.where(np.arange(n) == 2000, np.nan, x), CARRIER_1, 4.0e4, 8, RATE)
     # 263 taps: a 257-tap windowed sinc cascaded with a 7-tap image comb.
     with pytest.raises(ValueError, match="shorter than the demodulation filter"):

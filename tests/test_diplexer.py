@@ -127,6 +127,9 @@ def test_filter_signal_validation():
         icdx.filter_signal(np.zeros(16), fir, _RATE)
     with pytest.raises(ValueError, match="sample_rate"):
         icdx.filter_signal(np.zeros(128), fir)
+    # One NaN would otherwise come back as a run of NaN output samples.
+    with pytest.raises(ValueError, match="channel must be finite, sample 9 is not"):
+        icdx.filter_signal(np.where(np.arange(64) == 9, np.nan, 0.0), fir, _RATE)
 
 
 def test_fir_split_leakage_matches_filter_response():

@@ -25,7 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 import icdx
 from icdx.cli import _mask_lost
-from icdx.demod import _lowpass
+from icdx.demod import _BLOCK, _overlap_save
 from icdx.fastica import _orthonormalize
 from icdx.fileio import _write_csv, format_matrix, parse_matrix
 
@@ -159,18 +159,31 @@ def test_unmix_matches_whiten_rotate_assign(case):
 
 @settings(deadline=None)
 @given(st.data())
-def test_decimating_lowpass_keeps_every_step_th_output(data):
-    n = data.draw(st.integers(1, 400))
-    x = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
-    taps = data.draw(arrays(np.float64, st.integers(1, 64), elements=st.floats(-1.0, 1.0)))
+def test_overlap_save_matches_direct_convolution(data):
+    # Up to three blocks and a partial one, so block seams and the last
+    # partial block are crossed; modulated taps bounded by 1.
+    n = data.draw(st.integers(1, 3 * _BLOCK + 600))
+    x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(-1e3, 1e3, n)
+    omega = data.draw(st.floats(0.0, np.pi))
+
+    def modulated_taps():
+        h = data.draw(arrays(np.float64, st.integers(1, 64), elements=st.floats(-1.0, 1.0)))
+        return h * np.exp(1j * omega * np.arange(h.size))
+
+    wide, narrow = modulated_taps(), modulated_taps()
     step = data.draw(st.integers(1, n + 8))
-    delay = (taps.size - 1) // 2
-    full = np.convolve(x, taps, mode="full")[delay:delay + n]
+
+    def direct(taps):
+        delay = (taps.size - 1) // 2
+        return np.convolve(x, taps)[delay: delay + n]
+
+    envelope, kept = _overlap_save(x, wide, narrow, step)
     tol = 1e-12 * np.sum(np.abs(x))
-    assert np.max(np.abs(_lowpass(x, taps) - full)) <= tol
-    decimated = _lowpass(x, taps, step)
-    assert decimated.shape == full[::step].shape
-    assert np.max(np.abs(decimated - _lowpass(x, taps)[::step])) <= tol
+    assert envelope.shape == (n,)
+    assert np.max(np.abs(envelope - np.abs(direct(wide)))) <= tol
+    reference = direct(narrow)[::step]
+    assert kept.shape == reference.shape
+    assert np.max(np.abs(kept - reference)) <= tol
 
 
 def _envelope_depth_reference(data, carrier, rate, band_frac, edge_trim):
