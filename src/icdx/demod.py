@@ -258,14 +258,17 @@ def demodulate(
             f"got {envelope_cutoff}")
 
     # Narrow rail: windowed sinc cascaded with the image comb, unity DC.
-    # A record shorter than this filter never leaves its transient.
-    lp_taps = design_fir_lowpass(filter_order, lowpass_cutoff, rate).taps
-    taps = np.convolve(lp_taps, _image_comb(carrier, rate))
-    taps = taps / taps.sum()
+    # A record shorter than either filter never leaves its transient, so
+    # both lengths are checked before any taps are designed.
+    comb = _image_comb(carrier, rate)
     n = data.shape[0]
-    if n < taps.size:
-        raise ValueError(
-            f"record length {n} shorter than the demodulation filter ({taps.size} taps)")
+    for name, size in (("demodulation", filter_order + comb.size),
+                       ("envelope", envelope_order + 1)):
+        if n < size:
+            raise ValueError(
+                f"record length {n} shorter than the {name} filter ({size} taps)")
+    taps = np.convolve(design_fir_lowpass(filter_order, lowpass_cutoff, rate).taps, comb)
+    taps = taps / taps.sum()
     # Envelope rail: a wide lowpass at the full rate, so crosstalk beat
     # nulls show up instead of being averaged away. Mixing is on the taps.
     env_taps = design_fir_lowpass(envelope_order, envelope_cutoff, rate).taps

@@ -20,8 +20,16 @@ convergence, and for symmetric source pairs the diagonal directions
 between components are genuine fixed points of the update (saddles of
 the contrast). fit() therefore verifies every converged point by a
 small orthogonal perturbation followed by re-iteration: a maximizer
-re-converges to itself, a saddle escapes. Iteration counts include the
-verification steps.
+re-converges to itself, a saddle escapes.
+
+On records longer than two 2^15-sample blocks, search and verification
+run on the leading contiguous block (a strided subsample would alias
+the carriers); the separation error shrinks as 1/N, so the same update
+then polishes that result on the whole record to the same tolerance in
+a step or two. A block that does not converge is dropped and the unit
+searched on the whole record from the same start. The last deflation
+unit is fixed by the accepted rows: one update, no kick. Iteration
+counts include every update: block, polish, verification, fallback.
 """
 
 from __future__ import annotations
@@ -64,6 +72,8 @@ ORTHO_MODES = ("deflation", "symmetric")
 _KICK_SIZE = 1e-2
 _STABLE_MATCH = 1.0 - 1e-5
 _MAX_ESCAPES = 3
+# Leading samples a unit settles on before its full-record polish.
+_BLOCK = 2**15
 
 _SIGN_WINDOW = 256  # leading samples whose phase fixes each identified sign
 
@@ -270,11 +280,12 @@ def _settle_unit(
         if not converged:
             break
         kick = rng.standard_normal(w.shape[0])
+        raw = float(np.linalg.norm(kick))
         kick = kick - basis.T @ (basis @ kick)
         kick = kick - (kick @ w) * w
         knorm = float(np.linalg.norm(kick))
-        if knorm == 0.0:
-            break  # no orthogonal direction left to test
+        if knorm <= 1e-8 * raw:
+            break  # no orthogonal direction left to test, up to rounding
         w_try = w + _KICK_SIZE * (kick / knorm)
         w_try = w_try / float(np.linalg.norm(w_try))
         w_new, used, converged = _iterate(data, w_try, cfg, cfg.max_iter, project)
@@ -283,6 +294,51 @@ def _settle_unit(
             return w_new, total, converged  # came back: a genuine attractor
         w = w_new  # escaped a saddle; verify the new point
     return w, total, converged
+
+
+def _settle_rows(
+    data: np.ndarray,
+    w0: np.ndarray,
+    cfg: FastIcaConfig,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, int, bool]:
+    """Symmetric mode's settle: converge all rows, kick them all, accept on self-match."""
+    w_mat, sweeps, converged = _iterate(data, w0, cfg, cfg.max_iter, _orthonormalize)
+    for _ in range(_MAX_ESCAPES):
+        if not converged:
+            break
+        kicked = _orthonormalize(w_mat + _KICK_SIZE * rng.standard_normal(w_mat.shape))
+        w_try, used, resumed = _iterate(
+            data, kicked, cfg, max(cfg.max_iter - sweeps, 1), _orthonormalize)
+        sweeps += used
+        match = np.min(np.abs(np.sum(w_try * w_mat, axis=1)))
+        w_mat = w_try
+        if resumed and match >= _STABLE_MATCH:
+            break
+        converged = resumed
+    return w_mat, sweeps, converged
+
+
+def _coarse_to_fine(
+    data: np.ndarray,
+    w0: np.ndarray,
+    cfg: FastIcaConfig,
+    settle: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int, bool]],
+    project: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, int, bool]:
+    """settle(data, w0) on the leading _BLOCK samples, then polish on the whole record.
+
+    Records of at most 2 * _BLOCK samples, and blocks that do not converge,
+    are settled on the whole record from w0. The count covers every update.
+    """
+    used = 0
+    if data.shape[1] > 2 * _BLOCK:
+        w, used, converged = settle(data[:, :_BLOCK], w0)
+        if converged:
+            w, polish, converged = _iterate(data, w, cfg, cfg.max_iter, project)
+            return w, used + polish, converged
+    w, full, converged = settle(data, w0)
+    return w, used + full, converged
 
 
 def _orthonormalize(w_mat: np.ndarray) -> np.ndarray:
@@ -399,8 +455,9 @@ def fit(
     each update against accepted rows. Symmetric mode updates all rows
     jointly and re-orthonormalizes every sweep; its per-row iteration
     count is the shared sweep count. Every converged point is stability
-    checked (see the module docstring); reported iteration counts
-    include those verification updates.
+    checked, on the leading block when the record is long enough (see the
+    module docstring); reported iteration counts include block, polish
+    and verification updates.
 
     Non-convergence of any unit is recorded in converged, never raised;
     callers that need a hard failure check the flags.
@@ -414,12 +471,17 @@ def fit(
         rows: list[np.ndarray] = []
         counts: list[int] = []
         flags: list[bool] = []
-        for _ in range(c):
+        for i in range(c):
             basis = np.array(rows) if rows else np.zeros((0, c))
             w0 = _random_unit(rng, c)
             if rows:
                 w0 = _gram_schmidt(basis, w0)
-            w, used, ok = _settle_unit(data, w0, cfg, rng, basis)
+            settle = partial(_settle_unit, cfg=cfg, rng=rng, basis=basis)
+            if i == c - 1:  # the accepted rows already fix this direction
+                w, used, ok = settle(data, w0)
+            else:
+                w, used, ok = _coarse_to_fine(
+                    data, w0, cfg, settle, partial(_gram_schmidt, basis))
             rows.append(w)
             counts.append(used)
             flags.append(ok)
@@ -428,22 +490,9 @@ def fit(
         for i in range(1, c):
             w_mat[i] = _gram_schmidt(w_mat[:i], w_mat[i])
     else:
-        w_mat, sweeps, converged = _iterate(
-            data, _orthonormalize(rng.standard_normal((c, c))), cfg, cfg.max_iter,
-            _orthonormalize)
-        # Stability pass: kick all rows, resume, accept on self-match.
-        for _ in range(_MAX_ESCAPES):
-            if not converged:
-                break
-            kicked = _orthonormalize(w_mat + _KICK_SIZE * rng.standard_normal(w_mat.shape))
-            w_try, used, resumed = _iterate(
-                data, kicked, cfg, max(cfg.max_iter - sweeps, 1), _orthonormalize)
-            sweeps += used
-            match = np.min(np.abs(np.sum(w_try * w_mat, axis=1)))
-            w_mat = w_try
-            if resumed and match >= _STABLE_MATCH:
-                break
-            converged = resumed
+        w_mat, sweeps, converged = _coarse_to_fine(
+            data, _orthonormalize(rng.standard_normal((c, c))), cfg,
+            partial(_settle_rows, cfg=cfg, rng=rng), _orthonormalize)
         counts = [sweeps] * c
         flags = [converged] * c
 

@@ -145,6 +145,20 @@ def test_density_without_steady_samples_exit_2(tmp_path, capsys, extra):
     assert not (tmp_path / "density_report.cfg").exists()
 
 
+@pytest.mark.parametrize("extra, name", [
+    (("--filter-order", "1000000000000"), "demodulation"),
+    (("--envelope-order", "1000000000000"), "envelope"),
+    (("--envelope-order", "100000"), "envelope")])
+def test_density_filter_longer_than_record_exit_2(tmp_path, capsys, extra, name):
+    # Orders are compared with the record before any taps are designed,
+    # so even 10^12 taps fail as a config error and write nothing.
+    assert main(["gen", "--out-dir", str(tmp_path), "--samples", "4096"]) == 0
+    assert main(["density", "--in", str(tmp_path / "clean.bin"),
+                 "--out-dir", str(tmp_path / "out"), *extra]) == 2
+    assert f"shorter than the {name} filter" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("samples", ["337", "4096"])
 def test_density_on_short_record_past_the_settle(tmp_path, samples):
     # 337 samples decimate to 43: one sample clears the 21-sample settle.

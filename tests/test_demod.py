@@ -227,6 +227,15 @@ def test_demodulate_validation():
     short = icdx.demodulate(x[:263], CARRIER_1, 4.0e4, 8, RATE)
     assert len(short) == 33
     assert short.settle == 17 and short.steady().size == 0
+    # Both filters are checked against the record before any taps are
+    # designed: 10^12 taps would need terabytes.
+    with pytest.raises(ValueError, match=r"demodulation filter \(1000000000007 taps\)"):
+        icdx.demodulate(x, CARRIER_1, 4.0e4, 8, RATE, filter_order=10**12)
+    for order in (100000, 10**12):
+        with pytest.raises(ValueError, match=rf"envelope filter \({order + 1} taps\)"):
+            icdx.demodulate(x, CARRIER_1, 4.0e4, 8, RATE, envelope_order=order)
+    assert len(icdx.demodulate(x, CARRIER_1, 4.0e4, 8, RATE, envelope_order=n - 1,
+                               strict=False)) == n // 8
 
 
 @pytest.mark.parametrize("decimation", [1, 3, 8, 64])

@@ -12,6 +12,7 @@ from helpers import (
     CARRIER_2,
     RATE,
     hann_band_power_db,
+    scenario_pair,
     separate,
     two_tone_clean,
 )
@@ -221,6 +222,141 @@ def test_fit_reports_nonconvergence_in_flags():
     whitened, _ = icdx.whiten(mixed)
     result = icdx.fit(whitened, icdx.FastIcaConfig(seed=0, max_iter=2, tol=1e-15))
     assert not all(result.converged)
+
+
+def _full_record_fit(data: np.ndarray, cfg: icdx.FastIcaConfig):
+    """The fit with every unit settled on the whole record, written out with numpy.
+
+    Same seeded starts and kicks, stopping rule and stability check as
+    fit(), with no leading block and no polish. Returns (w, iterations,
+    converged).
+    """
+    c, n = data.shape
+    rng = np.random.default_rng(cfg.seed)
+
+    def polar(w):
+        u, _, vt = np.linalg.svd(w)
+        return u @ vt
+
+    def iterate(w, project, budget):
+        for it in range(1, budget + 1):
+            g, gprime = icdx.contrast_eval(w @ data, cfg.contrast, cfg.contrast_shape)
+            w_new = project((data @ g.T).T / n - gprime.mean(axis=-1, keepdims=True) * w)
+            delta = 1.0 - np.min(np.abs(np.sum(w_new * w, axis=-1)))
+            w = w_new
+            if delta <= cfg.tol:
+                return w, it, True
+        return w, budget, False
+
+    if cfg.ortho == "symmetric":
+        w, sweeps, ok = iterate(polar(rng.standard_normal((c, c))), polar, cfg.max_iter)
+        for _ in range(3):
+            if not ok:
+                break
+            kicked = polar(w + 1e-2 * rng.standard_normal((c, c)))
+            w_try, used, resumed = iterate(kicked, polar, max(cfg.max_iter - sweeps, 1))
+            sweeps += used
+            match = np.min(np.abs(np.sum(w_try * w, axis=1)))
+            w = w_try
+            if resumed and match >= 1.0 - 1e-5:
+                break
+            ok = resumed
+        return w, (sweeps,) * c, (ok,) * c
+
+    rows, counts, flags = [], [], []
+    for _ in range(c):
+        basis = np.array(rows).reshape(-1, c)
+
+        def project(w, basis=basis):
+            w = w - basis.T @ (basis @ w)
+            return w / np.linalg.norm(w)
+
+        w = rng.standard_normal(c)
+        w = w / np.linalg.norm(w)
+        if rows:
+            w = project(w)
+        w, total, ok = iterate(w, project, cfg.max_iter)
+        for _ in range(3):
+            if not ok:
+                break
+            kick = rng.standard_normal(c)
+            kick = kick - basis.T @ (basis @ kick)
+            kick = kick - (kick @ w) * w
+            if np.linalg.norm(kick) == 0.0:
+                break
+            w_try = w + 1e-2 * kick / np.linalg.norm(kick)
+            w_new, used, ok = iterate(w_try / np.linalg.norm(w_try), project, cfg.max_iter)
+            total += used
+            if abs(w_new @ w) >= 1.0 - 1e-5:
+                w = w_new
+                break
+            w = w_new
+        rows.append(w)
+        counts.append(total)
+        flags.append(ok)
+    w = np.array(rows)
+    for i in range(1, c):
+        w[i] = w[i] - w[:i].T @ (w[:i] @ w[i])
+        w[i] /= np.linalg.norm(w[i])
+    return w, tuple(counts), tuple(flags)
+
+
+def _fir_split_pair(n: int) -> tuple[icdx.MultichannelSignal, dict[str, float]]:
+    """Nearly collinear narrow-band inputs: a 200 MHz two-tone composite through fir_split."""
+    rate, tone_a, tone_b = 200e6, 25e6, 40e6
+    t = np.arange(n) / rate
+    composite = 1.2 * np.sin(2.0 * np.pi * tone_a * t + 0.3) + 0.7 * np.sin(
+        2.0 * np.pi * tone_b * t + 1.1)
+    return icdx.fir_split(composite, tone_a, tone_b, 32, rate), {"a": tone_a, "b": tone_b}
+
+
+@pytest.mark.parametrize("source", ["coupled", "fir_split"])
+@pytest.mark.parametrize("ortho", ["deflation", "symmetric"])
+@pytest.mark.parametrize("n", [2**17, 2**20])
+def test_coarse_to_fine_matches_full_record_fit(n, ortho, source):
+    # Past 2 * 2^15 samples fit() settles on the leading block and polishes
+    # on the whole record; it must land where the full-record fit does.
+    if source == "coupled":
+        mixed = scenario_pair("shot-ramp", n=n, snr_db=30.0)[3]
+        expected = {"ch1": CARRIER_1, "ch2": CARRIER_2}
+    else:
+        mixed, expected = _fir_split_pair(n)
+    whitened, transform = icdx.whiten(mixed)
+    cfg = icdx.FastIcaConfig(seed=0, ortho=ortho)
+    result = icdx.fit(whitened, cfg, transform)
+    w_ref, _, converged_ref = _full_record_fit(whitened.data, cfg)
+    assert all(result.converged) and converged_ref == result.converged
+    signs = np.sign(np.sum(result.w * w_ref, axis=1))
+    assert np.max(np.abs(result.w - signs[:, None] * w_ref)) <= 1e-8
+    reference = icdx.SeparationResult(
+        w=w_ref, iterations=result.iterations, converged=converged_ref,
+        assignment=result.assignment)
+    assert (icdx.identify_components(icdx.unmix(mixed, result, transform), expected)
+            == icdx.identify_components(icdx.unmix(mixed, reference, transform), expected))
+
+
+@pytest.mark.parametrize("n", [2**14, 2**17])
+def test_last_deflation_unit_takes_one_update(n):
+    # The accepted row fixes the last direction, so no kick is tested.
+    _, mixed = _mixed_pair(n)
+    whitened, _ = icdx.whiten(mixed)
+    result = icdx.fit(whitened, icdx.FastIcaConfig(seed=5))
+    assert result.iterations[-1] == 1 and all(result.converged)
+
+
+@pytest.mark.parametrize("ortho", ["deflation", "symmetric"])
+def test_unconverged_block_falls_back_to_full_record_settle(ortho):
+    # One update settles neither the block nor the record: the unit starts
+    # over on the record from the same start, and counts both tries.
+    _, mixed = _mixed_pair(2**17)
+    whitened, _ = icdx.whiten(mixed)
+    cfg = icdx.FastIcaConfig(seed=0, max_iter=1, ortho=ortho)
+    result = icdx.fit(whitened, cfg)
+    w_ref, iterations_ref, converged_ref = _full_record_fit(whitened.data, cfg)
+    assert not result.converged[0] and not converged_ref[0]
+    assert np.array_equal(result.w[0], w_ref[0])
+    assert np.max(np.abs(result.w - w_ref)) <= 1e-12
+    assert result.iterations[0] == 1 + iterations_ref[0]
 
 
 def test_fit_whitened_input_enforced():
