@@ -42,6 +42,7 @@ from .fastica import (
 from .fileio import ConfigError, FormatError, read_kv, read_signal, write_kv, write_signal
 from .metrics import (
     best_fit_scale,
+    carrier_band,
     cross_tone_residual_db,
     envelope_depth,
     format_metric_value,
@@ -93,6 +94,7 @@ __all__ = [
     "add_awgn",
     "apply_crosstalk",
     "best_fit_scale",
+    "carrier_band",
     "center",
     "contrast_eval",
     "contrast_primitive",

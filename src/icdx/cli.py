@@ -388,19 +388,28 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
     truth = fileio.read_signal(args.truth) if args.truth else None
     if truth is not None and truth.data.shape != mixed.data.shape:
         raise ValueError("truth signal shape does not match the input")
+    # One transform per input channel serves identification and all four
+    # depths: above DC, the corrected channels' bins are w_full times these.
+    spectrum = np.empty((2, mixed.length // 2 + 1), dtype=np.complex128)
+    for row, bins in zip(mixed.data, spectrum):
+        np.fft.rfft(row, out=bins)
     corrected, result, transform = fastica.separate(
-        mixed, cfg.ica(), {"ch1": cfg.f_het1, "ch2": cfg.f_het2})
+        mixed, cfg.ica(), {"ch1": cfg.f_het1, "ch2": cfg.f_het2}, spectrum=spectrum)
 
     corrected_path = out / _signal_name("corrected", cfg)
     fileio.write_signal(corrected_path, corrected)
     fileio.write_kv(out / "separation.cfg", result.to_mapping())
     fileio.write_kv(out / "whitening.cfg", transform.to_mapping())
 
-    carriers = (cfg.f_het1, cfg.f_het2)
-    depth_raw, depth_fixed = (
-        tuple(metrics.envelope_depth(sig.data[i], carriers[i], sig.sample_rate)
-              for i in range(2))
-        for sig in (mixed, corrected))
+    unmixing = result.assignment.apply_rows(result.w_full)
+    depth_raw, depth_fixed = [], []
+    for i, carrier in enumerate((cfg.f_het1, cfg.f_het2)):
+        band = metrics.carrier_band(mixed.length, mixed.sample_rate, carrier)
+        depth_raw.append(metrics.envelope_depth(
+            mixed.data[i], carrier, mixed.sample_rate, band_spectrum=spectrum[i, band]))
+        depth_fixed.append(metrics.envelope_depth(
+            corrected.data[i], carrier, corrected.sample_rate,
+            band_spectrum=unmixing[i] @ spectrum[:, band]))
     isr_db = None
     gain_error = None
     if truth is not None:

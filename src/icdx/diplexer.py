@@ -161,6 +161,10 @@ def fir_split(
         raise ValueError("tone frequencies must be distinct")
     if not (0.0 < band_frac < 1.0):
         raise ValueError(f"band_frac must be in (0, 1), got {band_frac}")
+    # Checked before any design: the taps of an absurd order do not fit in memory.
+    if order + 1 > channel.size:
+        raise ValueError(
+            f"signal length {channel.size} shorter than filter ({order + 1} taps)")
     branches = []
     for freq in (freq_a, freq_b):
         fir = design_fir_bandpass(

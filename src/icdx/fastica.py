@@ -530,6 +530,7 @@ def separate(
     cfg: FastIcaConfig,
     expected: dict[str, float],
     skip: int = 0,
+    spectrum: np.ndarray | None = None,
 ) -> tuple[MultichannelSignal, SeparationResult, WhiteningTransform]:
     """The separation stage: whiten, fit, unmix, identify.
 
@@ -538,6 +539,11 @@ def separate(
     record. Returns (corrected, result, transform); corrected holds the
     expected carriers in order and result the identified assignment.
     Non-convergence is recorded in result.converged, never raised.
+
+    A caller that already has the rfft of signal's rows passes it as
+    spectrum. The components are w_full times the centered record, so
+    above DC, the only bins identification reads, their spectra are
+    w_full @ spectrum, and the components are not transformed again.
     """
     if not 0 <= skip < signal.length:
         raise ValueError(f"skip must be in [0, {signal.length}), got {skip}")
@@ -546,18 +552,22 @@ def separate(
         signal.with_data(signal.data[:, skip:]) if skip else signal)
     result = fit(whitened, cfg, transform)
     components = unmix(signal, result, transform)
-    assignment = identify_components(components, expected)
+    assignment = identify_components(
+        components, expected, None if spectrum is None else result.w_full @ spectrum)
     return assignment.apply(components), result.with_assignment(assignment), transform
 
 
 def identify_components(
     components: MultichannelSignal,
     expected: dict[str, float],
+    spectrum: np.ndarray | None = None,
 ) -> Assignment:
     """Match separated components to expected carrier frequencies.
 
     Each component's dominant frequency comes from an FFT peak; each
-    expected carrier takes the component whose peak is nearest. Signs
+    expected carrier takes the component whose peak is nearest. A caller
+    that has the components' rfft passes it as spectrum; its DC bin is
+    never read, so any spectrum equal above DC will do. Signs
     are fixed so that the demodulated phase at the start of the record
     falls in (-pi/2, pi/2], matching the phase convention of the
     demodulation stage. Two carriers claiming the same component raise
@@ -574,7 +584,12 @@ def identify_components(
     if len(set(freqs)) != len(freqs):
         raise ValueError("expected carrier frequencies must be distinct")
 
-    spectrum = np.abs(np.fft.rfft(components.data, axis=1))
+    if spectrum is None:
+        spectrum = np.fft.rfft(components.data, axis=1)
+    elif np.shape(spectrum) != (components.channels, components.length // 2 + 1):
+        raise ValueError(f"spectrum shape {np.shape(spectrum)} does not match the "
+                         f"rfft of {components.channels} x {components.length} samples")
+    spectrum = np.abs(spectrum)
     spectrum[:, 0] = 0.0  # never identify a component by its DC residue
     bin_hz = components.sample_rate / components.length
     peak_freq = np.argmax(spectrum, axis=1) * bin_hz

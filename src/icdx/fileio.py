@@ -46,6 +46,8 @@ MAGIC = b"ICDX"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIQd")
 HEADER_SIZE = 64
+# Rows per %-format in the CSV writer: its Python floats and text are O(chunk).
+_CSV_CHUNK_ROWS = 8192
 
 
 class FormatError(ValueError):
@@ -122,15 +124,17 @@ def _read_raw(path: Path) -> tuple[np.ndarray, float]:
 
 def _write_csv(path: Path, signal: MultichannelSignal) -> None:
     t = signal.times()
-    table = np.column_stack([t, signal.data.T])
     header = "t," + ",".join(f"ch{i}" for i in range(signal.channels))
-    # One %-format over the whole table: the bytes np.savetxt(fmt="%.17g")
+    # One %-format per chunk of rows: the bytes np.savetxt(fmt="%.17g")
     # writes, without its per-row Python loop.
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    row = ",".join(["%.17g"] * (signal.channels + 1)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(f"# sample_rate_hz = {signal.sample_rate!r}\n")
         fh.write(header + "\n")
-        fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
+        for start in range(0, signal.length, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, signal.length)
+            table = np.column_stack([t[start:stop], signal.data[:, start:stop].T])
+            fh.write((row * (stop - start)) % tuple(table.ravel().tolist()))
 
 
 def _read_csv(path: Path) -> tuple[np.ndarray, float]:

@@ -17,6 +17,7 @@ from .signalgen import as_channel
 
 __all__ = [
     "best_fit_scale",
+    "carrier_band",
     "cross_tone_residual_db",
     "envelope_depth",
     "format_metric_value",
@@ -106,12 +107,38 @@ def snr(estimated, truth) -> float:
     return 10.0 * math.log10(signal_power / error_power)
 
 
+def carrier_band(
+    n: int, sample_rate: float, carrier: float, band_frac: float = 0.6,
+) -> slice:
+    """The rfft bins of an n-sample record that envelope_depth() keeps.
+
+    Those are the bins above DC and below an even n's Nyquist bin (its
+    own negative twin) whose frequency, as np.fft.rfftfreq computes it,
+    lies within carrier * (1 +- band_frac). They form one run; each
+    edge is decided by the same float arithmetic as rfftfreq's, so no
+    frequency array is built. Raises ValueError when no bin qualifies.
+    """
+    step = 1.0 / (n * (1.0 / sample_rate))  # rfftfreq's bin spacing
+    half = band_frac * carrier
+    # From one bin outside the estimated edges inward to the exact ones.
+    lo = max(math.ceil((carrier - half) / step) - 1, 1)
+    hi = min(math.floor((carrier + half) / step) + 1, (n + 1) // 2 - 1)
+    while lo <= hi and abs(lo * step - carrier) > half:
+        lo += 1
+    while hi >= lo and abs(hi * step - carrier) > half:
+        hi -= 1
+    if lo > hi:
+        raise ValueError("no FFT bins fall inside the carrier band")
+    return slice(lo, hi + 1)
+
+
 def envelope_depth(
     channel,
     carrier: float,
     sample_rate: float | None = None,
     band_frac: float = 0.6,
     edge_trim: float = 0.02,
+    band_spectrum: np.ndarray | None = None,
 ) -> float:
     """Modulation depth (max - min) / (max + min) of the carrier envelope.
 
@@ -122,6 +149,10 @@ def envelope_depth(
     taking the extrema (FFT masking rings at the record edges). The
     result lies in [0, 1]: 0 for a clean constant-amplitude carrier,
     approaching 1 when interference beats the envelope through zero.
+
+    A caller that already has the channel's spectrum passes
+    band_spectrum, rfft(channel) on the carrier_band() bins, and the
+    forward transform is skipped.
     """
     data, rate = as_channel(channel, sample_rate)
     data = _series(data, "channel")
@@ -133,14 +164,15 @@ def envelope_depth(
         raise ValueError(f"edge_trim must be in [0, 0.5), got {edge_trim}")
 
     n = data.shape[0]
-    spectrum = np.fft.rfft(data)
-    # An even n's Nyquist bin is its own negative twin: keep it out of the band.
-    freqs = np.fft.rfftfreq(n, d=1.0 / rate)[: (n + 1) // 2]
-    band = np.flatnonzero((freqs > 0) & (np.abs(freqs - carrier) <= band_frac * carrier))
-    if band.size == 0:
-        raise ValueError("no FFT bins fall inside the carrier band")
+    band = carrier_band(n, rate, carrier, band_frac)
+    if band_spectrum is None:
+        band_spectrum = np.fft.rfft(data)[band]
+    elif np.shape(band_spectrum) != (band.stop - band.start,):
+        raise ValueError(
+            f"band_spectrum must hold the {band.stop - band.start} carrier-band "
+            f"bins, got shape {np.shape(band_spectrum)}")
     analytic = np.zeros(n, dtype=np.complex128)
-    analytic[band] = 2.0 * spectrum[band]
+    analytic[band] = 2.0 * band_spectrum
     envelope = np.abs(np.fft.ifft(analytic, out=analytic))
     trim = int(edge_trim * n)
     if trim > 0:
@@ -164,6 +196,11 @@ def cross_tone_residual_db(
     after Hann windowing (the window confines spectral splatter so the
     two bands do not contaminate each other). Returns -inf when the
     foreign band is empty of energy.
+
+    The window is the periodic (DFT-even) Hann w[n] = 0.5 - 0.5 cos(2 pi n / N),
+    applied in the frequency domain: its DFT has three taps, so the windowed
+    spectrum at bin k is 0.5 X[k] - 0.25 (X[k-1] + X[k+1]) with X the plain
+    DFT, and only the band bins are formed.
     """
     data, rate = as_channel(channel, sample_rate)
     data = _series(data, "channel")
@@ -175,15 +212,21 @@ def cross_tone_residual_db(
     if own_freq == other_freq:
         raise ValueError("own_freq and other_freq must be distinct")
 
-    window = np.hanning(n)
-    spectrum = np.abs(np.fft.rfft(data * window)) ** 2
+    spectrum = np.fft.rfft(data)
     bin_hz = rate / n
 
     def band_power(freq: float) -> float:
         center = int(round(freq / bin_hz))
         lo = max(center - _TONE_HALF_WIDTH_BINS, 0)
         hi = min(center + _TONE_HALF_WIDTH_BINS + 1, spectrum.shape[0])
-        return float(np.sum(spectrum[lo:hi]))
+        # Bins lo-1 .. hi of the full DFT; those past DC or Nyquist are
+        # the Hermitian mirrors X[n - k] = conj(X[k]) of rfft bins.
+        k = np.arange(lo - 1, hi + 1) % n
+        mirrored = k > n // 2
+        bins = spectrum[np.where(mirrored, n - k, k)]
+        bins[mirrored] = np.conj(bins[mirrored])
+        windowed = 0.5 * bins[1:-1] - 0.25 * (bins[:-2] + bins[2:])
+        return float(np.sum(windowed.real**2 + windowed.imag**2))
 
     own = band_power(own_freq)
     other = band_power(other_freq)

@@ -329,6 +329,17 @@ def test_diplex_subcommand(tmp_path):
         assert abs(report.get_float(f"{tone}_peak") - 1.0) <= 1e-3
 
 
+@pytest.mark.parametrize("order", ["1000000000000", "16384"])
+def test_diplex_filter_longer_than_record_exit_2(tmp_path, capsys, order):
+    # The order is compared with the composite before either bandpass is
+    # designed, so 10^12 taps fail as a config error and write nothing.
+    out = tmp_path / "dx"
+    assert main(["diplex", "--out-dir", str(out), "--diplex-samples", "16384",
+                 "--diplex-order", order]) == 2
+    assert "shorter than filter" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_report_subcommand(tmp_path, capsys):
     assert main(["gen", "--out-dir", str(tmp_path), "--samples", "16384"]) == 0
     capsys.readouterr()

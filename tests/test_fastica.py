@@ -435,6 +435,22 @@ def test_identify_components_swap_and_sign():
     assert np.max(np.abs(restored.data - clean.data)) < 1e-12
 
 
+@pytest.mark.parametrize("coupling", [None, np.array([[0.3, 1.0], [1.0, -0.4]])])
+def test_separate_with_the_input_spectrum_identifies_alike(coupling):
+    # Identification reads w_full @ rfft(input) in place of the component
+    # spectra: equal above DC, so the same assignment and the same output.
+    mixed = scenario_pair(n=2**15, coupling=coupling, snr_db=30.0)[3]
+    expected = {"ch1": CARRIER_1, "ch2": CARRIER_2}
+    cfg = icdx.FastIcaConfig(seed=0)
+    corrected, result, _ = icdx.separate(mixed, cfg, expected)
+    shared, shared_result, _ = icdx.separate(
+        mixed, cfg, expected, spectrum=np.fft.rfft(mixed.data, axis=1))
+    assert shared_result.assignment == result.assignment
+    assert np.array_equal(shared.data, corrected.data)
+    with pytest.raises(ValueError, match="spectrum"):
+        icdx.separate(mixed, cfg, expected, spectrum=np.fft.rfft(mixed.data[:, 1:], axis=1))
+
+
 def test_identify_components_collision_raises():
     n = 2**14
     t = np.arange(n) / RATE

@@ -6,7 +6,9 @@ counting wrappers the same way and check that each entry point into the
 separation stage calls every layer exactly once, so no layer is called
 through a name bound at import time, and none is called twice. The
 diplexer's FIR split is counted too: a diplex run splits its composite
-once.
+once. Spectral work is counted the same way on numpy: `icdx unmix` takes
+one rfft per input channel and no other, and `icdx diplex` builds no
+window.
 """
 
 import collections
@@ -29,8 +31,7 @@ ONCE = {name: 1 for _, name in LAYERS}
 DIPLEX_ONCE = {**ONCE, "fir_split": 1}
 
 
-@pytest.fixture
-def calls(monkeypatch):
+def _count(monkeypatch, targets):
     counts = collections.Counter()
 
     def counting(name, original):
@@ -39,9 +40,19 @@ def calls(monkeypatch):
             return original(*args, **kwargs)
         return counted
 
-    for module, name in (*LAYERS, (icdx.diplexer, "fir_split")):
+    for module, name in targets:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return _count(monkeypatch, (*LAYERS, (icdx.diplexer, "fir_split")))
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    return _count(monkeypatch, ((np.fft, "rfft"), (np, "hanning")))
 
 
 def test_separate_calls_each_layer_once(calls):
@@ -50,12 +61,14 @@ def test_separate_calls_each_layer_once(calls):
     assert calls == ONCE
 
 
-def test_cli_unmix_calls_each_layer_once(calls, tmp_path):
+def test_cli_unmix_calls_each_layer_once(calls, numpy_calls, tmp_path):
     assert main(["gen", "--out-dir", str(tmp_path), "--samples", "16384"]) == 0
     calls.clear()
+    numpy_calls.clear()
     assert main(["unmix", "--in", str(tmp_path / "mixed.bin"),
                  "--out-dir", str(tmp_path)]) == 0
     assert calls == ONCE
+    assert numpy_calls == {"rfft": 2}
 
 
 def test_diplex_calls_each_layer_once(calls):
@@ -66,6 +79,7 @@ def test_diplex_calls_each_layer_once(calls):
     assert calls == DIPLEX_ONCE
 
 
-def test_cli_diplex_splits_once(calls, tmp_path):
+def test_cli_diplex_splits_once(calls, numpy_calls, tmp_path):
     assert main(["diplex", "--out-dir", str(tmp_path), "--diplex-samples", "16384"]) == 0
     assert calls == DIPLEX_ONCE
+    assert numpy_calls["hanning"] == 0

@@ -140,6 +140,21 @@ def test_cross_tone_residual_clean_is_very_low():
     assert value < -100.0
 
 
+@pytest.mark.parametrize("n", [4096, 4095])
+def test_cross_tone_residual_on_bin_clean_tone_is_neg_inf(n):
+    # The periodic Hann window's DFT has three taps: an on-bin tone fills
+    # bins k-1..k+1 and leaves a band 50 bins away empty.
+    tone = np.sin(2.0 * np.pi * 100 * np.arange(n) / n)
+    assert icdx.cross_tone_residual_db(tone, 100 * RATE / n, 150 * RATE / n, RATE) == -math.inf
+
+
+def test_envelope_depth_band_spectrum_validation():
+    # The whole spectrum is not the carrier band's bins.
+    tone = np.sin(2.0 * np.pi * CARRIER_1 * np.arange(4096) / RATE)
+    with pytest.raises(ValueError, match="band_spectrum"):
+        icdx.envelope_depth(tone, CARRIER_1, RATE, band_spectrum=np.fft.rfft(tone))
+
+
 def test_cross_tone_residual_validation():
     tone = np.sin(np.linspace(0.0, 100.0, 4096))
     with pytest.raises(ValueError, match="distinct"):

@@ -4,7 +4,8 @@ Each property compares an implementation against an independent
 reference: numpy.unwrap, a per-row permutation loop, a brute-force set
 of lost decimated indices, a decomposition built to have a known
 least-squares answer, the step-by-step form of a fused product, the
-full-rate convolution, the complex-FFT envelope, or np.savetxt. The
+full-rate convolution, the complex-FFT envelope, an explicitly windowed
+periodic-Hann spectrum, rfftfreq's band mask, or np.savetxt. The
 linear-algebra properties check the defining equations instead: a
 matrix rebuilt from its eigenpairs, the polar factor's orthonormality
 and symmetric positive semidefinite remainder, whiten() undone by
@@ -27,9 +28,9 @@ import icdx
 from icdx.cli import _mask_lost
 from icdx.demod import _BLOCK, _overlap_save
 from icdx.fastica import _orthonormalize
-from icdx.fileio import _write_csv, format_matrix, parse_matrix
+from icdx.fileio import _CSV_CHUNK_ROWS, _write_csv, format_matrix, parse_matrix
 
-from helpers import RATE
+from helpers import CARRIER_1, CARRIER_2, RATE, hann_band_power_db, scenario_pair
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -230,6 +231,77 @@ def test_envelope_depth_matches_complex_fft(n, carrier_frac, band_frac, edge_tri
     assert abs(got - expected) <= 1e-12
 
 
+@settings(deadline=None)
+@given(
+    st.integers(3, 5000),
+    st.floats(1.0, 1e9),
+    st.floats(0.001, 0.999),
+    st.booleans(),
+    st.sampled_from((0.25, 0.5, 0.6)) | st.floats(0.01, 0.99),
+)
+def test_carrier_band_matches_rfftfreq_mask(n, rate, carrier_frac, on_bin, band_frac):
+    # Carriers on a bin put the edges of 0.25/0.5 bands exactly on bins too.
+    bins = carrier_frac * 0.5 * n
+    carrier = (round(bins) if on_bin and bins >= 0.5 else bins) * rate / n
+    freqs = np.fft.rfftfreq(n, d=1.0 / rate)[: (n + 1) // 2]
+    band = np.flatnonzero((freqs > 0) & (np.abs(freqs - carrier) <= band_frac * carrier))
+    if band.size == 0:
+        with pytest.raises(ValueError, match="no FFT bins"):
+            icdx.carrier_band(n, rate, carrier, band_frac)
+        return
+    assert icdx.carrier_band(n, rate, carrier, band_frac) == slice(band[0], band[-1] + 1)
+    assert band.size == band[-1] + 1 - band[0]
+
+
+@settings(deadline=None)
+@given(st.permutations((0, 1)), st.tuples(*[st.sampled_from((-1, 1))] * 2),
+       st.integers(0, 2**32 - 1))
+def test_depths_from_the_input_spectrum_match_the_channels(perm, signs, seed):
+    # Corrected channels are a signed permutation of w_full times the
+    # centered record, so above DC their bins are that matrix times the
+    # input's; the offset checks that DC never enters.
+    rng = np.random.default_rng(seed)
+    mixed = scenario_pair(n=4096)[3].data + rng.uniform(-1.0, 1.0, (2, 1))
+    unmixing = icdx.Assignment(("ch1", "ch2"), perm, signs).apply_rows(
+        rng.uniform(-2.0, 2.0, (2, 2)))
+    corrected = unmixing @ (mixed - mixed.mean(axis=1, keepdims=True))
+    spectrum = np.fft.rfft(mixed, axis=1)
+    for i, carrier in enumerate((CARRIER_1, CARRIER_2)):
+        band = icdx.carrier_band(mixed.shape[1], RATE, carrier)
+        raw = icdx.envelope_depth(mixed[i], carrier, RATE, band_spectrum=spectrum[i, band])
+        assert raw == icdx.envelope_depth(mixed[i], carrier, RATE)
+        shared = icdx.envelope_depth(corrected[i], carrier, RATE,
+                                     band_spectrum=unmixing[i] @ spectrum[:, band])
+        assert abs(shared - icdx.envelope_depth(corrected[i], carrier, RATE)) <= 1e-12
+
+
+_TONE_PLACES = st.tuples(
+    st.sampled_from(("dc", "nyquist", "inner")), st.floats(0.2, 4.5), st.floats(0.0, 1.0))
+
+
+def _tone_hz(place, n):
+    """A tone within 4.5 bins of DC or Nyquist, or anywhere between."""
+    region, offset, frac = place
+    bins = {"dc": offset, "nyquist": 0.5 * n - offset}.get(region, 5.0 + frac * (0.5 * n - 10.0))
+    return bins * RATE / n
+
+
+@settings(deadline=None)
+@given(st.integers(32, 4096), _TONE_PLACES, _TONE_PLACES, st.floats(-3.0, 0.0),
+       st.floats(-8.0, -2.0), st.integers(0, 2**32 - 1))
+def test_cross_tone_matches_periodic_hann_reference(n, own_place, other_place, log_leak,
+                                                    log_noise, seed):
+    own, other = _tone_hz(own_place, n), _tone_hz(other_place, n)
+    assume(own != other)
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / RATE
+    x = (np.cos(2.0 * np.pi * own * t + rng.uniform(0.0, 2.0 * np.pi))
+         + 10.0**log_leak * np.cos(2.0 * np.pi * other * t + rng.uniform(0.0, 2.0 * np.pi))
+         + 10.0**log_noise * rng.standard_normal(n))
+    expected = hann_band_power_db(x, own, other, RATE)
+    assert abs(icdx.cross_tone_residual_db(x, own, other, RATE) - expected) <= 1e-9
+
+
 def _write_csv_reference(path, signal):
     """The np.savetxt form of the CSV writer."""
     table = np.column_stack([signal.times(), signal.data.T])
@@ -256,6 +328,16 @@ def test_csv_writer_matches_savetxt(data, rate):
         _write_csv(ours, signal)
         _write_csv_reference(reference, signal)
         assert ours.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [_CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1])
+def test_csv_writer_matches_savetxt_across_chunks(tmp_path, rows):
+    data = np.random.default_rng(rows).standard_normal((2, rows)) * 1e3
+    signal = icdx.MultichannelSignal(data, 1.0e6)
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    _write_csv(ours, signal)
+    _write_csv_reference(reference, signal)
+    assert ours.read_bytes() == reference.read_bytes()
 
 
 @st.composite
