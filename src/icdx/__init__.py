@@ -35,7 +35,6 @@ from .fastica import (
     fit_one_unit,
     gaussian_reference,
     identify_components,
-    negentropy_estimate,
     separate,
     unmix,
 )
@@ -50,6 +49,7 @@ from .metrics import (
     parse_metric_value,
     signed_permutation_error,
     snr,
+    tone_band,
 )
 from .preprocess import (
     RankDeficientError,
@@ -117,7 +117,6 @@ __all__ = [
     "parse_metric_value",
     "line_integrated_density",
     "make_scenario_tracks",
-    "negentropy_estimate",
     "quantize_adc",
     "read_kv",
     "read_signal",
@@ -125,6 +124,7 @@ __all__ = [
     "signed_permutation_error",
     "snr",
     "synth_clean_pair",
+    "tone_band",
     "unmix",
     "unwrap",
     "whiten",

@@ -390,9 +390,7 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ValueError("truth signal shape does not match the input")
     # One transform per input channel serves identification and all four
     # depths: above DC, the corrected channels' bins are w_full times these.
-    spectrum = np.empty((2, mixed.length // 2 + 1), dtype=np.complex128)
-    for row, bins in zip(mixed.data, spectrum):
-        np.fft.rfft(row, out=bins)
+    spectrum = mixed.spectrum()
     corrected, result, transform = fastica.separate(
         mixed, cfg.ica(), {"ch1": cfg.f_het1, "ch2": cfg.f_het2}, spectrum=spectrum)
 
@@ -532,7 +530,7 @@ def _cmd_diplex(args: argparse.Namespace, cfg: RunConfig) -> int:
                 + np.sin(2.0 * np.pi * cfg.tone_b * t))
         composite = signalgen.MultichannelSignal(comp[None, :], cfg.diplex_rate)
 
-    fir_only, separated = diplexer.diplex(
+    fir_only, separated, residual_db = diplexer.diplex(
         composite, cfg.tone_a, cfg.tone_b, cfg.diplex_order, cfg.ica(),
         band_frac=cfg.diplex_band_frac)
 
@@ -541,14 +539,10 @@ def _cmd_diplex(args: argparse.Namespace, cfg: RunConfig) -> int:
     fileio.write_signal(fir_path, fir_only)
     fileio.write_signal(sep_path, separated)
 
-    tones = (cfg.tone_a, cfg.tone_b)
     report: dict[str, object] = {}
     for i, name in enumerate(("tone_a", "tone_b")):
-        own, other = tones[i], tones[1 - i]
-        report[f"{name}_fir_residual_db"] = metrics.cross_tone_residual_db(
-            fir_only.data[i], own, other, fir_only.sample_rate)
-        report[f"{name}_ica_residual_db"] = metrics.cross_tone_residual_db(
-            separated.data[i], own, other, separated.sample_rate)
+        report[f"{name}_fir_residual_db"] = residual_db["fir"][i]
+        report[f"{name}_ica_residual_db"] = residual_db["ica"][i]
         report[f"{name}_mean"] = float(np.mean(separated.data[i]))
         report[f"{name}_peak"] = float(np.max(np.abs(separated.data[i])))
     fileio.write_kv(out / "diplex_report.cfg", report)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fastica
+from . import fastica, metrics
 from .signalgen import MultichannelSignal, as_channel, own_arrays
 
 __all__ = [
@@ -181,15 +181,17 @@ def diplex(
     cfg: fastica.FastIcaConfig,
     sample_rate: float | None = None,
     band_frac: float = 0.2,
-) -> tuple[MultichannelSignal, MultichannelSignal]:
+) -> tuple[MultichannelSignal, MultichannelSignal, dict[str, tuple[float, float]]]:
     """Split a two-tone composite into clean per-tone channels, FIR then ICA.
 
     The FIR branch outputs from fir_split() are treated as a linear
     mixture of the two tones and separated by fastica.separate(), which
     matches components to the tone frequencies; each is peak-normalized
-    to amplitude 1. Returns (fir_only, separated): the FIR branches, the
-    baseline the cascade is measured against, and the cleaned channels,
-    both ordered (tone_a, tone_b).
+    to amplitude 1. Returns (fir_only, separated, residual_db): the FIR
+    branches, the baseline the cascade is measured against, and the
+    cleaned channels, both ordered (tone_a, tone_b); residual_db["fir"]
+    and residual_db["ica"] hold each one's
+    metrics.cross_tone_residual_db(), in the same order.
 
     Raises RankDeficientError when the composite does not actually
     contain two distinct tones, IdentificationError if the components
@@ -198,6 +200,8 @@ def diplex(
     fails both raises IdentificationError.
     """
     fir_only = fir_split(composite, freq_a, freq_b, order, sample_rate, band_frac)
+    # One transform per branch serves identification and all four residuals.
+    spectrum = fir_only.spectrum()
 
     # Estimate statistics on the steady-state region only: the first
     # `order` samples are partial convolutions, and that startup
@@ -205,10 +209,17 @@ def diplex(
     # one-dimensional input (a single tone must fail as rank deficient,
     # not limp through to a component identification collision).
     separated, result, _ = fastica.separate(
-        fir_only, cfg, {"tone_a": freq_a, "tone_b": freq_b}, skip=order)
+        fir_only, cfg, {"tone_a": freq_a, "tone_b": freq_b}, skip=order,
+        spectrum=spectrum)
     if not all(result.converged):
         raise fastica.ConvergenceError(
             f"unmixing did not converge (iterations {result.iterations})")
+    tones = (freq_a, freq_b)
+    rate = fir_only.sample_rate
+    # Keep only the tone bands: full-length spectra would outlive their use.
+    branch_bands = [spectrum[:, metrics.tone_band(fir_only.length, rate, freq)]
+                    for freq in tones]
+    del spectrum
 
     # Tones carry no DC: pin each output mean to zero exactly, then
     # normalize to unit peak.
@@ -216,4 +227,17 @@ def diplex(
     peaks = np.max(np.abs(data), axis=1)
     if np.any(peaks == 0.0):
         raise fastica.ConvergenceError("separated component is identically zero")
-    return fir_only, separated.with_data(data / peaks[:, None])
+    cleaned = separated.with_data(data / peaks[:, None])
+
+    # The cleaned channels are this fixed map of the centered branches, so
+    # above DC (all the metric reads) their bins are the map of the branches'.
+    mapping = result.assignment.apply_rows(result.w_full) / peaks[:, None]
+    residual_db = {}
+    for key, signal, bands in (("fir", fir_only, branch_bands),
+                               ("ica", cleaned, [mapping @ band for band in branch_bands])):
+        residual_db[key] = tuple(
+            metrics.cross_tone_residual_db(
+                signal.data[i], tones[i], tones[1 - i], rate,
+                band_spectrum=(bands[i][i], bands[1 - i][i]))
+            for i in range(2))
+    return fir_only, cleaned, residual_db

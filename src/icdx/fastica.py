@@ -59,7 +59,6 @@ __all__ = [
     "fit_one_unit",
     "gaussian_reference",
     "identify_components",
-    "negentropy_estimate",
     "separate",
     "unmix",
 ]
@@ -167,25 +166,6 @@ def gaussian_reference(contrast: str, shape: float = 1.0) -> float:
     if contrast not in CONTRASTS:
         raise ValueError(f"unknown contrast {contrast!r}")
     return _gaussian_reference_cached(contrast, float(shape))
-
-
-def negentropy_estimate(y: np.ndarray, contrast: str = "logcosh", shape: float = 1.0) -> float:
-    """Negentropy surrogate (E[G(y)] - E[G(nu)])^2 for standardized y.
-
-    Requires y to be standardized: zero mean and unit variance within
-    1e-3. The estimate is zero for Gaussian input up to sampling error.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("y must be a 1-D series with at least 2 samples")
-    mean = float(y.mean())
-    var = float(y.var())
-    if abs(mean) > 1e-3 or abs(var - 1.0) > 1e-3:
-        raise ValueError(
-            f"y must be standardized (mean {mean:.2e}, variance {var:.6f})")
-    diff = float(np.mean(contrast_primitive(y, contrast, shape))) - gaussian_reference(
-        contrast, shape)
-    return diff * diff
 
 
 def _check_whitened(data: np.ndarray, tol: float) -> None:

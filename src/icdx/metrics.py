@@ -25,6 +25,7 @@ __all__ = [
     "parse_metric_value",
     "signed_permutation_error",
     "snr",
+    "tone_band",
 ]
 
 # Relative power below which a residual counts as identically zero.
@@ -184,11 +185,37 @@ def envelope_depth(
     return min(max((hi - lo) / (hi + lo), 0.0), 1.0)
 
 
+def _tone_bins(n: int, sample_rate: float, freq: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mirrored, index): where a tone's DFT bins lie past Nyquist, and their rfft bins.
+
+    The DFT bins k run over center-5 .. center+5, clipped to -1 .. n//2 + 1,
+    modulo n: the +-4-bin band plus the neighbour the periodic-Hann kernel
+    reads past each edge. A bin past DC or Nyquist is the mirror
+    X[k] = conj(X[n - k]) of an rfft bin.
+    """
+    center = int(round(freq / (sample_rate / n)))
+    lo = max(center - _TONE_HALF_WIDTH_BINS, 0)
+    hi = min(center + _TONE_HALF_WIDTH_BINS + 1, n // 2 + 1)
+    k = np.arange(lo - 1, hi + 1) % n
+    mirrored = k > n // 2
+    return mirrored, np.where(mirrored, n - k, k)
+
+
+def tone_band(n: int, sample_rate: float, freq: float) -> np.ndarray:
+    """The rfft bins of an n-sample record that cross_tone_residual_db() reads for a tone.
+
+    Bins past DC or Nyquist appear as the rfft bins they mirror; the
+    metric conjugates those itself.
+    """
+    return _tone_bins(n, sample_rate, freq)[1]
+
+
 def cross_tone_residual_db(
     channel,
     own_freq: float,
     other_freq: float,
     sample_rate: float | None = None,
+    band_spectrum: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Leakage of a foreign tone relative to the channel's own tone, dB.
 
@@ -201,6 +228,12 @@ def cross_tone_residual_db(
     applied in the frequency domain: its DFT has three taps, so the windowed
     spectrum at bin k is 0.5 X[k] - 0.25 (X[k-1] + X[k+1]) with X the plain
     DFT, and only the band bins are formed.
+
+    A caller that already has the channel's spectrum passes band_spectrum,
+    the pair (own, other) of rfft(channel) on tone_band(n, rate, own_freq)
+    and on tone_band(n, rate, other_freq), and the forward transform is
+    skipped. Only its bins above DC are read: bin 0 is the sum of the
+    channel's samples, so a spectrum equal above DC will do.
     """
     data, rate = as_channel(channel, sample_rate)
     data = _series(data, "channel")
@@ -212,24 +245,27 @@ def cross_tone_residual_db(
     if own_freq == other_freq:
         raise ValueError("own_freq and other_freq must be distinct")
 
-    spectrum = np.fft.rfft(data)
-    bin_hz = rate / n
+    bands = [_tone_bins(n, rate, freq) for freq in (own_freq, other_freq)]
+    if band_spectrum is None:
+        spectrum = np.fft.rfft(data)
+        band_spectrum = [spectrum[index] for _, index in bands]
+    else:
+        shapes = [np.shape(band) for band in band_spectrum]
+        if shapes != [index.shape for _, index in bands]:
+            raise ValueError(
+                f"band_spectrum must hold the {[index.size for _, index in bands]} "
+                f"tone-band bins of own_freq and other_freq, got shapes {shapes}")
+        dc = data.sum() if any(0 in index for _, index in bands) else 0.0
+        band_spectrum = [np.where(index == 0, dc, band)
+                         for band, (_, index) in zip(band_spectrum, bands)]
 
-    def band_power(freq: float) -> float:
-        center = int(round(freq / bin_hz))
-        lo = max(center - _TONE_HALF_WIDTH_BINS, 0)
-        hi = min(center + _TONE_HALF_WIDTH_BINS + 1, spectrum.shape[0])
-        # Bins lo-1 .. hi of the full DFT; those past DC or Nyquist are
-        # the Hermitian mirrors X[n - k] = conj(X[k]) of rfft bins.
-        k = np.arange(lo - 1, hi + 1) % n
-        mirrored = k > n // 2
-        bins = spectrum[np.where(mirrored, n - k, k)]
-        bins[mirrored] = np.conj(bins[mirrored])
-        windowed = 0.5 * bins[1:-1] - 0.25 * (bins[:-2] + bins[2:])
+    def band_power(band: np.ndarray, mirrored: np.ndarray) -> float:
+        band = np.where(mirrored, np.conj(band), band)
+        windowed = 0.5 * band[1:-1] - 0.25 * (band[:-2] + band[2:])
         return float(np.sum(windowed.real**2 + windowed.imag**2))
 
-    own = band_power(own_freq)
-    other = band_power(other_freq)
+    own, other = (band_power(band, mirrored)
+                  for band, (mirrored, _) in zip(band_spectrum, bands))
     if own == 0.0:
         raise ValueError("channel has no power at its own tone")
     if other <= _ZERO_RESIDUAL * own:

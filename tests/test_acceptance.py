@@ -227,8 +227,8 @@ def test_criterion_6_diplexer_cleans_what_short_fir_cannot():
     t = np.arange(n) / rate
     composite = np.sin(2.0 * np.pi * tone_a * t) + np.sin(2.0 * np.pi * tone_b * t + 0.7)
 
-    fir_only, separated = icdx.diplex(composite, tone_a, tone_b, 5,
-                                      icdx.FastIcaConfig(seed=0), rate)
+    fir_only, separated, _ = icdx.diplex(composite, tone_a, tone_b, 5,
+                                         icdx.FastIcaConfig(seed=0), rate)
 
     fir_residuals = (icdx.cross_tone_residual_db(fir_only.data[0], tone_a, tone_b, rate),
                      icdx.cross_tone_residual_db(fir_only.data[1], tone_b, tone_a, rate))

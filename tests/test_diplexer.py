@@ -157,7 +157,7 @@ def test_fir_split_leakage_matches_filter_response():
 def test_diplex_cleans_both_branches():
     composite = _composite()
     cfg = icdx.FastIcaConfig(seed=0)
-    fir_only, cleaned = icdx.diplex(composite, _TONE_A, _TONE_B, 5, cfg)
+    fir_only, cleaned, residual_db = icdx.diplex(composite, _TONE_A, _TONE_B, 5, cfg)
     assert np.array_equal(
         fir_only.data, icdx.fir_split(composite, _TONE_A, _TONE_B, 5).data)
     assert cleaned.channels == 2
@@ -166,6 +166,10 @@ def test_diplex_cleans_both_branches():
         residual = icdx.cross_tone_residual_db(
             cleaned.data[row], own, other, _RATE)
         assert residual <= -40.0
+        # The returned residuals come from the branch spectra, not the channels.
+        assert residual_db["fir"][row] == icdx.cross_tone_residual_db(
+            fir_only.data[row], own, other, _RATE)
+        assert abs(residual_db["ica"][row] - residual) <= 1e-9
     # Contract: exactly zero-mean, unit-peak outputs.
     assert np.max(np.abs(cleaned.data.mean(axis=1))) <= 1e-6
     assert np.allclose(np.max(np.abs(cleaned.data), axis=1), 1.0, atol=1e-12)
@@ -174,7 +178,7 @@ def test_diplex_cleans_both_branches():
 def test_diplex_seed_sweep():
     composite = _composite()
     for seed in range(4):
-        _, cleaned = icdx.diplex(
+        _, cleaned, _ = icdx.diplex(
             composite, _TONE_A, _TONE_B, 5, icdx.FastIcaConfig(seed=seed))
         for row, own, other in ((0, _TONE_A, _TONE_B), (1, _TONE_B, _TONE_A)):
             assert icdx.cross_tone_residual_db(
@@ -184,8 +188,8 @@ def test_diplex_seed_sweep():
 def test_diplex_deterministic():
     composite = _composite(2**14)
     cfg = icdx.FastIcaConfig(seed=5)
-    _, first = icdx.diplex(composite, _TONE_A, _TONE_B, 5, cfg)
-    _, second = icdx.diplex(composite, _TONE_A, _TONE_B, 5, cfg)
+    _, first, _ = icdx.diplex(composite, _TONE_A, _TONE_B, 5, cfg)
+    _, second, _ = icdx.diplex(composite, _TONE_A, _TONE_B, 5, cfg)
     assert np.array_equal(first.data, second.data)
 
 

@@ -7,8 +7,8 @@ separation stage calls every layer exactly once, so no layer is called
 through a name bound at import time, and none is called twice. The
 diplexer's FIR split is counted too: a diplex run splits its composite
 once. Spectral work is counted the same way on numpy: `icdx unmix` takes
-one rfft per input channel and no other, and `icdx diplex` builds no
-window.
+one rfft per input channel and no other, and `icdx diplex` one per FIR
+branch, for identification and all four residuals, and builds no window.
 """
 
 import collections
@@ -82,4 +82,5 @@ def test_diplex_calls_each_layer_once(calls):
 def test_cli_diplex_splits_once(calls, numpy_calls, tmp_path):
     assert main(["diplex", "--out-dir", str(tmp_path), "--diplex-samples", "16384"]) == 0
     assert calls == DIPLEX_ONCE
+    assert numpy_calls["rfft"] == 2
     assert numpy_calls["hanning"] == 0

@@ -155,6 +155,19 @@ def test_envelope_depth_band_spectrum_validation():
         icdx.envelope_depth(tone, CARRIER_1, RATE, band_spectrum=np.fft.rfft(tone))
 
 
+def test_cross_tone_residual_band_spectrum_validation():
+    # The whole spectrum is not the pair of tone-band bins, nor is one band.
+    tone = np.sin(2.0 * np.pi * CARRIER_1 * np.arange(4096) / RATE)
+    spectrum = np.fft.rfft(tone)
+    own, other = (spectrum[icdx.tone_band(4096, RATE, f)] for f in (CARRIER_1, CARRIER_2))
+    for wrong in ((spectrum, spectrum), (own,), (own, other[:-1]), (own, other, other)):
+        with pytest.raises(ValueError, match="band_spectrum"):
+            icdx.cross_tone_residual_db(tone, CARRIER_1, CARRIER_2, RATE, band_spectrum=wrong)
+    assert icdx.cross_tone_residual_db(
+        tone, CARRIER_1, CARRIER_2, RATE, band_spectrum=(own, other)
+    ) == icdx.cross_tone_residual_db(tone, CARRIER_1, CARRIER_2, RATE)
+
+
 def test_cross_tone_residual_validation():
     tone = np.sin(np.linspace(0.0, 100.0, 4096))
     with pytest.raises(ValueError, match="distinct"):

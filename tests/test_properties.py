@@ -302,6 +302,42 @@ def test_cross_tone_matches_periodic_hann_reference(n, own_place, other_place, l
     assert abs(icdx.cross_tone_residual_db(x, own, other, RATE) - expected) <= 1e-9
 
 
+def _same_residual(a, b):
+    """Within 1e-9 dB above -100 dB; below, foreign powers within 1e-20 of the own power."""
+    if max(a, b) > -100.0:
+        return abs(a - b) <= 1e-9
+    return abs(10.0 ** (a / 10.0) - 10.0 ** (b / 10.0)) <= 1e-20
+
+
+@settings(deadline=None)
+@given(st.integers(32, 4096), _TONE_PLACES, _TONE_PLACES, st.floats(-14.0, 0.0),
+       st.integers(0, 2**32 - 1))
+def test_cross_tone_from_mapped_branch_bands_matches_the_channels(n, place_a, place_b,
+                                                                  log_leak, seed):
+    # As in the diplexer: channels that are a 2 x 2 map, scaled by a peak per
+    # row, of centered branches have the map of the branches' bins above DC.
+    # The branch offsets make the mapped bin 0 wrong, so it must not be read.
+    tones = (_tone_hz(place_a, n), _tone_hz(place_b, n))
+    assume(tones[0] != tones[1])
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / RATE
+    sources = np.cos(2.0 * np.pi * np.outer(tones, t) + rng.uniform(0.0, 2.0 * np.pi, (2, 1)))
+    leak_ab, leak_ba = rng.uniform(-0.5, 0.5, 2)
+    mixing = np.array([[1.0, leak_ab], [leak_ba, 1.0]])
+    branches = mixing @ sources + rng.uniform(-1.0, 1.0, (2, 1))
+    mapping = ((np.linalg.inv(mixing) + 10.0**log_leak * rng.uniform(-1.0, 1.0, (2, 2)))
+               / 10.0 ** rng.uniform(-3.0, 3.0, (2, 1)))
+    channels = mapping @ (branches - branches.mean(axis=1, keepdims=True))
+    spectrum = np.fft.rfft(branches, axis=1)
+    bands = [mapping @ spectrum[:, icdx.tone_band(n, RATE, freq)] for freq in tones]
+    for i in range(2):
+        own, other = tones[i], tones[1 - i]
+        shared = icdx.cross_tone_residual_db(channels[i], own, other, RATE,
+                                             band_spectrum=(bands[i][i], bands[1 - i][i]))
+        assert _same_residual(shared, icdx.cross_tone_residual_db(channels[i], own, other, RATE))
+        assert _same_residual(shared, hann_band_power_db(channels[i], own, other, RATE))
+
+
 def _write_csv_reference(path, signal):
     """The np.savetxt form of the CSV writer."""
     table = np.column_stack([signal.times(), signal.data.T])
