@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import format_metric_value, parse_metric_value
-from .signalgen import MultichannelSignal
+from .signalgen import Adopted, MultichannelSignal
 
 __all__ = [
     "ConfigError",
@@ -48,6 +49,8 @@ _HEADER = struct.Struct("<4sIIQd")
 HEADER_SIZE = 64
 # Rows per %-format in the CSV writer: its Python floats and text are O(chunk).
 _CSV_CHUNK_ROWS = 8192
+# Frames per readinto or write of raw samples: the interleaved copy is O(chunk).
+_RAW_CHUNK_FRAMES = 2**16
 
 
 class FormatError(ValueError):
@@ -85,7 +88,7 @@ def read_signal(path: str | Path) -> MultichannelSignal:
     reader = _read_csv if path.suffix.lower() == ".csv" else _read_raw
     data, rate = reader(path)
     try:
-        return MultichannelSignal(data, rate)
+        return MultichannelSignal(Adopted(data), rate)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -93,13 +96,18 @@ def read_signal(path: str | Path) -> MultichannelSignal:
 def _write_raw(path: Path, signal: MultichannelSignal) -> None:
     header = _HEADER.pack(
         MAGIC, VERSION, signal.channels, signal.length, signal.sample_rate)
-    frames = np.ascontiguousarray(signal.data.T, dtype="<f8")
+    frames = np.empty((min(_RAW_CHUNK_FRAMES, signal.length), signal.channels), "<f8")
     with open(path, "wb") as fh:
         fh.write(header.ljust(HEADER_SIZE, b"\0"))
-        fh.write(frames.tobytes())
+        for start in range(0, signal.length, _RAW_CHUNK_FRAMES):
+            block = signal.data[:, start:start + _RAW_CHUNK_FRAMES].T
+            chunk = frames[:block.shape[0]]
+            chunk[...] = block
+            fh.write(chunk)
 
 
 def _read_raw(path: Path) -> tuple[np.ndarray, float]:
+    """(channel-major samples, rate); the samples are a fresh array no one else holds."""
     with open(path, "rb") as fh:
         block = fh.read(HEADER_SIZE)
         if len(block) != HEADER_SIZE:
@@ -113,13 +121,20 @@ def _read_raw(path: Path) -> tuple[np.ndarray, float]:
             raise FormatError(f"{path}: invalid shape {channels} x {length}")
         if not (math.isfinite(rate) and rate > 0):
             raise FormatError(f"{path}: invalid sample rate {rate!r}")
-        payload = fh.read()
-    expected = channels * length * 8
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    frames = np.frombuffer(payload, dtype="<f8").reshape(length, channels)
-    return frames.T, rate
+        # Sized from the file before anything is allocated: a corrupt
+        # length must not become a huge allocation.
+        payload = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        expected = channels * length * 8
+        if payload != expected:
+            raise FormatError(f"{path}: payload is {payload} bytes, header implies {expected}")
+        data = np.empty((channels, length))
+        frames = np.empty((min(_RAW_CHUNK_FRAMES, length), channels), "<f8")
+        for start in range(0, length, _RAW_CHUNK_FRAMES):
+            chunk = frames[:min(_RAW_CHUNK_FRAMES, length - start)]
+            if fh.readinto(chunk) != chunk.nbytes:
+                raise FormatError(f"{path}: payload truncated while reading")
+            data[:, start:start + chunk.shape[0]] = chunk.T
+    return data, rate
 
 
 def _write_csv(path: Path, signal: MultichannelSignal) -> None:

@@ -46,6 +46,14 @@ def _series(x, name: str) -> np.ndarray:
     return arr
 
 
+def _channel(channel, sample_rate: float | None) -> tuple[np.ndarray, float]:
+    """as_channel(), which checks rank and finiteness, plus _series's length check."""
+    data, rate = as_channel(channel, sample_rate)
+    if data.size < 2:
+        raise ValueError("channel must be a 1-D series with at least 2 samples")
+    return data, rate
+
+
 def _pair(estimated, truth) -> tuple[np.ndarray, np.ndarray]:
     """Both series validated, with equal shapes."""
     e = _series(estimated, "estimated")
@@ -155,8 +163,7 @@ def envelope_depth(
     band_spectrum, rfft(channel) on the carrier_band() bins, and the
     forward transform is skipped.
     """
-    data, rate = as_channel(channel, sample_rate)
-    data = _series(data, "channel")
+    data, rate = _channel(channel, sample_rate)
     if not (0.0 < carrier < 0.5 * rate):
         raise ValueError(f"carrier must be in (0, {0.5 * rate}), got {carrier}")
     if not (0.0 < band_frac < 1.0):
@@ -235,8 +242,7 @@ def cross_tone_residual_db(
     skipped. Only its bins above DC are read: bin 0 is the sum of the
     channel's samples, so a spectrum equal above DC will do.
     """
-    data, rate = as_channel(channel, sample_rate)
-    data = _series(data, "channel")
+    data, rate = _channel(channel, sample_rate)
     n = data.shape[0]
     nyquist = 0.5 * rate
     for name, freq in (("own_freq", own_freq), ("other_freq", other_freq)):

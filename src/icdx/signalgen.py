@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,17 +46,32 @@ SHOT_RAMP_BREAKPOINTS = (0.1, 0.3, 0.7, 0.9)
 SHOT_RAMP_PLATEAU_RAD = 2.0
 
 
+class Adopted(NamedTuple):
+    """An array icdx has just allocated and holds the only reference to.
+
+    A value type handed Adopted(array) in place of an array field keeps
+    that array itself, still checked and locked by own_arrays, instead
+    of a copy. Arrays from callers are never wrapped.
+    """
+
+    array: np.ndarray
+
+
 def own_arrays(obj, **ndims: int) -> None:
     """Lock each field named in ndims to its own float64 copy.
 
     The copy is C-ordered, of rank ndims[name], finite and read-only, so
     no view the caller kept can change the frozen object. None stays None.
+    An Adopted array that is already C-ordered float64 is locked in place.
     """
     for name, ndim in ndims.items():
         value = getattr(obj, name)
         if value is None:
             continue
-        arr = np.array(value, dtype=np.float64, order="C")
+        if isinstance(value, Adopted):
+            arr = np.asarray(value.array, dtype=np.float64, order="C")
+        else:
+            arr = np.array(value, dtype=np.float64, order="C")
         if arr.ndim != ndim:
             raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):

@@ -38,6 +38,18 @@ def hann_band_power_db(
     return 10.0 * np.log10(band(other) / band(own))
 
 
+def same_residual(a: float, b: float) -> bool:
+    """Two cross-tone residuals in dB that differ by rounding only.
+
+    Within 1e-9 dB above -100 dB; below, foreign powers within 1e-20 of
+    the own power, where a dB difference magnifies rounding of a power
+    that small.
+    """
+    if max(a, b) > -100.0:
+        return abs(a - b) <= 1e-9
+    return abs(10.0 ** (a / 10.0) - 10.0 ** (b / 10.0)) <= 1e-20
+
+
 def scenario_pair(
     kind: str = "shot-ramp",
     n: int = 2**18,

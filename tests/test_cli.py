@@ -122,6 +122,16 @@ def test_non_finite_input_exit_4(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
+def test_raw_header_claiming_huge_length_exit_4(tmp_path, capsys):
+    path = tmp_path / "huge.bin"
+    icdx.write_signal(path, icdx.MultichannelSignal(np.ones((2, 4)), RATE))
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = (2**40).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    assert main(["unmix", "--in", str(path), "--out-dir", str(tmp_path)]) == 4
+    assert "payload" in capsys.readouterr().err
+
+
 def test_density_on_record_shorter_than_filter_exit_2(tmp_path, capsys):
     assert main(["gen", "--out-dir", str(tmp_path), "--samples", "16"]) == 0
     assert main(["density", "--in", str(tmp_path / "clean.bin"),

@@ -1,11 +1,15 @@
 """Fixed-point search, contrasts, stability checks, identification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import icdx
+from icdx.fastica import _CHUNK, _peak_bins, _update
 
 from helpers import (
     CARRIER_1,
@@ -236,12 +240,31 @@ def test_fit_reports_nonconvergence_in_flags():
     assert not all(result.converged)
 
 
+def _one_shot_update(data: np.ndarray, w: np.ndarray, cfg: icdx.FastIcaConfig) -> np.ndarray:
+    """E[b g(w.T b)] - E[g'(w.T b)] w over the whole record at once, before projection."""
+    g, gprime = icdx.contrast_eval(w @ data, cfg.contrast, cfg.contrast_shape)
+    return (data @ g.T).T / data.shape[1] - gprime.mean(axis=-1, keepdims=True) * w
+
+
+def _streamed_update(data: np.ndarray, w: np.ndarray, cfg: icdx.FastIcaConfig) -> np.ndarray:
+    """The same update from partial sums over fit()'s _CHUNK-sample blocks, in order."""
+    n = data.shape[1]
+    moment = np.zeros(w.shape)
+    slope = np.zeros(w.shape[:-1] + (1,))
+    for start in range(0, n, _CHUNK):
+        block = data[:, start:start + _CHUNK]
+        g, gprime = icdx.contrast_eval(w @ block, cfg.contrast, cfg.contrast_shape)
+        moment += (block @ g.T).T
+        slope += gprime.sum(axis=-1, keepdims=True)
+    return moment / n - (slope / n) * w
+
+
 def _full_record_fit(data: np.ndarray, cfg: icdx.FastIcaConfig):
     """The fit with every unit settled on the whole record, written out with numpy.
 
-    Same seeded starts and kicks, stopping rule and stability check as
-    fit(), with no leading block and no polish. Returns (w, iterations,
-    converged).
+    Same seeded starts and kicks, stopping rule, stability check and
+    streamed update sums as fit(), with no leading block and no polish.
+    Returns (w, iterations, converged).
     """
     c, n = data.shape
     rng = np.random.default_rng(cfg.seed)
@@ -252,8 +275,7 @@ def _full_record_fit(data: np.ndarray, cfg: icdx.FastIcaConfig):
 
     def iterate(w, project, budget):
         for it in range(1, budget + 1):
-            g, gprime = icdx.contrast_eval(w @ data, cfg.contrast, cfg.contrast_shape)
-            w_new = project((data @ g.T).T / n - gprime.mean(axis=-1, keepdims=True) * w)
+            w_new = project(_streamed_update(data, w, cfg))
             delta = 1.0 - np.min(np.abs(np.sum(w_new * w, axis=-1)))
             w = w_new
             if delta <= cfg.tol:
@@ -371,6 +393,57 @@ def test_unconverged_block_falls_back_to_full_record_settle(ortho):
     assert result.iterations[0] == 1 + iterations_ref[0]
 
 
+_UPDATE_LENGTHS = st.one_of(
+    st.integers(2, 4 * _CHUNK),
+    st.builds(lambda k, off: k * _CHUNK + off, st.integers(1, 3), st.integers(-2, 2)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_UPDATE_LENGTHS, st.sampled_from([(2, ()), (3, ()), (2, (2,)), (3, (3,))]),
+       st.sampled_from([("logcosh", 1.0), ("logcosh", 1.7), ("gauss", 1.0)]),
+       st.integers(0, 2**32 - 1))
+def test_streamed_update_matches_one_shot_formula(n, dims, contrast, seed):
+    # Below, at and off multiples of the chunk; one unit or all rows at once.
+    c, rows = dims
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((c, n))
+    w = rng.standard_normal(rows + (c,))
+    w /= np.linalg.norm(w, axis=-1, keepdims=True)
+    cfg = icdx.FastIcaConfig(contrast=contrast[0], contrast_shape=contrast[1])
+    streamed = _update(data, w, cfg)
+    assert streamed.shape == w.shape
+    assert np.max(np.abs(streamed - _one_shot_update(data, w, cfg))) <= 1e-12
+
+
+@pytest.mark.parametrize("ortho", ["deflation", "symmetric"])
+@pytest.mark.parametrize("n", [5000, _CHUNK])
+def test_record_of_one_chunk_fits_bit_identically(n, ortho, monkeypatch):
+    # One chunk holds the whole record, so the streamed sums are the one-shot ones.
+    _, mixed = _mixed_pair(n)
+    whitened, _ = icdx.whiten(mixed)
+    cfg = icdx.FastIcaConfig(seed=3, ortho=ortho)
+    result = icdx.fit(whitened, cfg)
+    monkeypatch.setattr(icdx.fastica, "_update", _one_shot_update)
+    reference = icdx.fit(whitened, cfg)
+    assert all(result.converged) and result.iterations == reference.iterations
+    assert np.array_equal(result.w, reference.w)
+
+
+@pytest.mark.parametrize("ortho", ["deflation", "symmetric"])
+def test_fit_temporaries_are_chunk_sized(ortho):
+    # At 2^18 samples one record-length temporary is 2 MB; the update makes none.
+    mixed = scenario_pair("shot-ramp", n=2**18, snr_db=30.0)[3]
+    whitened, transform = icdx.whiten(mixed)
+    cfg = icdx.FastIcaConfig(seed=0, ortho=ortho)
+    tracemalloc.start()
+    try:
+        icdx.fit(whitened, cfg, transform)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_fit_whitened_input_enforced():
     _, mixed = _mixed_pair(2**12)
     with pytest.raises(ValueError, match="not whitened"):
@@ -461,6 +534,53 @@ def test_separate_with_the_input_spectrum_identifies_alike(coupling):
     assert np.array_equal(shared.data, corrected.data)
     with pytest.raises(ValueError, match="spectrum"):
         icdx.separate(mixed, cfg, expected, spectrum=np.fft.rfft(mixed.data[:, 1:], axis=1))
+
+
+def _full_product_peaks(spectrum: np.ndarray) -> np.ndarray:
+    """Each row's first largest |bin| with DC zeroed, over the whole spectrum at once."""
+    magnitude = np.abs(spectrum)
+    magnitude[:, 0] = 0.0
+    return np.argmax(magnitude, axis=1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3 * _CHUNK + 3), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_peak_search_over_bin_chunks_matches_the_full_product(bins, rows, empty, seed):
+    # The chunked search keeps the first maximum, as argmax over all bins does,
+    # also for a tie between chunks and for a spectrum empty above DC. The tied
+    # bins are powers of two, so every product rounds the same way. The DC
+    # bin, the largest, is never a peak.
+    rng = np.random.default_rng(seed)
+    spectrum = rng.standard_normal((2, bins)) + 1j * rng.standard_normal((2, bins))
+    spectrum[:, 0] = 1e6
+    mixing = rng.uniform(-1.0, 1.0, (rows, 2))
+    if bins > _CHUNK + 1:
+        spectrum[:, [1 + int(rng.integers(_CHUNK)), bins - 1]] = 1024.0 + 1024.0j
+    if empty:
+        spectrum[:, 1:] = 0.0
+    expected = _full_product_peaks(mixing @ spectrum)
+    assert np.array_equal(_peak_bins(spectrum, mixing), expected)
+    assert np.array_equal(_peak_bins(mixing @ spectrum, None), expected)
+
+
+def test_identify_with_mixing_matches_the_mapped_spectrum():
+    mixed = scenario_pair(n=2**16, snr_db=30.0)[3]
+    whitened, transform = icdx.whiten(mixed)
+    result = icdx.fit(whitened, icdx.FastIcaConfig(seed=0), transform)
+    components = icdx.unmix(mixed, result, transform)
+    expected = {"ch1": CARRIER_1, "ch2": CARRIER_2}
+    spectrum = mixed.spectrum()
+    assignment = icdx.identify_components(components, expected, spectrum, result.w_full)
+    assert assignment == icdx.identify_components(
+        components, expected, result.w_full @ spectrum)
+    assert assignment == icdx.identify_components(components, expected)
+    with pytest.raises(ValueError, match="mixing"):
+        icdx.identify_components(components, expected, mixing=result.w_full)
+    with pytest.raises(ValueError, match="mixing"):
+        icdx.identify_components(components, expected, spectrum, result.w_full[:1])
+    with pytest.raises(ValueError, match="spectrum"):
+        icdx.identify_components(components, expected, spectrum[:1], result.w_full)
 
 
 def test_identify_components_collision_raises():

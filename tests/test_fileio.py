@@ -71,6 +71,43 @@ def test_raw_rejects_corruption(tmp_path):
         icdx.read_signal(stub)
 
 
+@pytest.mark.parametrize("damage", ["extra_byte", "extra_frame", "huge_length", "nan_sample"])
+def test_raw_reader_rejects_a_damaged_file_before_trusting_it(tmp_path, damage):
+    # The payload must be exactly channels x length x 8 bytes, checked
+    # before anything is allocated: a length of 2^40 frames is a format
+    # error, not an attempt at a 32 TB array.
+    path = tmp_path / "sig.bin"
+    icdx.write_signal(path, _signal(2, 64))
+    blob = bytearray(path.read_bytes())
+    if damage == "extra_byte":
+        blob += b"\0"
+    elif damage == "extra_frame":
+        blob += np.zeros(2, dtype="<f8").tobytes()
+    elif damage == "huge_length":
+        struct.pack_into("<Q", blob, 12, 2**40)
+    else:
+        struct.pack_into("<d", blob, HEADER_SIZE + 8 * 77, math.nan)
+    path.write_bytes(bytes(blob))
+    match = "finite" if damage == "nan_sample" else "payload"
+    with pytest.raises(icdx.FormatError, match=match):
+        icdx.read_signal(path)
+
+
+@pytest.mark.parametrize("channels,n", [(1, 1), (1, 70_000), (3, 2**16), (2, 2**16 + 1)])
+def test_raw_round_trip_across_the_frame_chunks(tmp_path, channels, n):
+    # The reader and writer move 2^16 frames at a time; records below, at
+    # and past one chunk keep their frame order and every bit.
+    path = tmp_path / "sig.bin"
+    original = _signal(channels, n, seed=n)
+    icdx.write_signal(path, original)
+    blob = path.read_bytes()
+    frames = np.frombuffer(blob, dtype="<f8", offset=HEADER_SIZE)
+    assert np.array_equal(frames, original.data.T.ravel())
+    loaded = icdx.read_signal(path)
+    assert np.array_equal(loaded.data, original.data)
+    assert not loaded.data.flags.writeable and loaded.data.flags.c_contiguous
+
+
 def test_csv_round_trip_exact(tmp_path):
     # %.17g representation round-trips float64 exactly.
     path = tmp_path / "sig.csv"

@@ -30,7 +30,8 @@ from icdx.demod import _BLOCK, _overlap_save
 from icdx.fastica import _orthonormalize
 from icdx.fileio import _CSV_CHUNK_ROWS, _write_csv, format_matrix, parse_matrix
 
-from helpers import CARRIER_1, CARRIER_2, RATE, hann_band_power_db, scenario_pair
+from helpers import (CARRIER_1, CARRIER_2, RATE, hann_band_power_db, same_residual,
+                     scenario_pair)
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -302,13 +303,6 @@ def test_cross_tone_matches_periodic_hann_reference(n, own_place, other_place, l
     assert abs(icdx.cross_tone_residual_db(x, own, other, RATE) - expected) <= 1e-9
 
 
-def _same_residual(a, b):
-    """Within 1e-9 dB above -100 dB; below, foreign powers within 1e-20 of the own power."""
-    if max(a, b) > -100.0:
-        return abs(a - b) <= 1e-9
-    return abs(10.0 ** (a / 10.0) - 10.0 ** (b / 10.0)) <= 1e-20
-
-
 @settings(deadline=None)
 @given(st.integers(32, 4096), _TONE_PLACES, _TONE_PLACES, st.floats(-14.0, 0.0),
        st.integers(0, 2**32 - 1))
@@ -334,8 +328,8 @@ def test_cross_tone_from_mapped_branch_bands_matches_the_channels(n, place_a, pl
         own, other = tones[i], tones[1 - i]
         shared = icdx.cross_tone_residual_db(channels[i], own, other, RATE,
                                              band_spectrum=(bands[i][i], bands[1 - i][i]))
-        assert _same_residual(shared, icdx.cross_tone_residual_db(channels[i], own, other, RATE))
-        assert _same_residual(shared, hann_band_power_db(channels[i], own, other, RATE))
+        assert same_residual(shared, icdx.cross_tone_residual_db(channels[i], own, other, RATE))
+        assert same_residual(shared, hann_band_power_db(channels[i], own, other, RATE))
 
 
 def _write_csv_reference(path, signal):
