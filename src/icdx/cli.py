@@ -388,11 +388,12 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
     truth = fileio.read_signal(args.truth) if args.truth else None
     if truth is not None and truth.data.shape != mixed.data.shape:
         raise ValueError("truth signal shape does not match the input")
-    # One transform per input channel serves identification and all four
-    # depths: above DC, the corrected channels' bins are w_full times these.
+    # One transform per input channel serves all four depths: above DC, the
+    # corrected channels' bins are w_full times these. Taken first, it lets
+    # the depths' buffers reuse heap pages instead of faulting in fresh ones.
     spectrum = mixed.spectrum()
     corrected, result, transform = fastica.separate(
-        mixed, cfg.ica(), {"ch1": cfg.f_het1, "ch2": cfg.f_het2}, spectrum=spectrum)
+        mixed, cfg.ica(), {"ch1": cfg.f_het1, "ch2": cfg.f_het2})
 
     corrected_path = out / _signal_name("corrected", cfg)
     fileio.write_signal(corrected_path, corrected)

@@ -200,8 +200,14 @@ def diplex(
     fails both raises IdentificationError.
     """
     fir_only = fir_split(composite, freq_a, freq_b, order, sample_rate, band_frac)
-    # One transform per branch serves identification and all four residuals.
+    tones = (freq_a, freq_b)
+    rate = fir_only.sample_rate
+    # One transform per branch serves all four residuals. Only the tone
+    # bands are kept: full-length spectra would outlive their use.
     spectrum = fir_only.spectrum()
+    branch_bands = [spectrum[:, metrics.tone_band(fir_only.length, rate, freq)]
+                    for freq in tones]
+    del spectrum
 
     # Estimate statistics on the steady-state region only: the first
     # `order` samples are partial convolutions, and that startup
@@ -209,17 +215,10 @@ def diplex(
     # one-dimensional input (a single tone must fail as rank deficient,
     # not limp through to a component identification collision).
     separated, result, _ = fastica.separate(
-        fir_only, cfg, {"tone_a": freq_a, "tone_b": freq_b}, skip=order,
-        spectrum=spectrum)
+        fir_only, cfg, {"tone_a": freq_a, "tone_b": freq_b}, skip=order)
     if not all(result.converged):
         raise fastica.ConvergenceError(
             f"unmixing did not converge (iterations {result.iterations})")
-    tones = (freq_a, freq_b)
-    rate = fir_only.sample_rate
-    # Keep only the tone bands: full-length spectra would outlive their use.
-    branch_bands = [spectrum[:, metrics.tone_band(fir_only.length, rate, freq)]
-                    for freq in tones]
-    del spectrum
 
     # Tones carry no DC: pin each output mean to zero exactly, then
     # normalize to unit peak.

@@ -31,6 +31,12 @@ searched on the whole record from the same start. The last deflation
 unit is fixed by the accepted rows: one update, no kick. Iteration
 counts include every update: block, polish, verification, fallback.
 
+Identification also reads only the leading 2^15-sample block: a
+component's dominant frequency needs bins of rate / 2^15 (244 Hz at
+8 MHz), far finer than any carrier spacing, and a strided subsample
+would again alias the carriers. Records of at most one block identify
+from all their samples.
+
 Each update streams the record: both expectations are sums over
 2^14-sample chunks, accumulated in order and divided by N once, so no
 temporary is longer than a chunk. A record of at most one chunk gets
@@ -534,20 +540,15 @@ def separate(
     cfg: FastIcaConfig,
     expected: dict[str, float],
     skip: int = 0,
-    spectrum: np.ndarray | None = None,
 ) -> tuple[MultichannelSignal, SeparationResult, WhiteningTransform]:
     """The separation stage: whiten, fit, unmix, identify.
 
     Whitening and the fit see signal.data[:, skip:] only (skip drops a
-    startup transient); unmixing and identification cover the whole
-    record. Returns (corrected, result, transform); corrected holds the
-    expected carriers in order and result the identified assignment.
+    startup transient); unmixing covers the whole record, and
+    identification reads its leading block (see identify_components).
+    Returns (corrected, result, transform); corrected holds the expected
+    carriers in order and result the identified assignment.
     Non-convergence is recorded in result.converged, never raised.
-
-    A caller that already has the rfft of signal's rows passes it as
-    spectrum. The components are w_full times the centered record, so
-    above DC, the only bins identification reads, their spectra are
-    w_full @ spectrum, and the components are not transformed again.
     """
     if not 0 <= skip < signal.length:
         raise ValueError(f"skip must be in [0, {signal.length}), got {skip}")
@@ -556,28 +557,24 @@ def separate(
         signal.with_data(signal.data[:, skip:]) if skip else signal)
     result = fit(whitened, cfg, transform)
     components = unmix(signal, result, transform)
-    assignment = identify_components(
-        components, expected, spectrum, None if spectrum is None else result.w_full)
+    assignment = identify_components(components, expected)
     return assignment.apply(components), result.with_assignment(assignment), transform
 
 
 def identify_components(
     components: MultichannelSignal,
     expected: dict[str, float],
-    spectrum: np.ndarray | None = None,
-    mixing: np.ndarray | None = None,
 ) -> Assignment:
     """Match separated components to expected carrier frequencies.
 
-    Each component's dominant frequency comes from an FFT peak; each
-    expected carrier takes the component whose peak is nearest. A caller
-    that has the components' rfft passes it as spectrum; its DC bin is
-    never read, so any spectrum equal above DC will do. A caller that
-    has the rfft of the rows a matrix maps to the components passes that
-    as spectrum and the matrix as mixing; the components' bins are then
-    formed a chunk of bins at a time, never all at once. Signs
-    are fixed so that the demodulated phase at the start of the record
-    falls in (-pi/2, pi/2], matching the phase convention of the
+    Each component's dominant frequency is its first largest rfft bin
+    above DC over the leading _BLOCK samples (the block fit() settles
+    on), or the whole record when it is shorter; each expected carrier
+    takes the component whose peak is nearest. The bin width rate/_BLOCK
+    is far finer than any carrier spacing, and the leading block, not a
+    strided subsample, is read because striding aliases the carriers.
+    Signs are fixed so that the demodulated phase at the start of the
+    record falls in (-pi/2, pi/2], matching the phase convention of the
     demodulation stage. Two carriers claiming the same component raise
     IdentificationError.
     """
@@ -592,18 +589,10 @@ def identify_components(
     if len(set(freqs)) != len(freqs):
         raise ValueError("expected carrier frequencies must be distinct")
 
-    if mixing is not None and (np.ndim(mixing) != 2 or len(mixing) != components.channels
-                               or spectrum is None):
-        raise ValueError(f"mixing of shape {np.shape(mixing)} must map the rows of "
-                         f"spectrum onto the {components.channels} components")
-    rows = components.channels if mixing is None else np.shape(mixing)[1]
-    if spectrum is None:
-        spectrum = np.fft.rfft(components.data, axis=1)
-    elif np.shape(spectrum) != (rows, components.length // 2 + 1):
-        raise ValueError(f"spectrum shape {np.shape(spectrum)} does not match the "
-                         f"rfft of {rows} x {components.length} samples")
-    bin_hz = components.sample_rate / components.length
-    peak_freq = _peak_bins(spectrum, mixing) * bin_hz
+    block = components.data[:, :_BLOCK]
+    magnitude = np.abs(np.fft.rfft(block, axis=1))
+    magnitude[:, 0] = 0.0  # a component peaks at DC only if it has nothing above
+    peak_freq = np.argmax(magnitude, axis=1) * (components.sample_rate / block.shape[1])
 
     labels: list[str] = []
     perm: list[int] = []
@@ -625,24 +614,3 @@ def identify_components(
         perm.append(idx)
         signs.append(1 if -0.5 * math.pi < phase0 <= 0.5 * math.pi else -1)
     return Assignment(labels=tuple(labels), perm=tuple(perm), signs=tuple(signs))
-
-
-def _peak_bins(spectrum: np.ndarray, mixing: np.ndarray | None) -> np.ndarray:
-    """Each component's first bin of largest magnitude above DC.
-
-    The components' bins are spectrum's rows, or mixing @ spectrum's,
-    formed _CHUNK bins at a time. A component never peaks at its DC
-    residue unless it has no energy above DC.
-    """
-    rows = np.arange(spectrum.shape[0] if mixing is None else mixing.shape[0])
-    top = np.zeros(rows.size)
-    peak = np.zeros(rows.size, dtype=np.intp)
-    for start in range(1, spectrum.shape[1], _CHUNK):
-        block = spectrum[:, start:start + _CHUNK]
-        magnitude = np.abs(block if mixing is None else mixing @ block)
-        index = np.argmax(magnitude, axis=1)
-        best = magnitude[rows, index]
-        higher = best > top  # strict: an earlier chunk keeps a tie
-        top[higher] = best[higher]
-        peak[higher] = start + index[higher]
-    return peak

@@ -45,6 +45,9 @@ VIBRATION_COMPONENTS = ((313.0, 2.0), (727.0, 1.2), (1499.0, 0.6))
 SHOT_RAMP_BREAKPOINTS = (0.1, 0.3, 0.7, 0.9)
 SHOT_RAMP_PLATEAU_RAD = 2.0
 
+# Entries per finite check: the check's mask never outgrows one chunk.
+_FINITE_CHUNK = 2**16
+
 
 class Adopted(NamedTuple):
     """An array icdx has just allocated and holds the only reference to.
@@ -55,6 +58,13 @@ class Adopted(NamedTuple):
     """
 
     array: np.ndarray
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether a C-ordered array is finite, checked _FINITE_CHUNK entries at a time."""
+    flat = arr.reshape(-1)
+    return all(np.isfinite(flat[start:start + _FINITE_CHUNK]).all()
+               for start in range(0, flat.size, _FINITE_CHUNK))
 
 
 def own_arrays(obj, **ndims: int) -> None:
@@ -74,7 +84,7 @@ def own_arrays(obj, **ndims: int) -> None:
             arr = np.array(value, dtype=np.float64, order="C")
         if arr.ndim != ndim:
             raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError(f"{name} must be finite")
         arr.flags.writeable = False
         object.__setattr__(obj, name, arr)

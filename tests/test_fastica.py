@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icdx
-from icdx.fastica import _CHUNK, _peak_bins, _update
+from icdx.fastica import _BLOCK, _CHUNK, _update
 
 from helpers import (
     CARRIER_1,
@@ -521,66 +521,83 @@ def test_identify_components_swap_and_sign():
 
 
 @pytest.mark.parametrize("coupling", [None, np.array([[0.3, 1.0], [1.0, -0.4]])])
-def test_separate_with_the_input_spectrum_identifies_alike(coupling):
-    # Identification reads w_full @ rfft(input) in place of the component
-    # spectra: equal above DC, so the same assignment and the same output.
-    mixed = scenario_pair(n=2**15, coupling=coupling, snr_db=30.0)[3]
+def test_separate_is_identify_after_unmix(coupling):
+    # The stage is its layers in order: the same assignment, the same bytes.
+    mixed = scenario_pair(n=2**16, coupling=coupling, snr_db=30.0)[3]
     expected = {"ch1": CARRIER_1, "ch2": CARRIER_2}
     cfg = icdx.FastIcaConfig(seed=0)
     corrected, result, _ = icdx.separate(mixed, cfg, expected)
-    shared, shared_result, _ = icdx.separate(
-        mixed, cfg, expected, spectrum=np.fft.rfft(mixed.data, axis=1))
-    assert shared_result.assignment == result.assignment
-    assert np.array_equal(shared.data, corrected.data)
-    with pytest.raises(ValueError, match="spectrum"):
-        icdx.separate(mixed, cfg, expected, spectrum=np.fft.rfft(mixed.data[:, 1:], axis=1))
+    whitened, transform = icdx.whiten(mixed)
+    components = icdx.unmix(mixed, icdx.fit(whitened, cfg, transform), transform)
+    assignment = icdx.identify_components(components, expected)
+    assert result.assignment == assignment
+    assert np.array_equal(corrected.data, assignment.apply(components).data)
 
 
-def _full_product_peaks(spectrum: np.ndarray) -> np.ndarray:
-    """Each row's first largest |bin| with DC zeroed, over the whole spectrum at once."""
-    magnitude = np.abs(spectrum)
-    magnitude[:, 0] = 0.0
-    return np.argmax(magnitude, axis=1)
+def _whole_record_perm(components: icdx.MultichannelSignal, expected: dict) -> tuple:
+    """The component each carrier takes when peaks come from the whole record.
+
+    Each peak is the first largest rfft bin above DC; a carrier takes the
+    component whose peak is nearest, and two carriers on one component
+    raise. Signs read the leading samples whatever the peak rule, so the
+    permutation is all the rule decides.
+    """
+    magnitude = np.abs(np.fft.rfft(components.data, axis=1))[:, 1:]
+    peaks = (1 + np.argmax(magnitude, axis=1)) * (components.sample_rate / components.length)
+    perm = tuple(int(np.argmin(np.abs(peaks - freq))) for freq in expected.values())
+    if len(set(perm)) != len(perm):
+        raise icdx.IdentificationError("both match")
+    return perm
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.one_of(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1]),
+                 st.integers(2**12, 2**18)),
+       st.floats(0.0, 0.9), st.floats(0.0, 0.9), st.floats(20.0, 60.0),
+       st.integers(0, 2**16))
+def test_block_identification_matches_the_whole_record(n, c12, c21, snr_db, seed):
+    coupling = np.array([[1.0, c12], [c21, 1.0]])
+    mixed = scenario_pair(n=n, coupling=coupling, snr_db=snr_db, noise_seed=seed)[3]
+    whitened, transform = icdx.whiten(mixed)
+    result = icdx.fit(whitened, icdx.FastIcaConfig(seed=seed), transform)
+    components = icdx.unmix(mixed, result, transform)
+    expected = {"ch1": CARRIER_1, "ch2": CARRIER_2}
+    assert (icdx.identify_components(components, expected).perm
+            == _whole_record_perm(components, expected))
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(1, 3 * _CHUNK + 3), st.integers(1, 3), st.booleans(),
-       st.integers(0, 2**32 - 1))
-def test_peak_search_over_bin_chunks_matches_the_full_product(bins, rows, empty, seed):
-    # The chunked search keeps the first maximum, as argmax over all bins does,
-    # also for a tie between chunks and for a spectrum empty above DC. The tied
-    # bins are powers of two, so every product rounds the same way. The DC
-    # bin, the largest, is never a peak.
+@given(st.integers(2, _BLOCK), st.integers(0, 2**32 - 1))
+def test_records_within_one_block_identify_from_every_sample(n, seed):
+    # Random components: the same peaks, so the same permutation or the same
+    # collision.
     rng = np.random.default_rng(seed)
-    spectrum = rng.standard_normal((2, bins)) + 1j * rng.standard_normal((2, bins))
-    spectrum[:, 0] = 1e6
-    mixing = rng.uniform(-1.0, 1.0, (rows, 2))
-    if bins > _CHUNK + 1:
-        spectrum[:, [1 + int(rng.integers(_CHUNK)), bins - 1]] = 1024.0 + 1024.0j
-    if empty:
-        spectrum[:, 1:] = 0.0
-    expected = _full_product_peaks(mixing @ spectrum)
-    assert np.array_equal(_peak_bins(spectrum, mixing), expected)
-    assert np.array_equal(_peak_bins(mixing @ spectrum, None), expected)
+    components = icdx.MultichannelSignal(rng.standard_normal((2, n)), RATE)
+    expected = {"a": float(rng.uniform(0.1e6, 3.9e6)), "b": float(rng.uniform(0.1e6, 3.9e6))}
+    try:
+        reference = _whole_record_perm(components, expected)
+    except icdx.IdentificationError:
+        with pytest.raises(icdx.IdentificationError, match="both match"):
+            icdx.identify_components(components, expected)
+    else:
+        assert icdx.identify_components(components, expected).perm == reference
 
 
-def test_identify_with_mixing_matches_the_mapped_spectrum():
-    mixed = scenario_pair(n=2**16, snr_db=30.0)[3]
-    whitened, transform = icdx.whiten(mixed)
-    result = icdx.fit(whitened, icdx.FastIcaConfig(seed=0), transform)
-    components = icdx.unmix(mixed, result, transform)
+def test_identification_reads_only_the_leading_block():
+    # A foreign tone far stronger than both carriers, added only after the
+    # leading block, makes the whole-record rule collide and changes nothing.
+    n = 2**17
+    clean = two_tone_clean(n)
+    components = icdx.MultichannelSignal(np.vstack([clean.data[1], -clean.data[0]]), RATE)
     expected = {"ch1": CARRIER_1, "ch2": CARRIER_2}
-    spectrum = mixed.spectrum()
-    assignment = icdx.identify_components(components, expected, spectrum, result.w_full)
-    assert assignment == icdx.identify_components(
-        components, expected, result.w_full @ spectrum)
+    tone = np.zeros(n)
+    tone[_BLOCK:] = 100.0 * np.sin(2.0 * np.pi * 3.3e6 * np.arange(_BLOCK, n) / RATE)
+    loud = components.with_data(components.data + tone)
+    with pytest.raises(icdx.IdentificationError):
+        _whole_record_perm(loud, expected)
+    assignment = icdx.identify_components(loud, expected)
     assert assignment == icdx.identify_components(components, expected)
-    with pytest.raises(ValueError, match="mixing"):
-        icdx.identify_components(components, expected, mixing=result.w_full)
-    with pytest.raises(ValueError, match="mixing"):
-        icdx.identify_components(components, expected, spectrum, result.w_full[:1])
-    with pytest.raises(ValueError, match="spectrum"):
-        icdx.identify_components(components, expected, spectrum[:1], result.w_full)
+    assert assignment.perm == (1, 0) and assignment.signs == (-1, 1)
 
 
 def test_identify_components_collision_raises():

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,20 @@ def test_raw_round_trip_across_the_frame_chunks(tmp_path, channels, n):
     loaded = icdx.read_signal(path)
     assert np.array_equal(loaded.data, original.data)
     assert not loaded.data.flags.writeable and loaded.data.flags.c_contiguous
+
+
+def test_raw_read_peaks_at_the_record_plus_chunks(tmp_path):
+    # Past the record itself the reader holds one 2^16-frame buffer (1 MB
+    # here) and the finite check a mask of 2^16 entries, not of the record.
+    path = tmp_path / "sig.bin"
+    icdx.write_signal(path, _signal(2, 2**20))
+    tracemalloc.start()
+    try:
+        loaded = icdx.read_signal(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < loaded.data.nbytes + 2**20 + 2**19
 
 
 def test_csv_round_trip_exact(tmp_path):

@@ -6,9 +6,11 @@ counting wrappers the same way and check that each entry point into the
 separation stage calls every layer exactly once, so no layer is called
 through a name bound at import time, and none is called twice. The
 diplexer's FIR split is counted too: a diplex run splits its composite
-once. Spectral work is counted the same way on numpy: `icdx unmix` takes
-one rfft per input channel and no other, and `icdx diplex` one per FIR
-branch, for identification and all four residuals, and builds no window.
+once. Spectral work is counted the same way on numpy, by input shape:
+`icdx unmix` takes one full-length rfft per input channel for its four
+depths and `icdx diplex` one per FIR branch for its four residuals;
+identification adds one rfft of the components' leading block (at most
+2^15 samples); nothing else is transformed and no window is built.
 """
 
 import collections
@@ -18,6 +20,7 @@ import pytest
 
 import icdx
 from icdx.cli import main
+from icdx.fastica import _BLOCK
 
 from helpers import CARRIER_1, CARRIER_2, scenario_pair
 
@@ -31,12 +34,12 @@ ONCE = {name: 1 for _, name in LAYERS}
 DIPLEX_ONCE = {**ONCE, "fir_split": 1}
 
 
-def _count(monkeypatch, targets):
+def _count(monkeypatch, targets, key=lambda name, args: name):
     counts = collections.Counter()
 
     def counting(name, original):
         def counted(*args, **kwargs):
-            counts[name] += 1
+            counts[key(name, args)] += 1
             return original(*args, **kwargs)
         return counted
 
@@ -52,7 +55,14 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def numpy_calls(monkeypatch):
-    return _count(monkeypatch, ((np.fft, "rfft"), (np, "hanning")))
+    """Calls of np.fft.rfft and np.hanning, keyed by name and first argument's shape."""
+    return _count(monkeypatch, ((np.fft, "rfft"), (np, "hanning")),
+                  key=lambda name, args: (name, np.shape(args[0])))
+
+
+def _spectral_pass(n: int) -> dict:
+    """One full-length rfft per channel plus identification's block rfft."""
+    return {("rfft", (n,)): 2, ("rfft", (2, min(n, _BLOCK))): 1}
 
 
 def test_separate_calls_each_layer_once(calls):
@@ -62,13 +72,14 @@ def test_separate_calls_each_layer_once(calls):
 
 
 def test_cli_unmix_calls_each_layer_once(calls, numpy_calls, tmp_path):
-    assert main(["gen", "--out-dir", str(tmp_path), "--samples", "16384"]) == 0
+    n = 2 * _BLOCK  # identification reads only the leading half
+    assert main(["gen", "--out-dir", str(tmp_path), "--samples", str(n)]) == 0
     calls.clear()
     numpy_calls.clear()
     assert main(["unmix", "--in", str(tmp_path / "mixed.bin"),
                  "--out-dir", str(tmp_path)]) == 0
     assert calls == ONCE
-    assert numpy_calls == {"rfft": 2}
+    assert numpy_calls == _spectral_pass(n)
 
 
 def test_diplex_calls_each_layer_once(calls):
@@ -80,7 +91,7 @@ def test_diplex_calls_each_layer_once(calls):
 
 
 def test_cli_diplex_splits_once(calls, numpy_calls, tmp_path):
-    assert main(["diplex", "--out-dir", str(tmp_path), "--diplex-samples", "16384"]) == 0
+    n = _BLOCK // 2  # shorter than the block: identification reads it all
+    assert main(["diplex", "--out-dir", str(tmp_path), "--diplex-samples", str(n)]) == 0
     assert calls == DIPLEX_ONCE
-    assert numpy_calls["rfft"] == 2
-    assert numpy_calls["hanning"] == 0
+    assert numpy_calls == _spectral_pass(n)

@@ -7,7 +7,7 @@ import pytest
 
 import icdx
 from icdx.cli import RunConfig
-from icdx.signalgen import SHOT_RAMP_PLATEAU_RAD, VIBRATION_COMPONENTS
+from icdx.signalgen import _FINITE_CHUNK, SHOT_RAMP_PLATEAU_RAD, VIBRATION_COMPONENTS
 
 from helpers import RATE
 
@@ -267,3 +267,13 @@ def test_value_types_reject_non_finite_arrays(kind, name, bad):
     arrays[name].reshape(-1)[0] = bad
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         build(**arrays)
+
+
+@pytest.mark.parametrize("index", [0, _FINITE_CHUNK - 1, _FINITE_CHUNK, 2 * _FINITE_CHUNK + 5])
+def test_finite_check_reaches_every_chunk(index):
+    # The check masks _FINITE_CHUNK entries at a time: a bad entry first,
+    # on either side of a chunk edge, or last is still found.
+    data = np.zeros((2, _FINITE_CHUNK + 3))
+    data.reshape(-1)[index] = np.nan
+    with pytest.raises(ValueError, match="data must be finite"):
+        icdx.MultichannelSignal(data, RATE)
