@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fastica, metrics
-from .signalgen import MultichannelSignal, as_channel, own_arrays
+from .signalgen import Adopted, MultichannelSignal, as_channel, own_arrays
 
 __all__ = [
     "FirFilter",
@@ -165,12 +165,12 @@ def fir_split(
     if order + 1 > channel.size:
         raise ValueError(
             f"signal length {channel.size} shorter than filter ({order + 1} taps)")
-    branches = []
-    for freq in (freq_a, freq_b):
+    branches = np.empty((2, channel.size))
+    for row, freq in zip(branches, (freq_a, freq_b)):
         fir = design_fir_bandpass(
             order, freq * (1.0 - band_frac), freq * (1.0 + band_frac), rate)
-        branches.append(filter_signal(channel, fir, rate))
-    return MultichannelSignal(np.vstack(branches), rate)
+        row[:] = filter_signal(channel, fir, rate)
+    return MultichannelSignal(Adopted(branches), rate)
 
 
 def diplex(
@@ -221,12 +221,14 @@ def diplex(
             f"unmixing did not converge (iterations {result.iterations})")
 
     # Tones carry no DC: pin each output mean to zero exactly, then
-    # normalize to unit peak.
+    # normalize to unit peak, in place on the one centered copy.
     data = separated.data - separated.data.mean(axis=1, keepdims=True)
-    peaks = np.max(np.abs(data), axis=1)
+    del separated
+    peaks = np.maximum(data.max(axis=1), -data.min(axis=1))
     if np.any(peaks == 0.0):
         raise fastica.ConvergenceError("separated component is identically zero")
-    cleaned = separated.with_data(data / peaks[:, None])
+    data /= peaks[:, None]
+    cleaned = MultichannelSignal(Adopted(data), rate)
 
     # The cleaned channels are this fixed map of the centered branches, so
     # above DC (all the metric reads) their bins are the map of the branches'.

@@ -55,8 +55,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import preprocess
-from .preprocess import WhiteningTransform
-from .signalgen import MultichannelSignal, own_arrays
+from .preprocess import _CHUNK, WhiteningTransform, centered_product
+from .signalgen import Adopted, MultichannelSignal, own_arrays
 
 __all__ = [
     "CONTRASTS",
@@ -86,8 +86,6 @@ _STABLE_MATCH = 1.0 - 1e-5
 _MAX_ESCAPES = 3
 # Leading samples a unit settles on before its full-record polish.
 _BLOCK = 2**15
-# Samples per partial sum of the fixed-point update (its temporaries' length).
-_CHUNK = 2**14
 
 _SIGN_WINDOW = 256  # leading samples whose phase fixes each identified sign
 
@@ -532,7 +530,7 @@ def unmix(
         raise ValueError(
             f"signal has {signal.channels} channels, result has {result.channels}")
     w_full = result.assignment.apply_rows(result.w @ transform.whitener)
-    return signal.with_data(w_full @ (signal.data - transform.mean[:, None]))
+    return signal.with_data(Adopted(centered_product(w_full, signal.data, transform.mean)))
 
 
 def separate(
@@ -541,11 +539,12 @@ def separate(
     expected: dict[str, float],
     skip: int = 0,
 ) -> tuple[MultichannelSignal, SeparationResult, WhiteningTransform]:
-    """The separation stage: whiten, fit, unmix, identify.
+    """The separation stage: whiten, fit, identify, unmix.
 
     Whitening and the fit see signal.data[:, skip:] only (skip drops a
-    startup transient); unmixing covers the whole record, and
-    identification reads its leading block (see identify_components).
+    startup transient). Identification reads the fitted components on the
+    leading block only (see identify_components), and unmixing then makes
+    the one full-record product, with the identified assignment folded in.
     Returns (corrected, result, transform); corrected holds the expected
     carriers in order and result the identified assignment.
     Non-convergence is recorded in result.converged, never raised.
@@ -556,9 +555,11 @@ def separate(
     whitened, transform = preprocess.whiten(
         signal.with_data(signal.data[:, skip:]) if skip else signal)
     result = fit(whitened, cfg, transform)
-    components = unmix(signal, result, transform)
-    assignment = identify_components(components, expected)
-    return assignment.apply(components), result.with_assignment(assignment), transform
+    del whitened
+    block = centered_product(result.w_full, signal.data[:, :_BLOCK], transform.mean)
+    assignment = identify_components(signal.with_data(Adopted(block)), expected)
+    result = result.with_assignment(assignment)
+    return unmix(signal, result, transform), result, transform
 
 
 def identify_components(

@@ -19,7 +19,7 @@ the tokens neg-inf / pos-inf, never as bare floats.
 
 from __future__ import annotations
 
-import io
+import itertools
 import math
 import os
 import struct
@@ -47,7 +47,8 @@ MAGIC = b"ICDX"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIQd")
 HEADER_SIZE = 64
-# Rows per %-format in the CSV writer: its Python floats and text are O(chunk).
+# Rows per %-format in the CSV writer and per parse in the reader: their
+# Python floats, text and parsed tables are O(chunk).
 _CSV_CHUNK_ROWS = 8192
 # Frames per readinto or write of raw samples: the interleaved copy is O(chunk).
 _RAW_CHUNK_FRAMES = 2**16
@@ -153,44 +154,75 @@ def _write_csv(path: Path, signal: MultichannelSignal) -> None:
 
 
 def _read_csv(path: Path) -> tuple[np.ndarray, float]:
+    """(channel-major samples, rate); the samples are a fresh array no one else holds.
+
+    The rows after the header are counted first, then parsed
+    _CSV_CHUNK_ROWS lines at a time into one array of that many columns,
+    so the scratch memory is O(chunk), not a copy of the file.
+    """
     rate = None
-    header_index = None
     with open(path, "r") as fh:
-        lines = fh.readlines()
-    for i, line in enumerate(lines):
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            body = text.lstrip("#").strip()
-            if body.startswith("sample_rate_hz"):
-                _, _, token = body.partition("=")
-                try:
-                    rate = float(token.strip())
-                except ValueError as exc:
-                    raise FormatError(f"{path}: bad sample_rate_hz comment") from exc
-            continue
-        if text.startswith("t,"):
-            header_index = i
-            break
-        raise FormatError(f"{path}: line {i + 1} is neither comment nor header")
-    if header_index is None:
-        raise FormatError(f"{path}: missing 't,ch0,...' header row")
-    body = "".join(lines[header_index + 1:])
-    try:
-        table = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed numeric row: {exc}") from exc
-    if table.shape[1] < 2:
+        lineno = 0
+        while True:
+            line = fh.readline()
+            if not line:
+                raise FormatError(f"{path}: missing 't,ch0,...' header row")
+            lineno += 1
+            text = line.strip()
+            if not text:
+                continue
+            if text.startswith("#"):
+                body = text.lstrip("#").strip()
+                if body.startswith("sample_rate_hz"):
+                    _, _, token = body.partition("=")
+                    try:
+                        rate = float(token.strip())
+                    except ValueError as exc:
+                        raise FormatError(f"{path}: bad sample_rate_hz comment") from exc
+                continue
+            if text.startswith("t,"):
+                break
+            raise FormatError(f"{path}: line {lineno} is neither comment nor header")
+        body_start = fh.tell()
+        capacity, last = 0, "\n"
+        for block in iter(lambda: fh.read(1 << 20), ""):
+            capacity += block.count("\n")
+            last = block[-1]
+        capacity += last != "\n"  # a last line with no newline
+        fh.seek(body_start)
+        data = None
+        rows = 0
+        head_times: list[float] = []
+        while lines := list(itertools.islice(fh, _CSV_CHUNK_ROWS)):
+            try:
+                table = np.loadtxt(lines, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise FormatError(f"{path}: malformed numeric row: {exc} "
+                                  f"(chunk starting at line {lineno + 1})") from exc
+            lineno += len(lines)
+            if not table.shape[0]:
+                continue
+            if data is None:
+                if table.shape[1] < 2:
+                    break
+                data = np.empty((table.shape[1] - 1, capacity))
+            elif table.shape[1] != data.shape[0] + 1:
+                raise FormatError(
+                    f"{path}: malformed numeric row: the number of columns changed "
+                    f"from {data.shape[0] + 1} to {table.shape[1]} before line {lineno + 1}")
+            data[:, rows:rows + table.shape[0]] = table[:, 1:].T
+            rows += table.shape[0]
+            head_times.extend(table[:2 - len(head_times), 0].tolist())
+    if data is None:
         raise FormatError(f"{path}: need a time column plus at least one channel")
     if rate is None:
-        if table.shape[0] < 2:
+        if rows < 2:
             raise FormatError(f"{path}: cannot infer sample rate from one row")
-        dt = table[1, 0] - table[0, 0]
+        dt = head_times[1] - head_times[0]
         if dt <= 0:
             raise FormatError(f"{path}: non-increasing time column")
         rate = 1.0 / dt
-    return table[:, 1:].T, rate
+    return data[:, :rows], rate
 
 
 def format_matrix(mat: np.ndarray) -> str:

@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .signalgen import as_channel
+from .signalgen import _all_finite, as_channel
 
 __all__ = [
     "best_fit_scale",
@@ -41,7 +41,7 @@ def _series(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError(f"{name} must be a 1-D series with at least 2 samples")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError(f"{name} must be finite")
     return arr
 

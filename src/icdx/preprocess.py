@@ -8,6 +8,11 @@ The eigenpairs come from numpy.linalg.eigh (LAPACK's symmetric
 solver, which reads the lower triangle); eigendecompose() adds the
 input checks, the descending order and a sign rule that make the
 decomposition deterministic.
+
+Every pass over the record runs _CHUNK samples at a time: the Gram
+matrix and the centering check's sums are accumulated chunk by chunk,
+and centered_product() writes M @ (X - offset) into one fresh array,
+so no centered copy of the record is ever made.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signalgen import MultichannelSignal, own_arrays
+from .signalgen import Adopted, MultichannelSignal, own_arrays
 
 __all__ = [
     "RankDeficientError",
@@ -30,6 +35,8 @@ __all__ = [
 _MEAN_TOL = 1e-8  # covariance(): largest channel mean, relative to its RMS
 _SYM_TOL = 1e-10  # eigendecompose(): largest |A - A.T|, relative to |A|
 _RANK_FLOOR = 1e-12  # whiten(): eigenvalue floor, relative to the largest
+# Samples per step of every pass over a record (its temporaries' length).
+_CHUNK = 2**14
 
 
 class RankDeficientError(ValueError):
@@ -47,22 +54,46 @@ def center(signal: MultichannelSignal) -> tuple[MultichannelSignal, np.ndarray]:
     return signal.with_data(signal.data - mean[:, None]), mean
 
 
-def covariance(signal: MultichannelSignal) -> np.ndarray:
-    """Sample covariance (1/N normalization) of a centered signal.
+def centered_product(matrix: np.ndarray, data: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """matrix @ (data - offset[:, None]) as a fresh array, _CHUNK samples at a time."""
+    out = np.empty((matrix.shape[0], data.shape[1]))
+    for start in range(0, data.shape[1], _CHUNK):
+        stop = start + _CHUNK
+        np.matmul(matrix, data[:, start:stop] - offset[:, None], out=out[:, start:stop])
+    return out
 
-    Rejects visibly uncentered input: each channel mean must be below
-    1e-8 of its RMS (_MEAN_TOL).
+
+def _covariance(data: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Covariance of data - offset[:, None], summed _CHUNK samples at a time.
+
+    Rejects visibly uncentered input: each channel mean of data - offset
+    must be below 1e-8 of its RMS (_MEAN_TOL).
     """
-    data = signal.data
-    rms = np.sqrt(np.mean(data**2, axis=1))
-    mean = data.mean(axis=1)
+    n = data.shape[1]
+    gram = np.zeros((data.shape[0],) * 2)
+    total = np.zeros(data.shape[0])
+    for start in range(0, n, _CHUNK):
+        block = data[:, start:start + _CHUNK] - offset[:, None]
+        gram += block @ block.T
+        total += block.sum(axis=1)
+    mean = total / n
+    rms = np.sqrt(np.diag(gram) / n)
     limit = _MEAN_TOL * np.maximum(rms, np.finfo(np.float64).tiny)
     if np.any(np.abs(mean) > limit):
         worst = int(np.argmax(np.abs(mean) / limit))
         raise ValueError(
             f"channel {worst} mean {mean[worst]:.3e} exceeds centering tolerance; "
             "call center() first")
-    return (data @ data.T) / data.shape[1]
+    return gram / n
+
+
+def covariance(signal: MultichannelSignal) -> np.ndarray:
+    """Sample covariance (1/N normalization) of a centered signal.
+
+    Rejects visibly uncentered input: each channel mean must be below
+    1e-8 of its RMS (_MEAN_TOL).
+    """
+    return _covariance(signal.data, np.zeros(signal.channels))
 
 
 def eigendecompose(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +163,8 @@ class WhiteningTransform:
     def apply(self, signal: MultichannelSignal) -> MultichannelSignal:
         """Center with the stored means, then whiten."""
         self._check(signal)
-        return signal.with_data(self.whitener @ (signal.data - self.mean[:, None]))
+        return signal.with_data(
+            Adopted(centered_product(self.whitener, signal.data, self.mean)))
 
     def restore(self, signal: MultichannelSignal) -> MultichannelSignal:
         """Invert apply(): dewhiten and re-add the stored means."""
@@ -154,14 +186,15 @@ class WhiteningTransform:
 def whiten(signal: MultichannelSignal) -> tuple[MultichannelSignal, WhiteningTransform]:
     """PCA-whiten a multichannel signal.
 
-    Centers the data, eigendecomposes the covariance, and rescales the
-    principal components to unit variance. Eigenvalues at or below
+    Eigendecomposes the covariance about the channel means and rescales
+    the principal components to unit variance; the whitened record is
+    the one array this makes (no centered copy). Eigenvalues at or below
     1e-12 (_RANK_FLOOR) times the largest eigenvalue raise RankDeficientError:
     such directions carry no usable signal and would amplify noise
     without bound.
     """
-    centered, mean = center(signal)
-    sigma = covariance(centered)
+    mean = signal.data.mean(axis=1)
+    sigma = _covariance(signal.data, mean)
     eigvecs, eigvals = eigendecompose(sigma)
     floor = _RANK_FLOOR * eigvals[0]
     if eigvals[0] <= 0.0 or np.any(eigvals <= floor):
@@ -174,4 +207,4 @@ def whiten(signal: MultichannelSignal) -> tuple[MultichannelSignal, WhiteningTra
     transform = WhiteningTransform(
         mean=mean, eigvecs=eigvecs, eigvals=eigvals,
         whitener=whitener, dewhitener=dewhitener)
-    return centered.with_data(whitener @ centered.data), transform
+    return signal.with_data(Adopted(centered_product(whitener, signal.data, mean))), transform

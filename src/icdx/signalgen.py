@@ -61,7 +61,7 @@ class Adopted(NamedTuple):
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    """Whether a C-ordered array is finite, checked _FINITE_CHUNK entries at a time."""
+    """Whether a C-ordered or 1-D array is finite, checked _FINITE_CHUNK entries at a time."""
     flat = arr.reshape(-1)
     return all(np.isfinite(flat[start:start + _FINITE_CHUNK]).all()
                for start in range(0, flat.size, _FINITE_CHUNK))
@@ -210,7 +210,7 @@ def as_channel(signal, sample_rate: float | None) -> tuple[np.ndarray, float]:
         raise ValueError(f"expected a 1-D array, got shape {arr.shape}")
     if sample_rate is None:
         raise ValueError("sample_rate is required with a bare array input")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError(f"channel must be finite, sample {np.argmin(np.isfinite(arr))} is not")
     return arr, float(sample_rate)
 

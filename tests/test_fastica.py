@@ -429,19 +429,38 @@ def test_record_of_one_chunk_fits_bit_identically(n, ortho, monkeypatch):
     assert np.array_equal(result.w, reference.w)
 
 
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("ortho", ["deflation", "symmetric"])
 def test_fit_temporaries_are_chunk_sized(ortho):
     # At 2^18 samples one record-length temporary is 2 MB; the update makes none.
     mixed = scenario_pair("shot-ramp", n=2**18, snr_db=30.0)[3]
     whitened, transform = icdx.whiten(mixed)
     cfg = icdx.FastIcaConfig(seed=0, ortho=ortho)
-    tracemalloc.start()
-    try:
-        icdx.fit(whitened, cfg, transform)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert _traced_peak(lambda: icdx.fit(whitened, cfg, transform)) < 2 * 2**20
+
+
+def test_separation_stage_allocates_one_record_per_stage():
+    # At 2^18 x 2 one record is 4 MB. whiten and unmix each make their
+    # output and chunk-sized temporaries only; separate drops the whitened
+    # record before its one full-record product.
+    mixed = scenario_pair("shot-ramp", n=2**18, snr_db=30.0)[3]
+    record = mixed.data.nbytes
+    cfg = icdx.FastIcaConfig(seed=0)
+    whitened, transform = icdx.whiten(mixed)
+    result = icdx.fit(whitened, cfg, transform)
+    del whitened
+    assert _traced_peak(lambda: icdx.whiten(mixed)) <= record + 2**20
+    assert _traced_peak(lambda: icdx.unmix(mixed, result, transform)) <= record + 2**20
+    expected = {"ch1": CARRIER_1, "ch2": CARRIER_2}
+    assert _traced_peak(lambda: icdx.separate(mixed, cfg, expected)) <= record + 2 * 2**20
 
 
 def test_fit_whitened_input_enforced():

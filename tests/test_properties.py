@@ -5,7 +5,8 @@ reference: numpy.unwrap, a per-row permutation loop, a brute-force set
 of lost decimated indices, a decomposition built to have a known
 least-squares answer, the step-by-step form of a fused product, the
 full-rate convolution, the complex-FFT envelope, an explicitly windowed
-periodic-Hann spectrum, rfftfreq's band mask, or np.savetxt. The
+periodic-Hann spectrum, rfftfreq's band mask, np.savetxt or np.loadtxt,
+or a one-shot product or Gram matrix of the whole record. The
 linear-algebra properties check the defining equations instead: a
 matrix rebuilt from its eigenpairs, the polar factor's orthonormality
 and symmetric positive semidefinite remainder, whiten() undone by
@@ -28,7 +29,8 @@ import icdx
 from icdx.cli import _mask_lost
 from icdx.demod import _BLOCK, _overlap_save
 from icdx.fastica import _orthonormalize
-from icdx.fileio import _CSV_CHUNK_ROWS, _write_csv, format_matrix, parse_matrix
+from icdx.fileio import _CSV_CHUNK_ROWS, _read_csv, _write_csv, format_matrix, parse_matrix
+from icdx.preprocess import _CHUNK, centered_product
 
 from helpers import (CARRIER_1, CARRIER_2, RATE, hann_band_power_db, same_residual,
                      scenario_pair)
@@ -368,6 +370,88 @@ def test_csv_writer_matches_savetxt_across_chunks(tmp_path, rows):
     _write_csv(ours, signal)
     _write_csv_reference(reference, signal)
     assert ours.read_bytes() == reference.read_bytes()
+
+
+def _csv_reference(path):
+    """(channel-major samples, rate) of a CSV signal through one np.loadtxt."""
+    with open(path) as fh:
+        rate = float(fh.readline().partition("=")[2])
+    table = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+    return table[:, 1:].T, rate
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([1, 2, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
+                        2 * _CSV_CHUNK_ROWS + 3]),
+       st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
+def test_csv_reader_matches_loadtxt_across_chunks(rows, channels, seed, trailing_newline):
+    # One row, part of a chunk, a chunk, one row past it; the last line
+    # with or without its newline. Every parsed bit matches.
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((channels, rows)) * 10.0 ** rng.integers(-300, 300)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sig.csv"
+        _write_csv(path, icdx.MultichannelSignal(data, 2.5e6))
+        if not trailing_newline:
+            path.write_bytes(path.read_bytes()[:-1])
+        ours, rate = _read_csv(path)
+        reference, reference_rate = _csv_reference(path)
+    assert rate == reference_rate == 2.5e6
+    assert ours.shape == (channels, rows) and ours.flags.c_contiguous
+    assert np.array_equal(ours, reference)
+
+
+def test_csv_reader_rejects_a_column_change_in_a_later_chunk(tmp_path):
+    path = tmp_path / "ragged.csv"
+    body = "".join(f"{k},1,2\n" for k in range(_CSV_CHUNK_ROWS)) + "9,1\n"
+    path.write_text("t,ch0,ch1\n" + body)
+    with pytest.raises(icdx.FormatError, match="malformed numeric row"):
+        icdx.read_signal(path)
+
+
+_CHUNK_EDGES = [16, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+
+
+def _relative(ours: np.ndarray, reference: np.ndarray) -> float:
+    return float(np.max(np.abs(ours - reference)) / np.max(np.abs(reference)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(_CHUNK_EDGES), st.integers(0, 2**32 - 1))
+def test_chunked_passes_match_one_shot_products(n, seed):
+    # Below, at and past the chunk: the product, whiten's Gram matrix and
+    # every output built from them agree with the one-shot formulas.
+    rng = np.random.default_rng(seed)
+    mixing = rng.uniform(0.5, 1.5, (2, 2)) * np.array([[1.0, 0.6], [0.4, 1.0]])
+    x = mixing @ rng.standard_normal((2, n)) + rng.uniform(-5.0, 5.0, (2, 1))
+    matrix = rng.standard_normal((2, 2))
+    mu = x.mean(axis=1)
+    centered = x - mu[:, None]
+    assert _relative(centered_product(matrix, x, mu), matrix @ centered) <= 1e-13
+
+    gram = centered @ centered.T / n
+    signal = icdx.MultichannelSignal(x, RATE)
+    whitened, transform = icdx.whiten(signal)
+    assert _relative(icdx.covariance(icdx.MultichannelSignal(centered, RATE)), gram) <= 1e-13
+    assert _relative(transform.dewhitener @ transform.dewhitener.T, gram) <= 1e-13
+    assert _relative(whitened.data, transform.whitener @ centered) <= 1e-13
+    applied = transform.apply(signal)
+    assert _relative(applied.data, transform.whitener @ centered) <= 1e-13
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    result = icdx.SeparationResult(
+        w=rotation, iterations=(1, 1), converged=(True, True),
+        assignment=icdx.Assignment(("a", "b"), (1, 0), (-1, 1)))
+    unmixed = icdx.unmix(signal, result, transform)
+    reference = result.assignment.apply_rows(rotation @ transform.whitener @ centered)
+    assert _relative(unmixed.data, reference) <= 1e-13
+
+    # The outputs are locked, and the caller's array is not behind them.
+    outputs = (whitened.data, applied.data, unmixed.data)
+    kept = [out.copy() for out in outputs]
+    assert not any(out.flags.writeable for out in outputs)
+    x[:] = 0.0
+    assert all(np.array_equal(out, copy) for out, copy in zip(outputs, kept))
 
 
 @st.composite
