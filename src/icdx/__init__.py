@@ -32,7 +32,6 @@ from .fastica import (
     contrast_eval,
     contrast_primitive,
     fit,
-    fit_one_unit,
     gaussian_reference,
     identify_components,
     separate,
@@ -40,7 +39,6 @@ from .fastica import (
 )
 from .fileio import ConfigError, FormatError, read_kv, read_signal, write_kv, write_signal
 from .metrics import (
-    best_fit_scale,
     carrier_band,
     cross_tone_residual_db,
     envelope_depth,
@@ -93,7 +91,6 @@ __all__ = [
     "WhiteningTransform",
     "add_awgn",
     "apply_crosstalk",
-    "best_fit_scale",
     "carrier_band",
     "center",
     "contrast_eval",
@@ -109,7 +106,6 @@ __all__ = [
     "filter_signal",
     "fir_split",
     "fit",
-    "fit_one_unit",
     "format_metric_value",
     "gaussian_reference",
     "identify_components",

@@ -135,12 +135,15 @@ class RunConfig:
         self.ica()
         if np.shape(self.coupling) != (2, 2):
             raise ValueError(f"coupling must be 2x2, got {np.shape(self.coupling)}")
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        # pos-inf means no noise; -inf would ask for noise of infinite power.
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must not be NaN or -inf, got {self.snr_db!r}")
         if self.adc_bits != 0 and not (2 <= self.adc_bits <= 24):
             raise ValueError(f"adc_bits must be 0 or in [2, 24], got {self.adc_bits}")
-        if self.adc_full_scale <= 0:
-            raise ValueError(f"adc_full_scale must be positive, got {self.adc_full_scale}")
+        for name in ("adc_full_scale", "diplex_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         low_carrier = min(self.f_het1, self.f_het2)
@@ -521,18 +524,19 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_diplex(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
     if args.input:
-        composite = fileio.read_signal(args.input)
-        if composite.channels != 1:
+        signal = fileio.read_signal(args.input)
+        if signal.channels != 1:
             raise ValueError(
-                f"diplex expects a single-channel composite, got {composite.channels}")
+                f"diplex expects a single-channel composite, got {signal.channels}")
+        composite, rate = signal.data[0], signal.sample_rate
     else:
         t = np.arange(cfg.diplex_samples) / cfg.diplex_rate
-        comp = (np.sin(2.0 * np.pi * cfg.tone_a * t)
-                + np.sin(2.0 * np.pi * cfg.tone_b * t))
-        composite = signalgen.MultichannelSignal(comp[None, :], cfg.diplex_rate)
+        composite = (np.sin(2.0 * np.pi * cfg.tone_a * t)
+                     + np.sin(2.0 * np.pi * cfg.tone_b * t))
+        rate = cfg.diplex_rate
 
     fir_only, separated, residual_db = diplexer.diplex(
-        composite, cfg.tone_a, cfg.tone_b, cfg.diplex_order, cfg.ica(),
+        composite, cfg.tone_a, cfg.tone_b, cfg.diplex_order, cfg.ica(), rate,
         band_frac=cfg.diplex_band_frac)
 
     fir_path = out / _signal_name("diplex_fir_only", cfg)

@@ -206,14 +206,13 @@ def _find_runs(mask: np.ndarray, min_run: int) -> list[tuple[int, int]]:
 
 
 def demodulate(
-    channel,
+    channel: np.ndarray,
     carrier: float,
     lowpass_cutoff: float,
     decimation: int,
-    sample_rate: float | None = None,
+    sample_rate: float,
     *,
     filter_order: int = 256,
-    envelope_cutoff: float | None = None,
     envelope_order: int = 128,
     envelope_floor: float = 0.2,
     envelope_min_run: int = 4,
@@ -229,15 +228,15 @@ def demodulate(
     computed with carrier-modulated taps, as the module docstring derives.
 
     Envelope supervision runs before decimation on a separate wider
-    rail (cutoff envelope_cutoff, defaulting to 0.4 * carrier) so that
-    fast crosstalk beats are not smoothed away: wherever
-    sqrt(I^2 + Q^2) stays below envelope_floor times its own median for
-    at least envelope_min_run samples, phase is declared unrecoverable.
+    rail (cutoff min(0.4 * carrier, 0.95 * (nyquist - carrier)), which
+    lowpass_cutoff must not exceed) so that fast crosstalk beats are not
+    smoothed away: wherever sqrt(I^2 + Q^2) stays below envelope_floor
+    times its own median for at least envelope_min_run samples, phase is
+    declared unrecoverable.
     With strict=True (default) that raises PhaseTrackingLostError;
     otherwise the ranges are recorded on the returned series.
 
-    Accepts a single-channel MultichannelSignal or a finite 1-D array
-    plus sample_rate.
+    channel is a finite 1-D array sampled at sample_rate.
     """
     data, rate = as_channel(channel, sample_rate)
     nyquist = 0.5 * rate
@@ -250,12 +249,12 @@ def demodulate(
         raise ValueError(f"decimation must be >= 1, got {decimation}")
     if not (0.0 < envelope_floor < 1.0):
         raise ValueError(f"envelope_floor must be in (0, 1), got {envelope_floor}")
-    if envelope_cutoff is None:
-        envelope_cutoff = min(0.4 * carrier, 0.95 * (nyquist - carrier))
-    if not (lowpass_cutoff <= envelope_cutoff < nyquist):
+    # Below Nyquist for any carrier in range.
+    envelope_cutoff = min(0.4 * carrier, 0.95 * (nyquist - carrier))
+    if lowpass_cutoff > envelope_cutoff:
         raise ValueError(
-            f"envelope_cutoff must be in [lowpass_cutoff, {nyquist}), "
-            f"got {envelope_cutoff}")
+            f"lowpass_cutoff must not exceed the envelope cutoff {envelope_cutoff}, "
+            f"got {lowpass_cutoff}")
 
     # Narrow rail: windowed sinc cascaded with the image comb, unity DC.
     # A record shorter than either filter never leaves its transient, so

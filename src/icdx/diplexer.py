@@ -31,9 +31,9 @@ __all__ = [
 class FirFilter:
     """Linear-phase FIR filter with symmetric taps.
 
-    order is the design order p (len(taps) == p + 1); group_delay is the
-    constant delay p/2 in samples. band records the intended passband
-    edges at design_rate; a lowpass design uses band = (0, cutoff).
+    A design of order p has p + 1 taps and the constant group delay p/2
+    samples. band records the intended passband edges at design_rate; a
+    lowpass design uses band = (0, cutoff).
     """
 
     taps: np.ndarray
@@ -52,22 +52,6 @@ class FirFilter:
                 f"band must satisfy 0 <= f_lo < f_hi < {nyquist}, got {self.band}")
         if np.max(np.abs(taps - taps[::-1])) > 1e-12 * np.max(np.abs(taps)):
             raise ValueError("taps must be symmetric (linear phase)")
-
-    @property
-    def order(self) -> int:
-        return self.taps.size - 1
-
-    @property
-    def group_delay(self) -> float:
-        """Constant group delay of the symmetric filter, in samples."""
-        return 0.5 * self.order
-
-    def response(self, freqs: np.ndarray) -> np.ndarray:
-        """Complex frequency response H(f) at the given frequencies in Hz."""
-        freqs = np.atleast_1d(np.asarray(freqs, dtype=np.float64))
-        n = np.arange(self.taps.size)
-        phase = np.exp(-2j * np.pi * np.outer(freqs, n) / self.design_rate)
-        return phase @ self.taps
 
 
 def _windowed_sinc(order: int, f_lo: float, f_hi: float, sample_rate: float) -> np.ndarray:
@@ -122,14 +106,12 @@ def design_fir_lowpass(order: int, cutoff: float, sample_rate: float) -> FirFilt
     return FirFilter(taps=taps, band=(0.0, cutoff), design_rate=sample_rate)
 
 
-def filter_signal(
-    signal, fir: FirFilter, sample_rate: float | None = None,
-) -> np.ndarray:
+def filter_signal(signal: np.ndarray, fir: FirFilter, sample_rate: float) -> np.ndarray:
     """Causal FIR filtering with zero-padded edges, same output length.
 
-    The output is delayed by fir.group_delay samples; callers needing
-    aligned outputs compensate with that constant. The signal rate must
-    match the filter's design rate.
+    The output is delayed by the group delay, (fir.taps.size - 1) / 2
+    samples; callers needing aligned outputs compensate with that
+    constant. The signal rate must match the filter's design rate.
     """
     channel, rate = as_channel(signal, sample_rate)
     if not math.isclose(rate, fir.design_rate, rel_tol=1e-9):
@@ -141,11 +123,11 @@ def filter_signal(
 
 
 def fir_split(
-    composite,
+    composite: np.ndarray,
     freq_a: float,
     freq_b: float,
     order: int,
-    sample_rate: float | None = None,
+    sample_rate: float,
     band_frac: float = 0.2,
 ) -> MultichannelSignal:
     """FIR-only branch split of a two-tone composite.
@@ -174,12 +156,12 @@ def fir_split(
 
 
 def diplex(
-    composite,
+    composite: np.ndarray,
     freq_a: float,
     freq_b: float,
     order: int,
     cfg: fastica.FastIcaConfig,
-    sample_rate: float | None = None,
+    sample_rate: float,
     band_frac: float = 0.2,
 ) -> tuple[MultichannelSignal, MultichannelSignal, dict[str, tuple[float, float]]]:
     """Split a two-tone composite into clean per-tone channels, FIR then ICA.

@@ -69,7 +69,6 @@ __all__ = [
     "contrast_eval",
     "contrast_primitive",
     "fit",
-    "fit_one_unit",
     "gaussian_reference",
     "identify_components",
     "separate",
@@ -238,29 +237,6 @@ def _gram_schmidt(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w / norm
 
 
-def fit_one_unit(
-    b: MultichannelSignal,
-    w0: np.ndarray,
-    cfg: FastIcaConfig,
-) -> tuple[np.ndarray, int, bool]:
-    """Estimate a single component direction from whitened data.
-
-    Returns (w, iterations, converged). The input must be whitened
-    (covariance within 1e-6 of identity) and w0 must be a unit vector.
-    A non-converged run returns the best vector found with
-    converged=False; the caller decides whether that is fatal.
-    """
-    data = b.data
-    _check_whitened(data, 1e-6)
-    w0 = np.asarray(w0, dtype=np.float64)
-    if w0.shape != (data.shape[0],):
-        raise ValueError(f"w0 must have shape ({data.shape[0]},), got {w0.shape}")
-    if abs(float(np.linalg.norm(w0)) - 1.0) > 1e-8:
-        raise ValueError("w0 must be a unit vector")
-    no_basis = np.zeros((0, data.shape[0]))
-    return _iterate(data, w0, cfg, cfg.max_iter, partial(_gram_schmidt, no_basis))
-
-
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     while True:
         v = rng.standard_normal(dim)
@@ -385,10 +361,6 @@ class Assignment:
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError(f"signs must be +-1, got {self.signs}")
 
-    def apply(self, signal: MultichannelSignal) -> MultichannelSignal:
-        """Reorder and sign-correct component rows."""
-        return signal.with_data(self.apply_rows(signal.data))
-
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """A copy of rows with slot i holding signs[i] * rows[perm[i]]."""
         if rows.shape[0] != len(self.perm):
@@ -432,9 +404,6 @@ class SeparationResult:
     @property
     def channels(self) -> int:
         return self.w.shape[0]
-
-    def with_assignment(self, assignment: Assignment) -> "SeparationResult":
-        return replace(self, assignment=assignment)
 
     def to_mapping(self) -> dict[str, object]:
         """Flat key/value form for the text serialization format."""
@@ -558,7 +527,7 @@ def separate(
     del whitened
     block = centered_product(result.w_full, signal.data[:, :_BLOCK], transform.mean)
     assignment = identify_components(signal.with_data(Adopted(block)), expected)
-    result = result.with_assignment(assignment)
+    result = replace(result, assignment=assignment)
     return unmix(signal, result, transform), result, transform
 
 

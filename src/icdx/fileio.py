@@ -139,7 +139,6 @@ def _read_raw(path: Path) -> tuple[np.ndarray, float]:
 
 
 def _write_csv(path: Path, signal: MultichannelSignal) -> None:
-    t = signal.times()
     header = "t," + ",".join(f"ch{i}" for i in range(signal.channels))
     # One %-format per chunk of rows: the bytes np.savetxt(fmt="%.17g")
     # writes, without its per-row Python loop.
@@ -149,7 +148,8 @@ def _write_csv(path: Path, signal: MultichannelSignal) -> None:
         fh.write(header + "\n")
         for start in range(0, signal.length, _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, signal.length)
-            table = np.column_stack([t[start:stop], signal.data[:, start:stop].T])
+            t = np.arange(start, stop) / signal.sample_rate
+            table = np.column_stack([t, signal.data[:, start:stop].T])
             fh.write((row * (stop - start)) % tuple(table.ravel().tolist()))
 
 
@@ -287,20 +287,6 @@ class KeyValueFile:
     path: str
     values: dict[str, str]
     lines: dict[str, int]
-
-    def require(self, key: str) -> str:
-        if key not in self.values:
-            raise ConfigError(f"missing required key {key!r}", self.path)
-        return self.values[key]
-
-    def get_float(self, key: str) -> float:
-        token = self.require(key)
-        try:
-            return parse_metric_value(token)
-        except ValueError as exc:
-            raise ConfigError(
-                f"key {key!r}: {token!r} is not a number",
-                self.path, self.lines[key]) from exc
 
 
 def read_kv(path: str | Path) -> KeyValueFile:

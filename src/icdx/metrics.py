@@ -16,7 +16,6 @@ import numpy as np
 from .signalgen import _all_finite, as_channel
 
 __all__ = [
-    "best_fit_scale",
     "carrier_band",
     "cross_tone_residual_db",
     "envelope_depth",
@@ -46,14 +45,6 @@ def _series(x, name: str) -> np.ndarray:
     return arr
 
 
-def _channel(channel, sample_rate: float | None) -> tuple[np.ndarray, float]:
-    """as_channel(), which checks rank and finiteness, plus _series's length check."""
-    data, rate = as_channel(channel, sample_rate)
-    if data.size < 2:
-        raise ValueError("channel must be a 1-D series with at least 2 samples")
-    return data, rate
-
-
 def _pair(estimated, truth) -> tuple[np.ndarray, np.ndarray]:
     """Both series validated, with equal shapes."""
     e = _series(estimated, "estimated")
@@ -69,11 +60,6 @@ def _fit(e: np.ndarray, t: np.ndarray) -> tuple[float, float]:
     if tt == 0.0:
         raise ValueError("truth is identically zero")
     return float(e @ t) / tt, tt
-
-
-def best_fit_scale(estimated, truth) -> float:
-    """Least-squares scalar c minimizing |estimated - c * truth|."""
-    return _fit(*_pair(estimated, truth))[0]
 
 
 def isr(estimated, truth) -> float:
@@ -142,9 +128,9 @@ def carrier_band(
 
 
 def envelope_depth(
-    channel,
+    channel: np.ndarray,
     carrier: float,
-    sample_rate: float | None = None,
+    sample_rate: float,
     band_frac: float = 0.6,
     edge_trim: float = 0.02,
     band_spectrum: np.ndarray | None = None,
@@ -163,7 +149,7 @@ def envelope_depth(
     band_spectrum, rfft(channel) on the carrier_band() bins, and the
     forward transform is skipped.
     """
-    data, rate = _channel(channel, sample_rate)
+    data, rate = as_channel(channel, sample_rate)
     if not (0.0 < carrier < 0.5 * rate):
         raise ValueError(f"carrier must be in (0, {0.5 * rate}), got {carrier}")
     if not (0.0 < band_frac < 1.0):
@@ -218,10 +204,10 @@ def tone_band(n: int, sample_rate: float, freq: float) -> np.ndarray:
 
 
 def cross_tone_residual_db(
-    channel,
+    channel: np.ndarray,
     own_freq: float,
     other_freq: float,
-    sample_rate: float | None = None,
+    sample_rate: float,
     band_spectrum: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Leakage of a foreign tone relative to the channel's own tone, dB.
@@ -242,7 +228,7 @@ def cross_tone_residual_db(
     skipped. Only its bins above DC are read: bin 0 is the sum of the
     channel's samples, so a spectrum equal above DC will do.
     """
-    data, rate = _channel(channel, sample_rate)
+    data, rate = as_channel(channel, sample_rate)
     n = data.shape[0]
     nyquist = 0.5 * rate
     for name, freq in (("own_freq", own_freq), ("other_freq", other_freq)):

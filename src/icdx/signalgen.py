@@ -185,9 +185,6 @@ class MultichannelSignal:
     def length(self) -> int:
         return self.data.shape[1]
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.data.shape[1]) / self.sample_rate
-
     def spectrum(self) -> np.ndarray:
         """The rfft of every row, taken row by row into one complex array."""
         out = np.empty((self.channels, self.length // 2 + 1), dtype=np.complex128)
@@ -199,17 +196,12 @@ class MultichannelSignal:
         return replace(self, data=data)
 
 
-def as_channel(signal, sample_rate: float | None) -> tuple[np.ndarray, float]:
-    """(samples, rate) of a single-channel MultichannelSignal or a bare 1-D array."""
-    if isinstance(signal, MultichannelSignal):
-        if signal.channels != 1:
-            raise ValueError(f"expected a single channel, got {signal.channels}")
-        return signal.data[0], signal.sample_rate
-    arr = np.asarray(signal, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D array, got shape {arr.shape}")
-    if sample_rate is None:
-        raise ValueError("sample_rate is required with a bare array input")
+def as_channel(samples, sample_rate: float) -> tuple[np.ndarray, float]:
+    """(samples, rate) of one channel: a finite 1-D array of at least 2 samples."""
+    arr = np.asarray(samples, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError(
+            f"channel must be a 1-D series with at least 2 samples, got shape {arr.shape}")
     if not _all_finite(arr):
         raise ValueError(f"channel must be finite, sample {np.argmin(np.isfinite(arr))} is not")
     return arr, float(sample_rate)
@@ -322,10 +314,10 @@ def add_awgn(signal: MultichannelSignal, snr_db: float, seed: int) -> Multichann
 
     SNR is measured against each channel's own mean power, so every
     channel receives noise scaled to its content. snr_db may be +inf
-    for a no-op (returns an identical copy).
+    for a no-op (returns an identical copy); NaN and -inf are rejected.
     """
-    if math.isnan(snr_db):
-        raise ValueError("snr_db must not be NaN")
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must not be NaN or -inf, got {snr_db!r}")
     if snr_db == math.inf:
         return signal.with_data(signal.data.copy())
     rng = np.random.default_rng(seed)

@@ -13,6 +13,10 @@ from icdx.fileio import parse_matrix, read_kv
 from helpers import RATE
 
 
+def _float(kv, key):
+    return icdx.parse_metric_value(kv.values[key])
+
+
 def _floats(kv, key):
     return [icdx.parse_metric_value(tok) for tok in kv.values[key].split(",")]
 
@@ -214,7 +218,7 @@ def test_full_pipeline_noiseless(tmp_path):
     assert quality.values["converged"] == "1,1"
     isr_db = _floats(quality, "isr_db")
     assert all(v <= -40.0 for v in isr_db)
-    assert quality.get_float("gain_error") < 1e-3
+    assert _float(quality, "gain_error") < 1e-3
     raw = _floats(quality, "envelope_depth_raw")
     fixed = _floats(quality, "envelope_depth_corrected")
     assert all(r > 10.0 * f for r, f in zip(raw, fixed))
@@ -230,7 +234,7 @@ def test_full_pipeline_noiseless(tmp_path):
     report = read_kv(run / "density_report.cfg")
     assert report.values["status"] == "ok"
     assert report.values["ch1_lost_ranges"] == "none"
-    rel = report.get_float("rms_error") / report.get_float("truth_rms")
+    rel = _float(report, "rms_error") / _float(report, "truth_rms")
     assert rel < 1e-3
     density = icdx.read_signal(run / "density.csv")
     assert density.length == 65536 // 8
@@ -315,7 +319,7 @@ def test_density_on_strong_coupling_partial_exit_3(tmp_path, capsys):
     assert "phase tracking lost" in capsys.readouterr().err
     report = read_kv(run / "density_report.cfg")
     assert report.values["status"] == "partial"
-    lost = report.get_float("lost_fraction")
+    lost = _float(report, "lost_fraction")
     assert 0.0 < lost < 0.5
     assert report.values["ch1_lost_ranges"] != "none"
     # The density series itself is still written for inspection.
@@ -331,12 +335,12 @@ def test_diplex_subcommand(tmp_path):
         assert (out / name).exists(), name
     report = read_kv(out / "diplex_report.cfg")
     for tone in ("tone_a", "tone_b"):
-        fir_db = report.get_float(f"{tone}_fir_residual_db")
-        ica_db = report.get_float(f"{tone}_ica_residual_db")
+        fir_db = _float(report, f"{tone}_fir_residual_db")
+        ica_db = _float(report, f"{tone}_ica_residual_db")
         assert fir_db > -20.0
         assert ica_db <= -40.0
-        assert abs(report.get_float(f"{tone}_mean")) <= 1e-6
-        assert abs(report.get_float(f"{tone}_peak") - 1.0) <= 1e-3
+        assert abs(_float(report, f"{tone}_mean")) <= 1e-6
+        assert abs(_float(report, f"{tone}_peak") - 1.0) <= 1e-3
 
 
 @pytest.mark.parametrize("order", ["1000000000000", "16384"])
@@ -362,6 +366,31 @@ def test_report_subcommand(tmp_path, capsys):
     empty.mkdir()
     assert main(["report", "--in-dir", str(empty)]) == 0
     assert "nothing to report" in capsys.readouterr().out
+
+
+_FLOAT_FIELDS = [spec.name for spec in dataclasses.fields(RunConfig) if spec.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_run_config_validate_rejects_non_finite_floats(name, value):
+    cfg = dataclasses.replace(RunConfig(), **{name: value})
+    if name == "snr_db" and value == math.inf:
+        cfg.validate()  # pos-inf is the documented "no noise"
+        return
+    with pytest.raises(ValueError, match=name):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("flag, token", [
+    ("--snr-db", "neg-inf"), ("--adc-full-scale", "nan"),
+    ("--adc-full-scale", "pos-inf"), ("--diplex-rate", "pos-inf")])
+def test_gen_rejects_non_finite_settings_before_writing(tmp_path, capsys, flag, token):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["gen", "--out-dir", str(out), "--samples", "4096", flag, token]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_run_config_validate_catches_cross_field_violations():

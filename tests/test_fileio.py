@@ -197,12 +197,13 @@ def test_kv_round_trip_with_sentinels(tmp_path):
         "coupling": np.array([[1.0, 0.4], [0.3, 1.0]]),
     })
     kv = icdx.read_kv(path)
-    assert kv.require("name") == "run-1"
+    assert kv.values["name"] == "run-1"
     assert kv.values["enabled"] == "1"
     assert kv.values["count"] == "42"
-    assert kv.get_float("level_db") == -math.inf
-    assert kv.get_float("ceiling_db") == math.inf
-    assert kv.get_float("gain") == 0.1 + 0.2  # repr round-trips exactly
+    assert icdx.parse_metric_value(kv.values["level_db"]) == -math.inf
+    assert icdx.parse_metric_value(kv.values["ceiling_db"]) == math.inf
+    # repr round-trips exactly
+    assert icdx.parse_metric_value(kv.values["gain"]) == 0.1 + 0.2
     assert kv.values["weights"] == "1.0,-2.5"
     assert np.array_equal(parse_matrix(kv.values["coupling"]),
                           [[1.0, 0.4], [0.3, 1.0]])
@@ -229,14 +230,10 @@ def test_kv_file_accessors(tmp_path):
     path = tmp_path / "vals.cfg"
     path.write_text("# header comment\nrate = 8000000.0\nlabel = three words here\n")
     kv = icdx.read_kv(path)
-    assert kv.get_float("rate") == 8.0e6
-    assert kv.require("label") == "three words here"
-    assert kv.lines["rate"] == 2
-    with pytest.raises(icdx.ConfigError, match="missing required key"):
-        kv.require("absent")
-    with pytest.raises(icdx.ConfigError, match="not a number") as info:
-        kv.get_float("label")
-    assert info.value.line == 3
+    assert icdx.parse_metric_value(kv.values["rate"]) == 8.0e6
+    assert kv.values["label"] == "three words here"
+    assert kv.lines == {"rate": 2, "label": 3}
+    assert "absent" not in kv.values
 
 
 def test_write_kv_rejects_bad_keys(tmp_path):
@@ -259,5 +256,6 @@ def test_kv_value_types_frozen_format(tmp_path):
 
 def test_keyvaluefile_is_plain_data():
     kv = KeyValueFile(path="x.cfg", values={"k": "1"}, lines={"k": 1})
-    assert kv.require("k") == "1"
-    assert kv.get_float("k") == 1.0
+    assert kv.values["k"] == "1"
+    assert icdx.parse_metric_value(kv.values["k"]) == 1.0
+    assert kv.lines["k"] == 1

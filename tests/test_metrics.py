@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import icdx
+from icdx.metrics import _fit
 
 from helpers import CARRIER_1, CARRIER_2, RATE, STRONG_COUPLING, two_tone_clean
 
@@ -18,7 +19,10 @@ def test_best_fit_scale_least_squares():
     noise = rng.standard_normal(512)
     noise -= (noise @ truth) / (truth @ truth) * truth
     estimated = 2.0 * truth + noise
-    assert abs(icdx.best_fit_scale(estimated, truth) - 2.0) < 1e-12
+    assert abs(_fit(estimated, truth)[0] - 2.0) < 1e-12
+    # isr measures the residual after exactly that scale.
+    expected_db = 10.0 * math.log10((noise @ noise) / (4.0 * (truth @ truth)))
+    assert abs(icdx.isr(estimated, truth) - expected_db) < 1e-9
 
 
 def test_isr_exact_recovery_is_neg_inf():
@@ -104,10 +108,8 @@ def test_envelope_depth_crosstalk_ordering():
     # carrier; this ordering is what the end-to-end reports rely on.
     clean = two_tone_clean(2**16)
     mixed = icdx.apply_crosstalk(clean, np.array(STRONG_COUPLING))
-    depth_clean = icdx.envelope_depth(
-        icdx.MultichannelSignal(clean.data[:1], RATE), CARRIER_1)
-    depth_mixed = icdx.envelope_depth(
-        icdx.MultichannelSignal(mixed.data[:1], RATE), CARRIER_1)
+    depth_clean = icdx.envelope_depth(clean.data[0], CARRIER_1, clean.sample_rate)
+    depth_mixed = icdx.envelope_depth(mixed.data[0], CARRIER_1, mixed.sample_rate)
     assert depth_mixed > 0.5
     assert depth_clean < 1e-3
 
@@ -119,7 +121,7 @@ def test_envelope_depth_validation():
         icdx.envelope_depth(tone, 5.0e6, RATE)
     with pytest.raises(ValueError, match="band_frac"):
         icdx.envelope_depth(tone, CARRIER_1, RATE, band_frac=1.2)
-    with pytest.raises(ValueError, match="sample_rate"):
+    with pytest.raises(TypeError, match="sample_rate"):
         icdx.envelope_depth(tone, CARRIER_1)
 
 

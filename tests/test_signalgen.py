@@ -137,6 +137,10 @@ def test_add_awgn_seeded_and_infinite_snr():
     assert not np.array_equal(a.data, c.data)
     clean = icdx.add_awgn(signal, math.inf, seed=7)
     assert np.array_equal(clean.data, signal.data)
+    # Infinitely loud noise is not a level to draw; the error says which value.
+    for bad in (-math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"snr_db must not be NaN or -inf, got {bad!r}"):
+            icdx.add_awgn(signal, bad, seed=7)
 
 
 def test_quantize_adc_hand_grid():
