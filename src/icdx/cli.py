@@ -9,8 +9,9 @@ Subcommands:
   diplex   two-tone FIR split with ICA cleanup
   report   pretty-print the key-value and signal files in a directory
 
-Configuration fields live in one flat namespace with documented
-defaults. A --config file overrides defaults; long-form flags override
+Configuration fields live in one flat namespace, the RunConfig fields;
+each declares its default, its --help text and any fixed choices
+together. A --config file overrides defaults; long-form flags override
 the file. Every run writes a manifest echoing each resolved field, and
 re-running any subcommand from the same manifest and seed reproduces
 outputs byte for byte (outputs carry no timestamps).
@@ -29,8 +30,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -43,81 +45,52 @@ _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 _EXIT_IO = 4
 
-_CHOICE_FIELDS = {
-    "scenario": signalgen.SCENARIO_KINDS,
-    "contrast": fastica.CONTRASTS,
-    "ortho": fastica.ORTHO_MODES,
-    "file_format": ("raw", "csv"),
-}
 
-_FIELD_HELP = {
-    "scenario": "signal scenario to synthesize",
-    "samples": "record length in samples",
-    "sample_rate": "acquisition rate in Hz",
-    "f_het1": "heterodyne carrier of channel 1 (long wavelength), Hz",
-    "f_het2": "heterodyne carrier of channel 2 (short wavelength), Hz",
-    "wavelength1": "probe wavelength of channel 1, m",
-    "wavelength2": "probe wavelength of channel 2, m",
-    "coupling": "channel coupling matrix, rows ';'-separated: \"1,0.4;0.3,1\"",
-    "snr_db": "additive white noise level per channel, dB (pos-inf disables)",
-    "adc_bits": "quantizer resolution in bits (0 disables quantization)",
-    "adc_full_scale": "quantizer full-scale amplitude",
-    "seed": "seed for every pseudo-random draw in the run",
-    "contrast": "ICA contrast function",
-    "contrast_shape": "log-cosh contrast shape parameter, in [1, 2]",
-    "tol": "ICA convergence tolerance on 1 - |<w_new, w_old>|",
-    "max_iter": "ICA iteration budget per unit",
-    "ortho": "ICA orthogonalization strategy",
-    "lowpass_cutoff": "demodulation lowpass cutoff, Hz",
-    "decimation": "demodulation decimation factor",
-    "filter_order": "demodulation lowpass FIR order",
-    "envelope_order": "envelope-supervision FIR order",
-    "envelope_floor": "tracking-lost threshold, fraction of median envelope",
-    "envelope_min_run": "minimum consecutive below-floor samples to flag",
-    "tone_a": "diplexer tone A frequency, Hz",
-    "tone_b": "diplexer tone B frequency, Hz",
-    "diplex_rate": "diplexer sample rate, Hz",
-    "diplex_order": "diplexer bandpass FIR order",
-    "diplex_band_frac": "diplexer passband half-width as a fraction of the tone",
-    "diplex_samples": "diplexer record length when synthesizing the composite",
-    "file_format": "signal file format for outputs",
-}
+def _setting(default: object, help: str, choices: tuple[str, ...] | None = None) -> Any:
+    """A RunConfig field: its default, its --help text and any fixed choices."""
+    return field(default=default, metadata={"help": help, "choices": choices})
 
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """Every tunable of the pipeline, with its default."""
 
-    scenario: str = "shot-ramp"
-    samples: int = 262144
-    sample_rate: float = 8.0e6
-    f_het1: float = 1.0e6
-    f_het2: float = 1.1e6
-    wavelength1: float = 10.591e-6
-    wavelength2: float = 1.064e-6
-    coupling: np.ndarray = field(default_factory=lambda: [[1.0, 0.4], [0.3, 1.0]])
-    snr_db: float = math.inf
-    adc_bits: int = 0
-    adc_full_scale: float = 2.0
-    seed: int = 0
-    contrast: str = "logcosh"
-    contrast_shape: float = 1.0
-    tol: float = 1e-8
-    max_iter: int = 200
-    ortho: str = "deflation"
-    lowpass_cutoff: float = 4.0e4
-    decimation: int = 8
-    filter_order: int = 256
-    envelope_order: int = 128
-    envelope_floor: float = 0.2
-    envelope_min_run: int = 4
-    tone_a: float = 25.0e6
-    tone_b: float = 40.0e6
-    diplex_rate: float = 200.0e6
-    diplex_order: int = 5
-    diplex_band_frac: float = 0.2
-    diplex_samples: int = 131072
-    file_format: str = "raw"
+    scenario: str = _setting(
+        "shot-ramp", "signal scenario to synthesize", signalgen.SCENARIO_KINDS)
+    samples: int = _setting(262144, "record length in samples")
+    sample_rate: float = _setting(8.0e6, "acquisition rate in Hz")
+    f_het1: float = _setting(1.0e6, "heterodyne carrier of channel 1 (long wavelength), Hz")
+    f_het2: float = _setting(1.1e6, "heterodyne carrier of channel 2 (short wavelength), Hz")
+    wavelength1: float = _setting(10.591e-6, "probe wavelength of channel 1, m")
+    wavelength2: float = _setting(1.064e-6, "probe wavelength of channel 2, m")
+    coupling: np.ndarray = field(
+        default_factory=lambda: [[1.0, 0.4], [0.3, 1.0]],
+        metadata={"help": "channel coupling matrix, rows ';'-separated: \"1,0.4;0.3,1\""})
+    snr_db: float = _setting(
+        math.inf, "additive white noise level per channel, dB (pos-inf disables)")
+    adc_bits: int = _setting(0, "quantizer resolution in bits (0 disables quantization)")
+    adc_full_scale: float = _setting(2.0, "quantizer full-scale amplitude")
+    seed: int = _setting(0, "seed for every pseudo-random draw in the run")
+    contrast: str = _setting("logcosh", "ICA contrast function", fastica.CONTRASTS)
+    contrast_shape: float = _setting(1.0, "log-cosh contrast shape parameter, in [1, 2]")
+    tol: float = _setting(1e-8, "ICA convergence tolerance on 1 - |<w_new, w_old>|")
+    max_iter: int = _setting(200, "ICA iteration budget per unit")
+    ortho: str = _setting("deflation", "ICA orthogonalization strategy", fastica.ORTHO_MODES)
+    lowpass_cutoff: float = _setting(4.0e4, "demodulation lowpass cutoff, Hz")
+    decimation: int = _setting(8, "demodulation decimation factor")
+    filter_order: int = _setting(256, "demodulation lowpass FIR order")
+    envelope_order: int = _setting(128, "envelope-supervision FIR order")
+    envelope_floor: float = _setting(0.2, "tracking-lost threshold, fraction of median envelope")
+    envelope_min_run: int = _setting(4, "minimum consecutive below-floor samples to flag")
+    tone_a: float = _setting(25.0e6, "diplexer tone A frequency, Hz")
+    tone_b: float = _setting(40.0e6, "diplexer tone B frequency, Hz")
+    diplex_rate: float = _setting(200.0e6, "diplexer sample rate, Hz")
+    diplex_order: int = _setting(5, "diplexer bandpass FIR order")
+    diplex_band_frac: float = _setting(
+        0.2, "diplexer passband half-width as a fraction of the tone")
+    diplex_samples: int = _setting(
+        131072, "diplexer record length when synthesizing the composite")
+    file_format: str = _setting("raw", "signal file format for outputs", ("raw", "csv"))
 
     def __post_init__(self) -> None:
         signalgen.own_arrays(self, coupling=2)
@@ -126,18 +99,19 @@ class RunConfig:
         """Range-check every field; raises ValueError on the first violation."""
         if not (16 <= self.samples <= 1 << 26):
             raise ValueError(f"samples must be in [16, {1 << 26}], got {self.samples}")
-        for name, choices in _CHOICE_FIELDS.items():
-            if getattr(self, name) not in choices:
+        for spec in fields(self):
+            choices = spec.metadata.get("choices")
+            if choices is not None and getattr(self, spec.name) not in choices:
                 raise ValueError(
-                    f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+                    f"{spec.name} must be one of {choices}, got {getattr(self, spec.name)!r}")
         # Interferometer geometry and ICA settings validate themselves.
         self.interferometer()
         self.ica()
         if np.shape(self.coupling) != (2, 2):
             raise ValueError(f"coupling must be 2x2, got {np.shape(self.coupling)}")
-        # pos-inf means no noise; -inf would ask for noise of infinite power.
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError(f"snr_db must not be NaN or -inf, got {self.snr_db!r}")
+        # pos-inf means no noise; -inf, or a level below about -3082.5 dB, would
+        # ask for a noise power that float64 cannot hold.
+        signalgen._noise_power_ratio(self.snr_db)
         if self.adc_bits != 0 and not (2 <= self.adc_bits <= 24):
             raise ValueError(f"adc_bits must be 0 or in [2, 24], got {self.adc_bits}")
         for name in ("adc_full_scale", "diplex_rate"):
@@ -177,24 +151,17 @@ class RunConfig:
             raise ValueError(
                 f"diplex_samples must be in [1024, {1 << 26}], got {self.diplex_samples}")
 
+    def _shared(self, kind: type) -> Any:
+        """A kind built from the fields it shares with RunConfig by name."""
+        mine = {spec.name for spec in fields(self)}
+        return kind(**{spec.name: getattr(self, spec.name)
+                       for spec in fields(kind) if spec.name in mine})
+
     def interferometer(self) -> signalgen.InterferometerParams:
-        return signalgen.InterferometerParams(
-            wavelength1=self.wavelength1,
-            wavelength2=self.wavelength2,
-            f_het1=self.f_het1,
-            f_het2=self.f_het2,
-            sample_rate=self.sample_rate,
-        )
+        return self._shared(signalgen.InterferometerParams)
 
     def ica(self) -> fastica.FastIcaConfig:
-        return fastica.FastIcaConfig(
-            contrast=self.contrast,
-            contrast_shape=self.contrast_shape,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            seed=self.seed,
-            ortho=self.ortho,
-        )
+        return self._shared(fastica.FastIcaConfig)
 
     def to_mapping(self) -> dict[str, object]:
         out: dict[str, object] = {"format_version": fileio.VERSION}
@@ -203,9 +170,9 @@ class RunConfig:
         return out
 
     @staticmethod
-    def parse_field(name: str, token: str) -> object:
+    def parse_field(spec: Field, token: str) -> object:
         """Parse one field's text token; raises ValueError with context."""
-        kind = _FIELD_TYPES.get(name)
+        name, kind = spec.name, spec.type  # annotation text: annotations are postponed
         # Remaining fields are floats; sentinel tokens allowed.
         parse = {"np.ndarray": fileio.parse_matrix, "int": int, "str": str}.get(
             kind, metrics.parse_metric_value)
@@ -220,7 +187,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         kvf = fileio.read_kv(path)
-        known = {spec.name for spec in fields(cls)}
+        known = {spec.name: spec for spec in fields(cls)}
         updates: dict[str, object] = {}
         for key, token in kvf.values.items():
             if key == "format_version":
@@ -233,7 +200,7 @@ class RunConfig:
                 raise fileio.ConfigError(
                     f"unknown configuration key {key!r}", kvf.path, kvf.lines[key])
             try:
-                updates[key] = cls.parse_field(key, token)
+                updates[key] = cls.parse_field(known[key], token)
             except ValueError as exc:
                 raise fileio.ConfigError(str(exc), kvf.path, kvf.lines[key]) from exc
         return cls(**updates)
@@ -243,13 +210,8 @@ class RunConfig:
         for spec in fields(self):
             token = getattr(args, spec.name, None)
             if token is not None:
-                updates[spec.name] = self.parse_field(spec.name, token)
+                updates[spec.name] = self.parse_field(spec, token)
         return replace(self, **updates) if updates else self
-
-
-# Annotation text per field (this module postpones annotations); the
-# field's type decides how parse_field reads its token.
-_FIELD_TYPES = {spec.name: spec.type for spec in fields(RunConfig)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -259,12 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", metavar="DIR",
                         help="output directory (default: $ICDX_OUT_DIR or '.')")
     for spec in fields(RunConfig):
-        flag = "--" + spec.name.replace("_", "-")
-        extra = {}
-        if spec.name in _CHOICE_FIELDS:
-            extra["choices"] = _CHOICE_FIELDS[spec.name]
-        common.add_argument(flag, metavar="V", dest=spec.name,
-                            help=_FIELD_HELP[spec.name], **extra)
+        common.add_argument("--" + spec.name.replace("_", "-"), metavar="V", dest=spec.name,
+                            help=spec.metadata["help"], choices=spec.metadata.get("choices"))
 
     parser = argparse.ArgumentParser(
         prog="icdx",

@@ -309,22 +309,32 @@ def apply_crosstalk(signal: MultichannelSignal, coupling: np.ndarray) -> Multich
     return signal.with_data(mat @ signal.data)
 
 
+def _noise_power_ratio(snr_db: float) -> float:
+    """10^(-snr_db / 10); ValueError where that is NaN or overflows float64."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must not be NaN or -inf, got {snr_db!r}")
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db must be at least about -3082.5 dB, got {snr_db!r}") from None
+
+
 def add_awgn(signal: MultichannelSignal, snr_db: float, seed: int) -> MultichannelSignal:
     """Add white Gaussian noise at the given per-channel SNR in dB.
 
     SNR is measured against each channel's own mean power, so every
     channel receives noise scaled to its content. snr_db may be +inf
-    for a no-op (returns an identical copy); NaN and -inf are rejected.
+    for a no-op (returns an identical copy); NaN, -inf and levels below
+    about -3082.5 dB are rejected.
     """
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"snr_db must not be NaN or -inf, got {snr_db!r}")
+    ratio = _noise_power_ratio(snr_db)
     if snr_db == math.inf:
         return signal.with_data(signal.data.copy())
     rng = np.random.default_rng(seed)
     power = np.mean(signal.data**2, axis=1)
     if np.any(power == 0.0):
         raise ValueError("cannot set an SNR against an all-zero channel")
-    sigma = np.sqrt(power * 10.0 ** (-snr_db / 10.0))
+    sigma = np.sqrt(power * ratio)
     noise = rng.standard_normal(signal.data.shape) * sigma[:, None]
     return signal.with_data(signal.data + noise)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,18 @@ def test_bad_field_values_exit_2(tmp_path, capsys):
     assert main(["gen", "--out-dir", str(tmp_path), "--coupling", "1,2;3"]) == 2
     with pytest.raises(SystemExit):  # argparse rejects unknown choices itself
         main(["gen", "--out-dir", str(tmp_path), "--scenario", "nova"])
+
+
+@pytest.mark.parametrize("line, name", [
+    ("scenario = nova", "scenario"), ("file_format = hdf5", "file_format")])
+def test_config_file_choice_exit_2_before_writing(tmp_path, capsys, line, name):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["gen", "--config", str(config), "--out-dir", str(out)]) == 2
+    assert f"{name} must be one of" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_unsupported_format_version_exit_2(tmp_path, capsys):
@@ -383,7 +396,7 @@ def test_run_config_validate_rejects_non_finite_floats(name, value):
 
 
 @pytest.mark.parametrize("flag, token", [
-    ("--snr-db", "neg-inf"), ("--adc-full-scale", "nan"),
+    ("--snr-db", "neg-inf"), ("--snr-db", "-4000"), ("--adc-full-scale", "nan"),
     ("--adc-full-scale", "pos-inf"), ("--diplex-rate", "pos-inf")])
 def test_gen_rejects_non_finite_settings_before_writing(tmp_path, capsys, flag, token):
     out = tmp_path / "out"
@@ -401,3 +414,41 @@ def test_run_config_validate_catches_cross_field_violations():
     with pytest.raises(ValueError, match="coupling"):
         RunConfig(coupling=np.eye(3)).validate()
     RunConfig().validate()  # defaults are self-consistent
+
+
+def _non_default(spec):
+    """A valid RunConfig value for spec other than its default."""
+    choices = spec.metadata.get("choices")
+    if choices:
+        return next(choice for choice in choices if choice != spec.default)
+    return spec.default + 1 if spec.type == "int" else spec.default * 1.25
+
+
+@pytest.mark.parametrize("kind, build", [
+    (icdx.FastIcaConfig, RunConfig.ica),
+    (icdx.InterferometerParams, RunConfig.interferometer)])
+def test_value_types_take_run_config_fields_by_name(kind, build):
+    settings = {spec.name: spec for spec in dataclasses.fields(RunConfig)}
+    names = [spec.name for spec in dataclasses.fields(kind) if spec.name != "electron_radius"]
+    assert set(names) <= set(settings)
+    cfg = RunConfig(**{name: _non_default(settings[name]) for name in names})
+    cfg.validate()
+    built, default = build(cfg), kind()
+    for name in names:
+        assert getattr(built, name) == getattr(cfg, name) != getattr(default, name), name
+
+
+@pytest.mark.parametrize("command", ["gen", "mix", "unmix", "density", "diplex", "report"])
+def test_help_lists_every_setting(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    for spec in dataclasses.fields(RunConfig):
+        flag, text = "--" + spec.name.replace("_", "-"), spec.metadata["help"]
+        assert text and re.search(rf"^  {flag} V\s+{re.escape(text.split()[0])}", out, re.M), flag
+    # The choices reach argparse too: a value outside them is refused by name.
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--file-format", "hdf5"])
+    assert stop.value.code == 2
+    assert re.search(r"choose from '?raw'?, '?csv'?\)", capsys.readouterr().err)

@@ -137,10 +137,14 @@ def test_add_awgn_seeded_and_infinite_snr():
     assert not np.array_equal(a.data, c.data)
     clean = icdx.add_awgn(signal, math.inf, seed=7)
     assert np.array_equal(clean.data, signal.data)
-    # Infinitely loud noise is not a level to draw; the error says which value.
-    for bad in (-math.inf, math.nan):
-        with pytest.raises(ValueError, match=f"snr_db must not be NaN or -inf, got {bad!r}"):
+    # Infinitely loud noise is not a level to draw, nor one whose power
+    # 10^(-snr_db/10) overflows float64; the error says which value.
+    for bad, rule in ((-math.inf, "must not be NaN or -inf"),
+                      (math.nan, "must not be NaN or -inf"),
+                      (-4000.0, "must be at least about -3082.5 dB")):
+        with pytest.raises(ValueError, match=f"snr_db {rule}.*got {bad!r}"):
             icdx.add_awgn(signal, bad, seed=7)
+    assert np.all(np.isfinite(icdx.add_awgn(signal, -3082.5, seed=7).data))
 
 
 def test_quantize_adc_hand_grid():
