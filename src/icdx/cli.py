@@ -12,9 +12,11 @@ Subcommands:
 Configuration fields live in one flat namespace, the RunConfig fields;
 each declares its default, its --help text and any fixed choices
 together. A --config file overrides defaults; long-form flags override
-the file. Every run writes a manifest echoing each resolved field, and
-re-running any subcommand from the same manifest and seed reproduces
-outputs byte for byte (outputs carry no timestamps).
+the file. Before anything is written, RunConfig.validate() runs each
+stage's own check on the settings it uses. Every run writes a manifest
+echoing each resolved field, and re-running any subcommand from the
+same manifest and seed reproduces outputs byte for byte (outputs carry
+no timestamps).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure
 (rank-deficient input, non-convergence, identification collision, lost
@@ -96,21 +98,20 @@ class RunConfig:
         signalgen.own_arrays(self, coupling=2)
 
     def validate(self) -> None:
-        """Range-check every field; raises ValueError on the first violation."""
-        if not (16 <= self.samples <= 1 << 26):
-            raise ValueError(f"samples must be in [16, {1 << 26}], got {self.samples}")
+        """Range-check every field; raises ValueError naming the first bad field."""
+        for name, low in (("samples", 16), ("diplex_samples", 1024)):
+            value = getattr(self, name)
+            if not (low <= value <= 1 << 26):
+                raise ValueError(f"{name} must be in [{low}, {1 << 26}], got {value}")
         for spec in fields(self):
             choices = spec.metadata.get("choices")
             if choices is not None and getattr(self, spec.name) not in choices:
                 raise ValueError(
                     f"{spec.name} must be one of {choices}, got {getattr(self, spec.name)!r}")
-        # Interferometer geometry and ICA settings validate themselves.
+        # The value types and the stages range-check their own settings.
         self.interferometer()
         self.ica()
-        if np.shape(self.coupling) != (2, 2):
-            raise ValueError(f"coupling must be 2x2, got {np.shape(self.coupling)}")
-        # pos-inf means no noise; -inf, or a level below about -3082.5 dB, would
-        # ask for a noise power that float64 cannot hold.
+        signalgen._check_coupling(self.coupling, 2)
         signalgen._noise_power_ratio(self.snr_db)
         if self.adc_bits != 0 and not (2 <= self.adc_bits <= 24):
             raise ValueError(f"adc_bits must be 0 or in [2, 24], got {self.adc_bits}")
@@ -120,36 +121,17 @@ class RunConfig:
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        low_carrier = min(self.f_het1, self.f_het2)
-        if not (0.0 < self.lowpass_cutoff < low_carrier):
-            raise ValueError(
-                f"lowpass_cutoff must be in (0, {low_carrier}), got {self.lowpass_cutoff}")
-        if self.decimation < 1:
-            raise ValueError(f"decimation must be >= 1, got {self.decimation}")
-        for name in ("filter_order", "envelope_order"):
-            if getattr(self, name) < 8:
-                raise ValueError(f"{name} must be >= 8, got {getattr(self, name)}")
-        if not (0.0 < self.envelope_floor < 1.0):
-            raise ValueError(
-                f"envelope_floor must be in (0, 1), got {self.envelope_floor}")
-        if self.envelope_min_run < 1:
-            raise ValueError(
-                f"envelope_min_run must be >= 1, got {self.envelope_min_run}")
-        if self.tone_a == self.tone_b:
-            raise ValueError("tone_a and tone_b must be distinct")
-        nyq = 0.5 * self.diplex_rate
-        for name in ("tone_a", "tone_b"):
-            freq = getattr(self, name)
-            if not (0.0 < freq < nyq):
-                raise ValueError(f"{name} must be in (0, {nyq}), got {freq}")
-        if not (0.0 < self.diplex_band_frac < 1.0):
-            raise ValueError(
-                f"diplex_band_frac must be in (0, 1), got {self.diplex_band_frac}")
-        if self.diplex_order < 2:
-            raise ValueError(f"diplex_order must be >= 2, got {self.diplex_order}")
-        if not (1024 <= self.diplex_samples <= 1 << 26):
-            raise ValueError(
-                f"diplex_samples must be in [1024, {1 << 26}], got {self.diplex_samples}")
+        for carrier in (self.f_het1, self.f_het2):
+            demod._check_settings(carrier, self.lowpass_cutoff, self.decimation,
+                                  self.sample_rate, self.filter_order, self.envelope_order,
+                                  self.envelope_floor, self.envelope_min_run)
+        try:
+            diplexer._check_split(self.tone_a, self.tone_b, self.diplex_order,
+                                  self.diplex_rate, self.diplex_band_frac)
+        except ValueError as exc:  # named for fir_split, where two fields drop "diplex_"
+            name, _, rest = str(exc).partition(" ")
+            raise ValueError(f"diplex_{name} {rest}" if name in ("order", "band_frac")
+                             else str(exc)) from exc
 
     def _shared(self, kind: type) -> Any:
         """A kind built from the fields it shares with RunConfig by name."""
@@ -221,8 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", metavar="DIR",
                         help="output directory (default: $ICDX_OUT_DIR or '.')")
     for spec in fields(RunConfig):
-        common.add_argument("--" + spec.name.replace("_", "-"), metavar="V", dest=spec.name,
-                            help=spec.metadata["help"], choices=spec.metadata.get("choices"))
+        common.add_argument("--" + spec.name.replace("_", "-"), dest=spec.name,
+                            metavar=None if spec.metadata.get("choices") else "V", **spec.metadata)
 
     parser = argparse.ArgumentParser(
         prog="icdx",
@@ -329,12 +311,7 @@ def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _cmd_mix(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
-    clean = fileio.read_signal(args.input)
-    if clean.channels != cfg.coupling.shape[0]:
-        raise ValueError(
-            f"input has {clean.channels} channels, coupling is "
-            f"{cfg.coupling.shape[0]}x{cfg.coupling.shape[1]}")
-    mixed = _corrupt(clean, cfg)
+    mixed = _corrupt(fileio.read_signal(args.input), cfg)
     mixed_path = out / _signal_name("mixed", cfg)
     fileio.write_signal(mixed_path, mixed)
     _finish(cfg, out / "mix_manifest.cfg", mixed_path)

@@ -205,6 +205,29 @@ def _find_runs(mask: np.ndarray, min_run: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(starts, stops) if b - a >= min_run]
 
 
+def _check_settings(carrier: float, lowpass_cutoff: float, decimation: int,
+                    sample_rate: float, filter_order: int, envelope_order: int,
+                    envelope_floor: float, envelope_min_run: int) -> float:
+    """Range-check demodulate's settings; returns the envelope rail's cutoff."""
+    nyquist = 0.5 * sample_rate
+    if not (0.0 < carrier < nyquist):
+        raise ValueError(f"carrier must be in (0, {nyquist}), got {carrier}")
+    # Below Nyquist for any carrier in range.
+    envelope_cutoff = min(0.4 * carrier, 0.95 * (nyquist - carrier))
+    if not (0.0 < lowpass_cutoff <= envelope_cutoff):
+        raise ValueError(
+            f"lowpass_cutoff must not exceed the envelope cutoff {envelope_cutoff} "
+            f"and must be positive, got {lowpass_cutoff}")
+    for name, value, low in (("decimation", decimation, 1), ("filter_order", filter_order, 8),
+                             ("envelope_order", envelope_order, 8),
+                             ("envelope_min_run", envelope_min_run, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    if not (0.0 < envelope_floor < 1.0):
+        raise ValueError(f"envelope_floor must be in (0, 1), got {envelope_floor}")
+    return envelope_cutoff
+
+
 def demodulate(
     channel: np.ndarray,
     carrier: float,
@@ -236,25 +259,12 @@ def demodulate(
     With strict=True (default) that raises PhaseTrackingLostError;
     otherwise the ranges are recorded on the returned series.
 
-    channel is a finite 1-D array sampled at sample_rate.
+    channel is a finite 1-D array sampled at sample_rate. Both filter
+    orders must be at least 8 and envelope_min_run at least 1.
     """
     data, rate = as_channel(channel, sample_rate)
-    nyquist = 0.5 * rate
-    if not (0.0 < carrier < nyquist):
-        raise ValueError(f"carrier must be in (0, {nyquist}), got {carrier}")
-    if not (0.0 < lowpass_cutoff < carrier):
-        raise ValueError(
-            f"lowpass_cutoff must be in (0, carrier={carrier}), got {lowpass_cutoff}")
-    if decimation < 1:
-        raise ValueError(f"decimation must be >= 1, got {decimation}")
-    if not (0.0 < envelope_floor < 1.0):
-        raise ValueError(f"envelope_floor must be in (0, 1), got {envelope_floor}")
-    # Below Nyquist for any carrier in range.
-    envelope_cutoff = min(0.4 * carrier, 0.95 * (nyquist - carrier))
-    if lowpass_cutoff > envelope_cutoff:
-        raise ValueError(
-            f"lowpass_cutoff must not exceed the envelope cutoff {envelope_cutoff}, "
-            f"got {lowpass_cutoff}")
+    envelope_cutoff = _check_settings(carrier, lowpass_cutoff, decimation, rate, filter_order,
+                                      envelope_order, envelope_floor, envelope_min_run)
 
     # Narrow rail: windowed sinc cascaded with the image comb, unity DC.
     # A record shorter than either filter never leaves its transient, so

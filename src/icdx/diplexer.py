@@ -31,7 +31,7 @@ __all__ = [
 class FirFilter:
     """Linear-phase FIR filter with symmetric taps.
 
-    A design of order p has p + 1 taps and the constant group delay p/2
+    A design of order p >= 2 has p + 1 taps and the constant group delay p/2
     samples. band records the intended passband edges at design_rate; a
     lowpass design uses band = (0, cutoff).
     """
@@ -43,19 +43,24 @@ class FirFilter:
     def __post_init__(self) -> None:
         own_arrays(self, taps=1)
         taps = self.taps
-        if taps.size < 2:
-            raise ValueError("taps must have at least 2 entries")
-        f_lo, f_hi = self.band
-        nyquist = 0.5 * self.design_rate
-        if not (0.0 <= f_lo < f_hi < nyquist):
-            raise ValueError(
-                f"band must satisfy 0 <= f_lo < f_hi < {nyquist}, got {self.band}")
+        _check_design(taps.size - 1, self.band, self.design_rate)
         if np.max(np.abs(taps - taps[::-1])) > 1e-12 * np.max(np.abs(taps)):
             raise ValueError("taps must be symmetric (linear phase)")
 
 
+def _check_design(order: int, band: tuple[float, float], sample_rate: float,
+                  what: str = "band edges") -> None:
+    """The rules every filter here keeps: order >= 2 and 0 <= f_lo < f_hi < Nyquist."""
+    if order < 2:
+        raise ValueError(f"order must be >= 2, got {order}")
+    nyquist = 0.5 * sample_rate
+    if not (0.0 <= band[0] < band[1] < nyquist):
+        raise ValueError(f"{what} must satisfy 0 <= f_lo < f_hi < {nyquist}, got {band}")
+
+
 def _windowed_sinc(order: int, f_lo: float, f_hi: float, sample_rate: float) -> np.ndarray:
     """Hamming-windowed ideal bandpass taps for (f_lo, f_hi); f_lo = 0 gives the lowpass."""
+    _check_design(order, (f_lo, f_hi), sample_rate)
     m = np.arange(order + 1) - 0.5 * order
     w_lo = 2.0 * np.pi * f_lo / sample_rate
     w_hi = 2.0 * np.pi * f_hi / sample_rate
@@ -78,13 +83,8 @@ def design_fir_bandpass(
     which keeps a passband tone's amplitude calibrated even for very
     short filters whose raw window gain is well below one.
     """
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    nyquist = 0.5 * sample_rate
-    if not (0.0 < f_lo < f_hi < nyquist):
-        raise ValueError(
-            f"band edges must satisfy 0 < f_lo < f_hi < {nyquist}, "
-            f"got ({f_lo}, {f_hi})")
+    if not f_lo > 0.0:
+        raise ValueError(f"band edges must satisfy 0 < f_lo, got ({f_lo}, {f_hi})")
     taps = _windowed_sinc(order, f_lo, f_hi, sample_rate)
     center = 0.5 * (f_lo + f_hi)
     n = np.arange(order + 1)
@@ -96,11 +96,6 @@ def design_fir_bandpass(
 
 def design_fir_lowpass(order: int, cutoff: float, sample_rate: float) -> FirFilter:
     """Hamming-windowed sinc lowpass, unity DC gain (taps sum to 1)."""
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    nyquist = 0.5 * sample_rate
-    if not (0.0 < cutoff < nyquist):
-        raise ValueError(f"cutoff must be in (0, {nyquist}), got {cutoff}")
     taps = _windowed_sinc(order, 0.0, cutoff, sample_rate)
     taps = taps / taps.sum()
     return FirFilter(taps=taps, band=(0.0, cutoff), design_rate=sample_rate)
@@ -122,10 +117,22 @@ def filter_signal(signal: np.ndarray, fir: FirFilter, sample_rate: float) -> np.
     return np.convolve(channel, fir.taps, mode="full")[: channel.size]
 
 
+def _check_split(tone_a: float, tone_b: float, order: int, sample_rate: float,
+                 band_frac: float) -> None:
+    """Range-check fir_split's settings; each error starts with the name it refuses."""
+    if tone_a == tone_b:
+        raise ValueError(f"tone_a and tone_b must be distinct, both are {tone_a}")
+    if not (0.0 < band_frac < 1.0):
+        raise ValueError(f"band_frac must be in (0, 1), got {band_frac}")
+    for name, tone in (("tone_a", tone_a), ("tone_b", tone_b)):
+        _check_design(order, (tone * (1.0 - band_frac), tone * (1.0 + band_frac)),
+                      sample_rate, f"{name} passband")
+
+
 def fir_split(
     composite: np.ndarray,
-    freq_a: float,
-    freq_b: float,
+    tone_a: float,
+    tone_b: float,
     order: int,
     sample_rate: float,
     band_frac: float = 0.2,
@@ -139,16 +146,13 @@ def fir_split(
     it is measured against.
     """
     channel, rate = as_channel(composite, sample_rate)
-    if freq_a == freq_b:
-        raise ValueError("tone frequencies must be distinct")
-    if not (0.0 < band_frac < 1.0):
-        raise ValueError(f"band_frac must be in (0, 1), got {band_frac}")
+    _check_split(tone_a, tone_b, order, rate, band_frac)
     # Checked before any design: the taps of an absurd order do not fit in memory.
     if order + 1 > channel.size:
         raise ValueError(
             f"signal length {channel.size} shorter than filter ({order + 1} taps)")
     branches = np.empty((2, channel.size))
-    for row, freq in zip(branches, (freq_a, freq_b)):
+    for row, freq in zip(branches, (tone_a, tone_b)):
         fir = design_fir_bandpass(
             order, freq * (1.0 - band_frac), freq * (1.0 + band_frac), rate)
         row[:] = filter_signal(channel, fir, rate)
@@ -157,8 +161,8 @@ def fir_split(
 
 def diplex(
     composite: np.ndarray,
-    freq_a: float,
-    freq_b: float,
+    tone_a: float,
+    tone_b: float,
     order: int,
     cfg: fastica.FastIcaConfig,
     sample_rate: float,
@@ -181,8 +185,8 @@ def diplex(
     unmixing stage fails. Identification comes first, so a run that
     fails both raises IdentificationError.
     """
-    fir_only = fir_split(composite, freq_a, freq_b, order, sample_rate, band_frac)
-    tones = (freq_a, freq_b)
+    fir_only = fir_split(composite, tone_a, tone_b, order, sample_rate, band_frac)
+    tones = (tone_a, tone_b)
     rate = fir_only.sample_rate
     # One transform per branch serves all four residuals. Only the tone
     # bands are kept: full-length spectra would outlive their use.
@@ -197,7 +201,7 @@ def diplex(
     # one-dimensional input (a single tone must fail as rank deficient,
     # not limp through to a component identification collision).
     separated, result, _ = fastica.separate(
-        fir_only, cfg, {"tone_a": freq_a, "tone_b": freq_b}, skip=order)
+        fir_only, cfg, {"tone_a": tone_a, "tone_b": tone_b}, skip=order)
     if not all(result.converged):
         raise fastica.ConvergenceError(
             f"unmixing did not converge (iterations {result.iterations})")

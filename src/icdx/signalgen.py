@@ -295,8 +295,12 @@ def apply_crosstalk(signal: MultichannelSignal, coupling: np.ndarray) -> Multich
     in a meaningful sense (rows not collinear); a singular matrix would
     make the separation problem ill-posed at the source.
     """
+    return signal.with_data(_check_coupling(coupling, signal.channels) @ signal.data)
+
+
+def _check_coupling(coupling: np.ndarray, c: int) -> np.ndarray:
+    """The coupling as a float64 matrix, checked: c x c, finite and not singular."""
     mat = np.asarray(coupling, dtype=np.float64)
-    c = signal.channels
     if mat.shape != (c, c):
         raise ValueError(f"coupling must be {c}x{c}, got {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -306,7 +310,7 @@ def apply_crosstalk(signal: MultichannelSignal, coupling: np.ndarray) -> Multich
     scale = np.max(np.sum(np.abs(mat), axis=1))
     if scale == 0.0 or abs(np.linalg.det(mat)) < 1e-12 * scale**c:
         raise ValueError("coupling matrix is singular or nearly singular")
-    return signal.with_data(mat @ signal.data)
+    return mat
 
 
 def _noise_power_ratio(snr_db: float) -> float:
@@ -334,6 +338,10 @@ def add_awgn(signal: MultichannelSignal, snr_db: float, seed: int) -> Multichann
     power = np.mean(signal.data**2, axis=1)
     if np.any(power == 0.0):
         raise ValueError("cannot set an SNR against an all-zero channel")
+    # On Python floats the product overflows to inf without a warning.
+    if math.isinf(ratio * float(np.max(power))):
+        raise ValueError(f"snr_db {snr_db!r} asks for a noise power beyond float64 "
+                         f"on a channel of mean power {np.max(power):g}")
     sigma = np.sqrt(power * ratio)
     noise = rng.standard_normal(signal.data.shape) * sigma[:, None]
     return signal.with_data(signal.data + noise)

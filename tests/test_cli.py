@@ -406,6 +406,23 @@ def test_gen_rejects_non_finite_settings_before_writing(tmp_path, capsys, flag, 
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("name, flag, token, value", [
+    # Above the 400 kHz envelope cutoff at f_het1 = 1 MHz, though below the carrier.
+    ("lowpass_cutoff", "--lowpass-cutoff", "450000", 4.5e5),
+    # Below the 100 MHz Nyquist rate, but its passband reaches 108 MHz.
+    ("tone_b", "--tone-b", "90e6", 90.0e6),
+    ("coupling", "--coupling", "1,1;1,1", np.ones((2, 2))),
+])
+def test_validate_refuses_what_a_stage_refuses(tmp_path, capsys, name, flag, token, value):
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        dataclasses.replace(RunConfig(), **{name: value}).validate()
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["gen", "--out-dir", str(out), "--samples", "4096", flag, token]) == 2
+    assert f"error: {name} " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_run_config_validate_catches_cross_field_violations():
     with pytest.raises(ValueError, match="lowpass_cutoff"):
         RunConfig(lowpass_cutoff=2.0e6).validate()
@@ -446,7 +463,11 @@ def test_help_lists_every_setting(capsys, command):
     out = capsys.readouterr().out
     for spec in dataclasses.fields(RunConfig):
         flag, text = "--" + spec.name.replace("_", "-"), spec.metadata["help"]
-        assert text and re.search(rf"^  {flag} V\s+{re.escape(text.split()[0])}", out, re.M), flag
+        # A flag with fixed choices shows them, such as {raw,csv}, in place of V.
+        choices = spec.metadata.get("choices")
+        shown = "{" + ",".join(choices) + "}" if choices else "V"
+        assert text and re.search(
+            rf"^  {flag} {re.escape(shown)}\s+{re.escape(text.split()[0])}", out, re.M), flag
     # The choices reach argparse too: a value outside them is refused by name.
     with pytest.raises(SystemExit) as stop:
         main([command, "--file-format", "hdf5"])

@@ -12,9 +12,11 @@ matrix rebuilt from its eigenpairs, the polar factor's orthonormality
 and symmetric positive semidefinite remainder, whiten() undone by
 restore(). The file-format properties check round trips, bit for bit:
 write_kv then read_kv, format_matrix then parse_matrix, metric tokens,
-and raw and CSV signal files.
+and raw and CSV signal files. RunConfig.validate() is checked against
+the stages that take its settings: it accepts what they accept.
 """
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import icdx
-from icdx.cli import _mask_lost
+from icdx.cli import RunConfig, _mask_lost
 from icdx.demod import _BLOCK, _overlap_save
 from icdx.fastica import _orthonormalize
 from icdx.fileio import _CSV_CHUNK_ROWS, _read_csv, _write_csv, format_matrix, parse_matrix
@@ -608,3 +610,45 @@ def test_signal_files_round_trip_bitwise(data, rate, suffix):
     assert back.data.shape == data.shape
     assert back.data.tobytes() == data.tobytes()
     assert _bits(back.sample_rate) == _bits(rate)
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+# Subnormal frequencies are left out: a windowed-sinc design with a subnormal
+# band edge can come out all zero, which no range check catches (see CHANGES.md).
+_HZ = dict(allow_subnormal=False)
+
+
+@settings(deadline=None)
+@given(carriers=st.tuples(st.floats(1e3, 4.1e6, **_HZ), st.floats(1e3, 4.1e6, **_HZ)),
+       cutoff=st.floats(0.0, 6e5, **_HZ), decimation=st.integers(0, 64),
+       orders=st.tuples(st.integers(6, 600), st.integers(6, 600)),
+       floor=st.floats(0.0, 1.0), min_run=st.integers(0, 8),
+       tones=st.tuples(st.floats(0.0, 9e7, **_HZ), st.floats(0.0, 9e7, **_HZ)),
+       same_tones=st.sampled_from((False,) * 9 + (True,)), band_frac=st.floats(0.0, 1.0),
+       diplex_order=st.integers(1, 64))
+def test_validate_accepts_exactly_what_the_stages_accept(
+        carriers, cutoff, decimation, orders, floor, min_run, tones, same_tones, band_frac,
+        diplex_order):
+    tone_a, tone_b = tones[0], tones[0] if same_tones else tones[1]
+    cfg = dataclasses.replace(
+        RunConfig(), f_het1=carriers[0], f_het2=carriers[1], lowpass_cutoff=cutoff,
+        decimation=decimation, filter_order=orders[0], envelope_order=orders[1],
+        envelope_floor=floor, envelope_min_run=min_run, tone_a=tone_a, tone_b=tone_b,
+        diplex_order=diplex_order, diplex_band_frac=band_frac)
+    t = np.arange(8192) / cfg.sample_rate
+    demod_ok = [_accepts(lambda carrier=carrier: icdx.demodulate(
+        np.sin(2.0 * np.pi * carrier * t), carrier, cutoff, decimation, cfg.sample_rate,
+        filter_order=orders[0], envelope_order=orders[1], envelope_floor=floor,
+        envelope_min_run=min_run, strict=False)) for carrier in carriers]
+    t = np.arange(4096) / cfg.diplex_rate
+    composite = np.sin(2.0 * np.pi * tone_a * t) + np.sin(2.0 * np.pi * tone_b * t)
+    split_ok = _accepts(lambda: icdx.fir_split(
+        composite, tone_a, tone_b, diplex_order, cfg.diplex_rate, band_frac))
+    assert _accepts(cfg.validate) == (all(demod_ok) and split_ok)

@@ -1,6 +1,7 @@
 """Signal synthesis: scenarios, coupling, noise, quantization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,12 @@ def test_add_awgn_seeded_and_infinite_snr():
         with pytest.raises(ValueError, match=f"snr_db {rule}.*got {bad!r}"):
             icdx.add_awgn(signal, bad, seed=7)
     assert np.all(np.isfinite(icdx.add_awgn(signal, -3082.5, seed=7).data))
+    # At the floor a channel of power 100 would need noise power 100 x 1.8e308:
+    # refused by value before any multiply overflows, so numpy warns nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"snr_db -3082\.5 .* mean power 100\b"):
+            icdx.add_awgn(signal.with_data(10.0 * signal.data), -3082.5, seed=7)
 
 
 def test_quantize_adc_hand_grid():
