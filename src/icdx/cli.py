@@ -113,12 +113,10 @@ class RunConfig:
         self.ica()
         signalgen._check_coupling(self.coupling, 2)
         signalgen._noise_power_ratio(self.snr_db)
-        if self.adc_bits != 0 and not (2 <= self.adc_bits <= 24):
-            raise ValueError(f"adc_bits must be 0 or in [2, 24], got {self.adc_bits}")
+        if self.adc_bits:  # 0 turns the quantizer off
+            signalgen._check_adc(self.adc_bits, self.adc_full_scale)
         for name in ("adc_full_scale", "diplex_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+            signalgen._check_positive(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for carrier in (self.f_het1, self.f_het2):
@@ -275,6 +273,14 @@ def _finish(cfg: RunConfig, manifest: Path, *written: Path) -> None:
         print(f"wrote {path}")
 
 
+def _read(path: str, channels: int) -> signalgen.MultichannelSignal:
+    """The signal file at path; ValueError unless it holds that many channels."""
+    signal = fileio.read_signal(path)
+    if signal.channels != channels:
+        raise ValueError(f"{path} must hold {channels} channel(s), got {signal.channels}")
+    return signal
+
+
 def _corrupt(clean: signalgen.MultichannelSignal, cfg: RunConfig) -> signalgen.MultichannelSignal:
     """The measurement chain: coupling, then noise, then quantization."""
     mixed = signalgen.apply_crosstalk(clean, cfg.coupling)
@@ -320,9 +326,7 @@ def _cmd_mix(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
-    mixed = fileio.read_signal(args.input)
-    if mixed.channels != 2:
-        raise ValueError(f"unmix expects 2 channels, got {mixed.channels}")
+    mixed = _read(args.input, 2)
     truth = fileio.read_signal(args.truth) if args.truth else None
     if truth is not None and truth.data.shape != mixed.data.shape:
         raise ValueError("truth signal shape does not match the input")
@@ -370,9 +374,8 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
     _finish(cfg, out / "unmix_manifest.cfg", corrected_path, out / "separation.cfg",
             out / "whitening.cfg", out / "quality.cfg")
     if not all(result.converged):
-        print(f"icdx: error: separation did not converge "
-              f"(iterations {result.iterations})", file=sys.stderr)
-        return _EXIT_NUMERIC
+        raise fastica.ConvergenceError(
+            f"separation did not converge (iterations {result.iterations})")
     return _EXIT_OK
 
 
@@ -384,9 +387,7 @@ def _mask_lost(keep: np.ndarray, lost: tuple[tuple[int, int], ...], decimation: 
 
 def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
-    corrected = fileio.read_signal(args.input)
-    if corrected.channels != 2:
-        raise ValueError(f"density expects 2 channels, got {corrected.channels}")
+    corrected = _read(args.input, 2)
     params = cfg.interferometer()
     carriers = (cfg.f_het1, cfg.f_het2)
     phases = []
@@ -430,10 +431,7 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
         report[f"ch{i}_lost_ranges"] = " ".join(
             f"{start}:{stop}" for start, stop in phase.lost_ranges) or "none"
     if args.truth:
-        truth_signal = fileio.read_signal(args.truth)
-        if truth_signal.channels != 1:
-            raise ValueError("truth density must be a single-channel file")
-        truth = truth_signal.data[0][::cfg.decimation]
+        truth = _read(args.truth, 1).data[0][::cfg.decimation]
         if truth.shape[0] != len(density):
             raise ValueError("truth density length does not match the input record")
         keep = np.zeros(len(density), dtype=bool)
@@ -447,22 +445,17 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
     fileio.write_kv(out / "density_report.cfg", report)
     _finish(cfg, out / "density_manifest.cfg", density_path, out / "density_report.cfg")
     if status != "ok":
-        ranges = "; ".join(
-            f"ch{i + 1} {phase.lost_ranges}" for i, phase in enumerate(phases)
-            if phase.lost_ranges)
-        print(f"icdx: error: phase tracking lost ({status}): {ranges}",
-              file=sys.stderr)
-        return _EXIT_NUMERIC
+        ranges = "; ".join(f"ch{i} {phase.lost_ranges}"
+                           for i, phase in enumerate(phases, start=1) if phase.lost_ranges)
+        raise demod.PhaseTrackingLostError(f"phase tracking lost ({status}): {ranges}",
+                                           phases[0].lost_ranges + phases[1].lost_ranges)
     return _EXIT_OK
 
 
 def _cmd_diplex(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
     if args.input:
-        signal = fileio.read_signal(args.input)
-        if signal.channels != 1:
-            raise ValueError(
-                f"diplex expects a single-channel composite, got {signal.channels}")
+        signal = _read(args.input, 1)
         composite, rate = signal.data[0], signal.sample_rate
     else:
         t = np.arange(cfg.diplex_samples) / cfg.diplex_rate

@@ -35,8 +35,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diplexer import design_fir_lowpass
-from .signalgen import InterferometerParams, as_channel, own_arrays
+from .diplexer import _check_design, design_fir_lowpass
+from .signalgen import (InterferometerParams, _check_frequency, _check_positive, as_channel,
+                        own_arrays)
 
 __all__ = [
     "PhaseTrackingLostError",
@@ -71,8 +72,7 @@ class _Settled:
 
     def __post_init__(self) -> None:
         own_arrays(self, samples=1)
-        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate!r}")
+        _check_positive("sample_rate", self.sample_rate)
         if self.settle < 0:
             raise ValueError("settle must be non-negative")
 
@@ -209,11 +209,9 @@ def _check_settings(carrier: float, lowpass_cutoff: float, decimation: int,
                     sample_rate: float, filter_order: int, envelope_order: int,
                     envelope_floor: float, envelope_min_run: int) -> float:
     """Range-check demodulate's settings; returns the envelope rail's cutoff."""
-    nyquist = 0.5 * sample_rate
-    if not (0.0 < carrier < nyquist):
-        raise ValueError(f"carrier must be in (0, {nyquist}), got {carrier}")
+    _check_frequency("carrier", carrier, sample_rate)
     # Below Nyquist for any carrier in range.
-    envelope_cutoff = min(0.4 * carrier, 0.95 * (nyquist - carrier))
+    envelope_cutoff = min(0.4 * carrier, 0.95 * (0.5 * sample_rate - carrier))
     if not (0.0 < lowpass_cutoff <= envelope_cutoff):
         raise ValueError(
             f"lowpass_cutoff must not exceed the envelope cutoff {envelope_cutoff} "
@@ -225,6 +223,8 @@ def _check_settings(carrier: float, lowpass_cutoff: float, decimation: int,
             raise ValueError(f"{name} must be >= {low}, got {value}")
     if not (0.0 < envelope_floor < 1.0):
         raise ValueError(f"envelope_floor must be in (0, 1), got {envelope_floor}")
+    # The envelope rail's band is wider, so this covers its design too.
+    _check_design(filter_order, (0.0, lowpass_cutoff), sample_rate, "lowpass_cutoff")
     return envelope_cutoff
 
 
@@ -262,7 +262,7 @@ def demodulate(
     channel is a finite 1-D array sampled at sample_rate. Both filter
     orders must be at least 8 and envelope_min_run at least 1.
     """
-    data, rate = as_channel(channel, sample_rate)
+    data, rate = as_channel(channel), float(sample_rate)
     envelope_cutoff = _check_settings(carrier, lowpass_cutoff, decimation, rate, filter_order,
                                       envelope_order, envelope_floor, envelope_min_run)
 

@@ -50,12 +50,15 @@ class FirFilter:
 
 def _check_design(order: int, band: tuple[float, float], sample_rate: float,
                   what: str = "band edges") -> None:
-    """The rules every filter here keeps: order >= 2 and 0 <= f_lo < f_hi < Nyquist."""
+    """The rules every filter here keeps: order >= 2, 0 <= f_lo < f_hi < Nyquist, normal angles."""
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     nyquist = 0.5 * sample_rate
     if not (0.0 <= band[0] < band[1] < nyquist):
         raise ValueError(f"{what} must satisfy 0 <= f_lo < f_hi < {nyquist}, got {band}")
+    # A subnormal angle, the windowed sinc's argument, gives zero or non-finite taps.
+    if any(edge and 2.0 * np.pi * edge / sample_rate < np.finfo(float).tiny for edge in band):
+        raise ValueError(f"{what} must make 2 pi f / rate a normal float, got {band}")
 
 
 def _windowed_sinc(order: int, f_lo: float, f_hi: float, sample_rate: float) -> np.ndarray:
@@ -108,7 +111,7 @@ def filter_signal(signal: np.ndarray, fir: FirFilter, sample_rate: float) -> np.
     samples; callers needing aligned outputs compensate with that
     constant. The signal rate must match the filter's design rate.
     """
-    channel, rate = as_channel(signal, sample_rate)
+    channel, rate = as_channel(signal), float(sample_rate)
     if not math.isclose(rate, fir.design_rate, rel_tol=1e-9):
         raise ValueError(f"signal rate {rate} != filter design rate {fir.design_rate}")
     if channel.size < fir.taps.size:
@@ -145,7 +148,7 @@ def fir_split(
     stage exists both as the front end of diplex() and as the baseline
     it is measured against.
     """
-    channel, rate = as_channel(composite, sample_rate)
+    channel, rate = as_channel(composite), float(sample_rate)
     _check_split(tone_a, tone_b, order, rate, band_frac)
     # Checked before any design: the taps of an absurd order do not fit in memory.
     if order + 1 > channel.size:

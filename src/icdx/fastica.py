@@ -56,7 +56,7 @@ import numpy as np
 
 from . import preprocess
 from .preprocess import _CHUNK, WhiteningTransform, centered_product
-from .signalgen import Adopted, MultichannelSignal, own_arrays
+from .signalgen import Adopted, MultichannelSignal, _check_frequency, own_arrays
 
 __all__ = [
     "CONTRASTS",
@@ -551,12 +551,9 @@ def identify_components(
     if len(expected) != components.channels:
         raise ValueError(
             f"{len(expected)} expected carriers for {components.channels} components")
-    nyquist = 0.5 * components.sample_rate
-    freqs = list(expected.values())
     for label, freq in expected.items():
-        if not (0.0 < freq < nyquist):
-            raise ValueError(f"carrier {label!r} at {freq} Hz is outside (0, Nyquist)")
-    if len(set(freqs)) != len(freqs):
+        _check_frequency(f"expected[{label!r}]", freq, components.sample_rate)
+    if len(set(expected.values())) != len(expected):
         raise ValueError("expected carrier frequencies must be distinct")
 
     block = components.data[:, :_BLOCK]

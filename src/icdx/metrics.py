@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .signalgen import _all_finite, as_channel
+from .signalgen import _check_frequency, as_channel
 
 __all__ = [
     "carrier_band",
@@ -36,19 +36,9 @@ _NEG_INF_TOKEN = "neg-inf"
 _POS_INF_TOKEN = "pos-inf"
 
 
-def _series(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"{name} must be a 1-D series with at least 2 samples")
-    if not _all_finite(arr):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 def _pair(estimated, truth) -> tuple[np.ndarray, np.ndarray]:
     """Both series validated, with equal shapes."""
-    e = _series(estimated, "estimated")
-    t = _series(truth, "truth")
+    e, t = as_channel(estimated, "estimated"), as_channel(truth, "truth")
     if e.shape != t.shape:
         raise ValueError(f"shape mismatch: {e.shape} vs {t.shape}")
     return e, t
@@ -149,9 +139,8 @@ def envelope_depth(
     band_spectrum, rfft(channel) on the carrier_band() bins, and the
     forward transform is skipped.
     """
-    data, rate = as_channel(channel, sample_rate)
-    if not (0.0 < carrier < 0.5 * rate):
-        raise ValueError(f"carrier must be in (0, {0.5 * rate}), got {carrier}")
+    data, rate = as_channel(channel), float(sample_rate)
+    _check_frequency("carrier", carrier, rate)
     if not (0.0 < band_frac < 1.0):
         raise ValueError(f"band_frac must be in (0, 1), got {band_frac}")
     if not (0.0 <= edge_trim < 0.5):
@@ -228,12 +217,10 @@ def cross_tone_residual_db(
     skipped. Only its bins above DC are read: bin 0 is the sum of the
     channel's samples, so a spectrum equal above DC will do.
     """
-    data, rate = as_channel(channel, sample_rate)
+    data, rate = as_channel(channel), float(sample_rate)
     n = data.shape[0]
-    nyquist = 0.5 * rate
     for name, freq in (("own_freq", own_freq), ("other_freq", other_freq)):
-        if not (0.0 < freq < nyquist):
-            raise ValueError(f"{name} must be in (0, {nyquist}), got {freq}")
+        _check_frequency(name, freq, rate)
     if own_freq == other_freq:
         raise ValueError("own_freq and other_freq must be distinct")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +68,18 @@ def _all_finite(arr: np.ndarray) -> bool:
                for start in range(0, flat.size, _FINITE_CHUNK))
 
 
+def _check_positive(name: str, value: float) -> None:
+    """ValueError naming value unless it is a positive finite real number."""
+    if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def _check_frequency(name: str, freq: float, sample_rate: float) -> None:
+    """ValueError naming freq unless 0 < freq < Nyquist at sample_rate."""
+    if not (0.0 < freq < 0.5 * sample_rate):
+        raise ValueError(f"{name} must be in (0, Nyquist {0.5 * sample_rate}), got {freq}")
+
+
 def own_arrays(obj, **ndims: int) -> None:
     """Lock each field named in ndims to its own float64 copy.
 
@@ -106,17 +119,12 @@ class InterferometerParams:
     electron_radius: float = CLASSICAL_ELECTRON_RADIUS_M
 
     def __post_init__(self) -> None:
-        for name in ("wavelength1", "wavelength2", "f_het1", "f_het2",
-                     "sample_rate", "electron_radius"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        for name in ("wavelength1", "wavelength2", "sample_rate", "electron_radius"):
+            _check_positive(name, getattr(self, name))
         if self.wavelength1 == self.wavelength2:
             raise ValueError("wavelengths must differ for two-color cancellation")
-        nyquist = 0.5 * self.sample_rate
         for name in ("f_het1", "f_het2"):
-            if getattr(self, name) >= nyquist:
-                raise ValueError(f"{name} must be below the Nyquist rate {nyquist}")
+            _check_frequency(name, getattr(self, name), self.sample_rate)
 
     @property
     def wavelength_ratio(self) -> float:
@@ -151,8 +159,7 @@ class PhaseTrack:
 
     def __post_init__(self) -> None:
         own_arrays(self, samples=1)
-        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate!r}")
+        _check_positive("sample_rate", self.sample_rate)
         if self.label not in self._LABELS:
             raise ValueError(f"label must be one of {self._LABELS}, got {self.label!r}")
 
@@ -174,8 +181,7 @@ class MultichannelSignal:
         own_arrays(self, data=2)
         if self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise ValueError(f"data must be non-empty, got shape {self.data.shape}")
-        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate!r}")
+        _check_positive("sample_rate", self.sample_rate)
 
     @property
     def channels(self) -> int:
@@ -196,15 +202,15 @@ class MultichannelSignal:
         return replace(self, data=data)
 
 
-def as_channel(samples, sample_rate: float) -> tuple[np.ndarray, float]:
-    """(samples, rate) of one channel: a finite 1-D array of at least 2 samples."""
+def as_channel(samples, name: str = "channel") -> np.ndarray:
+    """One channel's samples: a finite 1-D float64 array of at least 2; errors name it."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError(
-            f"channel must be a 1-D series with at least 2 samples, got shape {arr.shape}")
+            f"{name} must be a 1-D series with at least 2 samples, got shape {arr.shape}")
     if not _all_finite(arr):
-        raise ValueError(f"channel must be finite, sample {np.argmin(np.isfinite(arr))} is not")
-    return arr, float(sample_rate)
+        raise ValueError(f"{name} must be finite, sample {np.argmin(np.isfinite(arr))} is not")
+    return arr
 
 
 def synth_clean_pair(
@@ -347,19 +353,24 @@ def add_awgn(signal: MultichannelSignal, snr_db: float, seed: int) -> Multichann
     return signal.with_data(signal.data + noise)
 
 
-def quantize_adc(signal: MultichannelSignal, bits: int, full_scale: float) -> MultichannelSignal:
+def _check_adc(adc_bits: int, adc_full_scale: float) -> None:
+    """Range-check quantize_adc's settings; each error starts with the name it refuses."""
+    if not (2 <= adc_bits <= 24):
+        raise ValueError(f"adc_bits must be in [2, 24], got {adc_bits}")
+    _check_positive("adc_full_scale", adc_full_scale)
+
+
+def quantize_adc(signal: MultichannelSignal, adc_bits: int,
+                 adc_full_scale: float) -> MultichannelSignal:
     """Mid-tread uniform quantizer with saturation at the rails.
 
-    Step size is 2*full_scale / 2**bits. Codes are clipped to the
-    integer range [-2**(bits-1), 2**(bits-1) - 1], so the most negative
-    reconstruction level is exactly -full_scale and the most positive is
-    full_scale minus one step.
+    Step size is 2*adc_full_scale / 2**adc_bits. Codes are clipped to the
+    integer range [-2**(adc_bits-1), 2**(adc_bits-1) - 1], so the most
+    negative reconstruction level is exactly -adc_full_scale and the most
+    positive is adc_full_scale minus one step.
     """
-    if not (2 <= bits <= 24):
-        raise ValueError(f"bits must be in [2, 24], got {bits}")
-    if not (math.isfinite(full_scale) and full_scale > 0):
-        raise ValueError(f"full_scale must be positive, got {full_scale!r}")
-    step = 2.0 * full_scale / (2.0**bits)
-    half = 2 ** (bits - 1)
+    _check_adc(adc_bits, adc_full_scale)
+    step = 2.0 * adc_full_scale / (2.0**adc_bits)
+    half = 2 ** (adc_bits - 1)
     codes = np.clip(np.round(signal.data / step), -half, half - 1)
     return signal.with_data(codes * step)

@@ -312,16 +312,20 @@ def test_non_finite_coupling_exit_2(tmp_path, capsys):
         assert _written(out) == []
 
 
-def test_unmix_nonconvergence_exit_3(tmp_path):
+def test_unmix_nonconvergence_exit_3(tmp_path, capsys):
     run = tmp_path / "run"
     assert _gen(run) == 0
+    capsys.readouterr()
     rc = main(["unmix", "--in", str(run / "mixed.bin"),
                "--out-dir", str(tmp_path / "u"),
                "--max-iter", "1", "--tol", "1e-15"])
     assert rc == 3
-    # The outputs are still written for inspection.
-    for name in ("corrected.bin", "separation.cfg", "quality.cfg"):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("icdx: error: separation did not converge (iterations ")
+    # The outputs are still written for inspection, and listed.
+    for name in ("corrected.bin", "separation.cfg", "quality.cfg", "unmix_manifest.cfg"):
         assert (tmp_path / "u" / name).exists(), name
+        assert f"wrote {tmp_path / 'u' / name}\n" in captured.out
 
 
 def test_density_on_strong_coupling_partial_exit_3(tmp_path, capsys):
@@ -329,7 +333,9 @@ def test_density_on_strong_coupling_partial_exit_3(tmp_path, capsys):
     assert _gen(run, "--coupling", "1,0.9;0.9,1") == 0
     rc = main(["density", "--in", str(run / "mixed.bin"), "--out-dir", str(run)])
     assert rc == 3
-    assert "phase tracking lost" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("icdx: error: phase tracking lost (partial): ch1 ((")
+    assert f"wrote {run / 'density_report.cfg'}\n" in captured.out
     report = read_kv(run / "density_report.cfg")
     assert report.values["status"] == "partial"
     lost = _float(report, "lost_fraction")
@@ -406,12 +412,27 @@ def test_gen_rejects_non_finite_settings_before_writing(tmp_path, capsys, flag, 
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("name, args", [
+    ("adc_bits", ["--adc-bits", "1"]), ("adc_bits", ["--adc-bits", "25"]),
+    ("adc_full_scale", ["--adc-bits", "12", "--adc-full-scale", "0"])])
+def test_gen_refuses_adc_settings_out_of_range_before_writing(tmp_path, capsys, name, args):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["gen", "--out-dir", str(out), "--samples", "4096", *args]) == 2
+    assert f"error: {name} " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, flag, token, value", [
     # Above the 400 kHz envelope cutoff at f_het1 = 1 MHz, though below the carrier.
     ("lowpass_cutoff", "--lowpass-cutoff", "450000", 4.5e5),
     # Below the 100 MHz Nyquist rate, but its passband reaches 108 MHz.
     ("tone_b", "--tone-b", "90e6", 90.0e6),
     ("coupling", "--coupling", "1,1;1,1", np.ones((2, 2))),
+    # Subnormal band edges: the windowed-sinc angle 2 pi f / rate underflows.
+    ("lowpass_cutoff", "--lowpass-cutoff", "1e-320", 1e-320),
+    ("tone_b", "--tone-b", "1e-322", 1e-322),
 ])
 def test_validate_refuses_what_a_stage_refuses(tmp_path, capsys, name, flag, token, value):
     with pytest.raises(ValueError, match=rf"^{name} "):

@@ -187,6 +187,7 @@ def test_envelope_floor_tunable():
             mixed.data[0], CARRIER_1, 4.0e4, 8, RATE, envelope_floor=0.9)
 
 
+@pytest.mark.filterwarnings("error")
 def test_demodulate_validation():
     n = 4096
     x = np.sin(2.0 * np.pi * CARRIER_1 * np.arange(n) / RATE)
@@ -207,6 +208,10 @@ def test_demodulate_validation():
             icdx.demodulate(x, carrier, cutoff, 8, RATE)
     with pytest.raises(ValueError, match="1-D series"):
         icdx.demodulate(np.zeros((2, 64)), CARRIER_1, 4.0e4, 8, RATE)
+    # 2 pi f / rate of a 1e-320 Hz cutoff underflows: its taps would not be finite.
+    with pytest.raises(ValueError, match="^lowpass_cutoff must make 2 pi f / rate a normal"):
+        icdx.demodulate(x, CARRIER_1, 1e-320, 8, RATE)
+    icdx.demodulate(x, CARRIER_1, 1e-300, 8, RATE, strict=False)  # a normal angle still runs
     # A NaN must not come back as NaN phases.
     with pytest.raises(ValueError, match="channel must be finite, sample 2000 is not"):
         icdx.demodulate(np.where(np.arange(n) == 2000, np.nan, x), CARRIER_1, 4.0e4, 8, RATE)
@@ -296,9 +301,16 @@ def test_density_settle_and_validation():
             a, _phase_series(np.zeros(16), rate=2.0e6), _PARAMS)
 
 
-@pytest.mark.parametrize("rate", [np.inf, np.nan])
+@pytest.mark.parametrize("rate", [np.inf, np.nan, 0.0, -RATE])
 def test_series_types_require_a_positive_finite_rate(rate):
-    with pytest.raises(ValueError, match="sample_rate"):
+    message = "^sample_rate must be a positive finite number"
+    with pytest.raises(ValueError, match=message):
         _phase_series(np.zeros(8), rate=rate)
-    with pytest.raises(ValueError, match="sample_rate"):
+    with pytest.raises(ValueError, match=message):
         icdx.DensitySeries(np.zeros(8), rate, 0)
+    with pytest.raises(ValueError, match=message):
+        icdx.PhaseTrack(np.zeros(8), rate, "density")
+    with pytest.raises(ValueError, match=message):
+        icdx.MultichannelSignal(np.zeros((2, 8)), rate)
+    with pytest.raises(ValueError, match=message):
+        icdx.InterferometerParams(sample_rate=rate)

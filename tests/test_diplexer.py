@@ -57,7 +57,11 @@ def test_bandpass_rejects_far_stopband():
     assert np.all(stop < 0.01)  # Hamming sidelobes are below -40 dB
 
 
+@pytest.mark.filterwarnings("error")
 def test_bandpass_validation():
+    # 2 pi f / rate underflows to a subnormal or zero: the taps would be zero or not finite.
+    with pytest.raises(ValueError, match="^band edges must make 2 pi f / rate a normal float"):
+        icdx.design_fir_lowpass(8, 1e-320, _RATE)
     with pytest.raises(ValueError, match="order"):
         icdx.design_fir_bandpass(1, 20.0e6, 30.0e6, _RATE)
     with pytest.raises(ValueError, match="band edges"):
@@ -228,3 +232,5 @@ def test_fir_split_validation():
         icdx.fir_split(composite, _TONE_A, _TONE_B, 5, _RATE, band_frac=1.5)
     with pytest.raises(ValueError, match="1-D series"):
         icdx.fir_split(np.zeros((2, 64)), _TONE_A, _TONE_B, 5, _RATE)
+    with pytest.raises(ValueError, match="^tone_b passband must make 2 pi f / rate a normal"):
+        icdx.fir_split(composite, _TONE_A, 1e-322, 5, _RATE)

@@ -64,8 +64,10 @@ def test_isr_validation():
         icdx.isr(np.ones(8), t)
     with pytest.raises(ValueError, match="zero"):
         icdx.isr(t, np.zeros(16))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^estimated must be finite, sample 0 is not"):
         icdx.isr(np.full(16, np.nan), t)
+    with pytest.raises(ValueError, match="^truth must be a 1-D series"):
+        icdx.isr(t, np.ones((2, 8)))
 
 
 def test_snr_hand_values():

@@ -90,7 +90,7 @@ def test_synth_clean_pair_validates_lengths_and_rates():
 
 
 def test_interferometer_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^f_het1 must be in \(0, Nyquist 4000000.0\)"):
         icdx.InterferometerParams(f_het1=5.0e6)  # at Nyquist: rejected
     with pytest.raises(ValueError):
         icdx.InterferometerParams(wavelength1=1.064e-6, wavelength2=1.064e-6)
@@ -180,10 +180,10 @@ def test_quantize_adc_12bit_sine_snr():
 def test_quantize_adc_validation():
     signal = icdx.MultichannelSignal(np.ones((1, 16)), RATE)
     for bits in (0, 1, 25):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^adc_bits must be in \[2, 24\]"):
             icdx.quantize_adc(signal, bits, 1.0)
-    with pytest.raises(ValueError):
-        icdx.quantize_adc(signal, 8, 0.0)
+    with pytest.raises(ValueError, match="^adc_full_scale must be a positive finite number"):
+        icdx.quantize_adc(signal, adc_bits=8, adc_full_scale=0.0)
 
 
 def test_multichannel_signal_is_readonly():
