@@ -331,9 +331,13 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
     if truth is not None and truth.data.shape != mixed.data.shape:
         raise ValueError("truth signal shape does not match the input")
     # One transform per input channel serves all four depths: above DC, the
-    # corrected channels' bins are w_full times these. Taken first, it lets
-    # the depths' buffers reuse heap pages instead of faulting in fresh ones.
-    spectrum = mixed.spectrum()
+    # corrected channels' bins are w_full times these. Only the bins from
+    # the lower carrier band's first to the upper one's last are kept.
+    carriers = (cfg.f_het1, cfg.f_het2)
+    bands = [metrics.carrier_band(mixed.length, mixed.sample_rate, carrier)
+             for carrier in carriers]
+    first = min(band.start for band in bands)
+    spectrum = mixed.spectrum(slice(first, max(band.stop for band in bands)))
     corrected, result, transform = fastica.separate(
         mixed, cfg.ica(), {"ch1": cfg.f_het1, "ch2": cfg.f_het2})
 
@@ -344,13 +348,13 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     unmixing = result.assignment.apply_rows(result.w_full)
     depth_raw, depth_fixed = [], []
-    for i, carrier in enumerate((cfg.f_het1, cfg.f_het2)):
-        band = metrics.carrier_band(mixed.length, mixed.sample_rate, carrier)
+    for i, (carrier, band) in enumerate(zip(carriers, bands)):
+        rows = spectrum[:, band.start - first: band.stop - first]
         depth_raw.append(metrics.envelope_depth(
-            mixed.data[i], carrier, mixed.sample_rate, band_spectrum=spectrum[i, band]))
+            mixed.data[i], carrier, mixed.sample_rate, band_spectrum=rows[i]))
         depth_fixed.append(metrics.envelope_depth(
             corrected.data[i], carrier, corrected.sample_rate,
-            band_spectrum=unmixing[i] @ spectrum[:, band]))
+            band_spectrum=unmixing[i] @ rows))
     isr_db = None
     gain_error = None
     if truth is not None:

@@ -262,7 +262,7 @@ def demodulate(
     channel is a finite 1-D array sampled at sample_rate. Both filter
     orders must be at least 8 and envelope_min_run at least 1.
     """
-    data, rate = as_channel(channel), float(sample_rate)
+    data, rate = as_channel(channel), _check_positive("sample_rate", sample_rate)
     envelope_cutoff = _check_settings(carrier, lowpass_cutoff, decimation, rate, filter_order,
                                       envelope_order, envelope_floor, envelope_min_run)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fastica, metrics
-from .signalgen import Adopted, MultichannelSignal, as_channel, own_arrays
+from .signalgen import Adopted, MultichannelSignal, _check_positive, as_channel, own_arrays
 
 __all__ = [
     "FirFilter",
@@ -25,6 +25,8 @@ __all__ = [
     "fir_split",
     "diplex",
 ]
+
+_TAP_CHUNK = 1 << 12  # _zero_taps(): taps computed at a time
 
 
 @dataclass(frozen=True)
@@ -61,17 +63,21 @@ def _check_design(order: int, band: tuple[float, float], sample_rate: float,
         raise ValueError(f"{what} must make 2 pi f / rate a normal float, got {band}")
 
 
-def _windowed_sinc(order: int, f_lo: float, f_hi: float, sample_rate: float) -> np.ndarray:
-    """Hamming-windowed ideal bandpass taps for (f_lo, f_hi); f_lo = 0 gives the lowpass."""
+def _windowed_sinc(order: int, f_lo: float, f_hi: float, sample_rate: float,
+                   taps: range | None = None) -> np.ndarray:
+    """Hamming-windowed ideal bandpass taps for (f_lo, f_hi); f_lo = 0 gives the lowpass.
+
+    taps selects which of the order + 1 taps to compute (all by default).
+    """
     _check_design(order, (f_lo, f_hi), sample_rate)
-    m = np.arange(order + 1) - 0.5 * order
+    index = np.arange(order + 1) if taps is None else np.arange(taps.start, taps.stop)
+    m = index - 0.5 * order
     w_lo = 2.0 * np.pi * f_lo / sample_rate
     w_hi = 2.0 * np.pi * f_hi / sample_rate
     with np.errstate(invalid="ignore"):
         ideal = (np.sin(w_hi * m) - np.sin(w_lo * m)) / (np.pi * m)
-    if order % 2 == 0:
-        ideal[order // 2] = (w_hi - w_lo) / np.pi
-    hamming = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(order + 1) / order)
+    ideal[m == 0.0] = (w_hi - w_lo) / np.pi
+    hamming = 0.54 - 0.46 * np.cos(2.0 * np.pi * index / order)
     return ideal * hamming
 
 
@@ -111,13 +117,28 @@ def filter_signal(signal: np.ndarray, fir: FirFilter, sample_rate: float) -> np.
     samples; callers needing aligned outputs compensate with that
     constant. The signal rate must match the filter's design rate.
     """
-    channel, rate = as_channel(signal), float(sample_rate)
+    channel, rate = as_channel(signal), _check_positive("sample_rate", sample_rate)
     if not math.isclose(rate, fir.design_rate, rel_tol=1e-9):
         raise ValueError(f"signal rate {rate} != filter design rate {fir.design_rate}")
     if channel.size < fir.taps.size:
         raise ValueError(
             f"signal length {channel.size} shorter than filter ({fir.taps.size} taps)")
     return np.convolve(channel, fir.taps, mode="full")[: channel.size]
+
+
+def _zero_taps(order: int, f_lo: float, f_hi: float, sample_rate: float) -> bool:
+    """Whether every windowed-sinc tap for (f_lo, f_hi) is zero, so no gain can scale them.
+
+    Edges that round to one angle zero all taps. Otherwise the taps are
+    computed _TAP_CHUNK at a time until one is nonzero, which is within
+    the first few: an order too large to design costs no memory here.
+    """
+    if 2.0 * np.pi * f_lo / sample_rate == 2.0 * np.pi * f_hi / sample_rate:
+        return True
+    return not any(
+        np.any(_windowed_sinc(order, f_lo, f_hi, sample_rate,
+                              range(start, min(start + _TAP_CHUNK, order + 1))))
+        for start in range(0, order + 1, _TAP_CHUNK))
 
 
 def _check_split(tone_a: float, tone_b: float, order: int, sample_rate: float,
@@ -128,8 +149,11 @@ def _check_split(tone_a: float, tone_b: float, order: int, sample_rate: float,
     if not (0.0 < band_frac < 1.0):
         raise ValueError(f"band_frac must be in (0, 1), got {band_frac}")
     for name, tone in (("tone_a", tone_a), ("tone_b", tone_b)):
-        _check_design(order, (tone * (1.0 - band_frac), tone * (1.0 + band_frac)),
-                      sample_rate, f"{name} passband")
+        edges = (tone * (1.0 - band_frac), tone * (1.0 + band_frac))
+        _check_design(order, edges, sample_rate, f"{name} passband")
+        if _zero_taps(order, *edges, sample_rate):
+            raise ValueError(f"band_frac {band_frac} is too narrow: the {name} passband "
+                             "design has zero gain at band center")
 
 
 def fir_split(
@@ -148,7 +172,7 @@ def fir_split(
     stage exists both as the front end of diplex() and as the baseline
     it is measured against.
     """
-    channel, rate = as_channel(composite), float(sample_rate)
+    channel, rate = as_channel(composite), _check_positive("sample_rate", sample_rate)
     _check_split(tone_a, tone_b, order, rate, band_frac)
     # Checked before any design: the taps of an absurd order do not fit in memory.
     if order + 1 > channel.size:
@@ -191,12 +215,10 @@ def diplex(
     fir_only = fir_split(composite, tone_a, tone_b, order, sample_rate, band_frac)
     tones = (tone_a, tone_b)
     rate = fir_only.sample_rate
-    # One transform per branch serves all four residuals. Only the tone
-    # bands are kept: full-length spectra would outlive their use.
-    spectrum = fir_only.spectrum()
-    branch_bands = [spectrum[:, metrics.tone_band(fir_only.length, rate, freq)]
-                    for freq in tones]
-    del spectrum
+    # One transform per branch serves all four residuals, and only the two
+    # tone bands of it are kept: full-length spectra would outlive their use.
+    bands = [metrics.tone_band(fir_only.length, rate, freq) for freq in tones]
+    branch_bands = np.split(fir_only.spectrum(np.concatenate(bands)), [bands[0].size], axis=1)
 
     # Estimate statistics on the steady-state region only: the first
     # `order` samples are partial convolutions, and that startup

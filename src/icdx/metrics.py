@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .signalgen import _check_frequency, as_channel
+from .signalgen import _check_frequency, _check_positive, as_channel
 
 __all__ = [
     "carrier_band",
@@ -135,11 +135,19 @@ def envelope_depth(
     result lies in [0, 1]: 0 for a clean constant-amplitude carrier,
     approaching 1 when interference beats the envelope through zero.
 
+    The inverse transform is exact and polyphase. Shifting the band's m
+    bins down to bin 0 multiplies the analytic signal by a unit-modulus
+    factor, so the envelope is unchanged. With P the largest power of two
+    dividing n such that M = n / P >= m, the envelope at samples
+    j = P q + r is |ifft_M| of those bins times exp(2 pi i k r / n), one
+    length-M transform per phase r, and the extrema are reduced phase by
+    phase. No length-n complex array is formed.
+
     A caller that already has the channel's spectrum passes
     band_spectrum, rfft(channel) on the carrier_band() bins, and the
     forward transform is skipped.
     """
-    data, rate = as_channel(channel), float(sample_rate)
+    data, rate = as_channel(channel), _check_positive("sample_rate", sample_rate)
     _check_frequency("carrier", carrier, rate)
     if not (0.0 < band_frac < 1.0):
         raise ValueError(f"band_frac must be in (0, 1), got {band_frac}")
@@ -148,20 +156,32 @@ def envelope_depth(
 
     n = data.shape[0]
     band = carrier_band(n, rate, carrier, band_frac)
+    m = band.stop - band.start
     if band_spectrum is None:
         band_spectrum = np.fft.rfft(data)[band]
-    elif np.shape(band_spectrum) != (band.stop - band.start,):
+    elif np.shape(band_spectrum) != (m,):
         raise ValueError(
-            f"band_spectrum must hold the {band.stop - band.start} carrier-band "
+            f"band_spectrum must hold the {m} carrier-band "
             f"bins, got shape {np.shape(band_spectrum)}")
-    analytic = np.zeros(n, dtype=np.complex128)
-    analytic[band] = 2.0 * band_spectrum
-    envelope = np.abs(np.fft.ifft(analytic, out=analytic))
+    phases = 1
+    while n % (2 * phases) == 0 and n // (2 * phases) >= m:
+        phases *= 2
+    shifted = np.zeros(n // phases, dtype=np.complex128)
+    shifted[:m] = band_spectrum
+    angle = (2.0 * np.pi / n) * np.arange(m)
+    ramp = np.cos(angle) + 1j * np.sin(angle)  # exp(2 pi i k / n)
     trim = int(edge_trim * n)
-    if trim > 0:
-        envelope = envelope[trim: n - trim]
-    hi = float(np.max(envelope))
-    lo = float(np.min(envelope))
+    analytic, envelope = np.empty_like(shifted), np.empty(shifted.size)
+    hi, lo = 0.0, math.inf
+    for r in range(phases):
+        if r:
+            shifted[:m] *= ramp
+        # The kept samples trim <= P q + r < n - trim of this phase.
+        start, stop = -((r - trim) // phases), -((r + trim - n) // phases)
+        if start < stop:
+            kept = np.abs(np.fft.ifft(shifted, out=analytic)[start:stop],
+                          out=envelope[start:stop])
+            hi, lo = max(hi, float(kept.max())), min(lo, float(kept.min()))
     if hi <= 0.0:
         raise ValueError("channel has no energy in the carrier band")
     return min(max((hi - lo) / (hi + lo), 0.0), 1.0)
@@ -217,7 +237,7 @@ def cross_tone_residual_db(
     skipped. Only its bins above DC are read: bin 0 is the sum of the
     channel's samples, so a spectrum equal above DC will do.
     """
-    data, rate = as_channel(channel), float(sample_rate)
+    data, rate = as_channel(channel), _check_positive("sample_rate", sample_rate)
     n = data.shape[0]
     for name, freq in (("own_freq", own_freq), ("other_freq", other_freq)):
         _check_frequency(name, freq, rate)

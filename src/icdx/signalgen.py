@@ -68,10 +68,11 @@ def _all_finite(arr: np.ndarray) -> bool:
                for start in range(0, flat.size, _FINITE_CHUNK))
 
 
-def _check_positive(name: str, value: float) -> None:
-    """ValueError naming value unless it is a positive finite real number."""
+def _check_positive(name: str, value: float) -> float:
+    """value as a float; ValueError naming it unless it is a positive finite real number."""
     if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 def _check_frequency(name: str, freq: float, sample_rate: float) -> None:
@@ -191,11 +192,20 @@ class MultichannelSignal:
     def length(self) -> int:
         return self.data.shape[1]
 
-    def spectrum(self) -> np.ndarray:
-        """The rfft of every row, taken row by row into one complex array."""
-        out = np.empty((self.channels, self.length // 2 + 1), dtype=np.complex128)
-        for row, bins in zip(self.data, out):
-            np.fft.rfft(row, out=bins)
+    def spectrum(self, bins: slice | np.ndarray) -> np.ndarray:
+        """rfft(row)[bins] of every row, as one channels x bins complex array.
+
+        bins is a slice or an index array. Each row's full-length transform
+        is freed before the next row's is taken, so only the kept bins of
+        all rows are ever held together.
+        """
+        out = None
+        for i, row in enumerate(self.data):
+            kept = np.fft.rfft(row)[bins]
+            if out is None:
+                out = np.empty((self.channels, *kept.shape), dtype=np.complex128)
+            out[i] = kept
+            del kept
         return out
 
     def with_data(self, data: np.ndarray) -> "MultichannelSignal":

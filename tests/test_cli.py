@@ -433,6 +433,8 @@ def test_gen_refuses_adc_settings_out_of_range_before_writing(tmp_path, capsys, 
     # Subnormal band edges: the windowed-sinc angle 2 pi f / rate underflows.
     ("lowpass_cutoff", "--lowpass-cutoff", "1e-320", 1e-320),
     ("tone_b", "--tone-b", "1e-322", 1e-322),
+    # Band edges a rounding apart: every bandpass tap is zero, so no gain scales them.
+    ("diplex_band_frac", "--diplex-band-frac", "6e-17", 6e-17),
 ])
 def test_validate_refuses_what_a_stage_refuses(tmp_path, capsys, name, flag, token, value):
     with pytest.raises(ValueError, match=rf"^{name} "):

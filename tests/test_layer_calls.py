@@ -10,7 +10,10 @@ once. Spectral work is counted the same way on numpy, by input shape:
 `icdx unmix` takes one full-length rfft per input channel for its four
 depths and `icdx diplex` one per FIR branch for its four residuals;
 identification adds one rfft of the components' leading block (at most
-2^15 samples); nothing else is transformed and no window is built.
+2^15 samples); nothing else is transformed forward and no window is
+built. Each depth inverts its carrier band in P phases of n / P samples
+(P = 4 at the default carriers), so `icdx unmix` takes no inverse
+transform as long as the record, and `icdx diplex` takes none at all.
 """
 
 import collections
@@ -55,8 +58,8 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def numpy_calls(monkeypatch):
-    """Calls of np.fft.rfft and np.hanning, keyed by name and first argument's shape."""
-    return _count(monkeypatch, ((np.fft, "rfft"), (np, "hanning")),
+    """Calls of np.fft.rfft, np.fft.ifft and np.hanning, keyed by name and input shape."""
+    return _count(monkeypatch, ((np.fft, "rfft"), (np.fft, "ifft"), (np, "hanning")),
                   key=lambda name, args: (name, np.shape(args[0])))
 
 
@@ -79,7 +82,8 @@ def test_cli_unmix_calls_each_layer_once(calls, numpy_calls, tmp_path):
     assert main(["unmix", "--in", str(tmp_path / "mixed.bin"),
                  "--out-dir", str(tmp_path)]) == 0
     assert calls == ONCE
-    assert numpy_calls == _spectral_pass(n)
+    # Four depths, each four phases of a quarter of the record.
+    assert numpy_calls == {**_spectral_pass(n), ("ifft", (n // 4,)): 16}
 
 
 def test_diplex_calls_each_layer_once(calls):

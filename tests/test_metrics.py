@@ -127,6 +127,27 @@ def test_envelope_depth_validation():
         icdx.envelope_depth(tone, CARRIER_1)
 
 
+_RATE_USERS = {
+    "envelope_depth": lambda x, rate: icdx.envelope_depth(x, CARRIER_1, rate),
+    "cross_tone_residual_db": lambda x, rate: icdx.cross_tone_residual_db(
+        x, CARRIER_1, CARRIER_2, rate),
+    "demodulate": lambda x, rate: icdx.demodulate(x, CARRIER_1, 4.0e4, 8, rate),
+    "filter_signal": lambda x, rate: icdx.filter_signal(
+        x, icdx.design_fir_lowpass(8, 4.0e4, RATE), rate),
+    "fir_split": lambda x, rate: icdx.fir_split(x, CARRIER_1, CARRIER_2, 5, rate),
+}
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan, -RATE])
+@pytest.mark.parametrize("name", _RATE_USERS)
+def test_single_channel_functions_refuse_a_bad_sample_rate(name, rate):
+    # A non-finite rate used to reach carrier_band (ZeroDivisionError) or
+    # turn every tone band into bin 0 (a 0.0 dB residual).
+    tone = np.sin(2.0 * np.pi * CARRIER_1 * np.arange(4096) / RATE)
+    with pytest.raises(ValueError, match="^sample_rate must be a positive finite number"):
+        _RATE_USERS[name](tone, rate)
+
+
 def test_cross_tone_residual_known_ratio():
     # A 0.4-amplitude foreign tone against a unit own tone is a power
     # ratio of 0.16: 20 log10(0.4) = -7.9588 dB.

@@ -4,7 +4,8 @@ Each property compares an implementation against an independent
 reference: numpy.unwrap, a per-row permutation loop, a brute-force set
 of lost decimated indices, a decomposition built to have a known
 least-squares answer, the step-by-step form of a fused product, the
-full-rate convolution, the complex-FFT envelope, an explicitly windowed
+full-rate convolution, the complex-FFT envelope (for record lengths
+with every power-of-two factor up to 2^12), an explicitly windowed
 periodic-Hann spectrum, rfftfreq's band mask, np.savetxt or np.loadtxt,
 or a one-shot product or Gram matrix of the whole record. The
 linear-algebra properties check the defining equations instead: a
@@ -220,6 +221,33 @@ def _envelope_depth_reference(data, carrier, rate, band_frac, edge_trim):
 )
 def test_envelope_depth_matches_complex_fft(n, carrier_frac, band_frac, edge_trim,
                                             log_noise, seed):
+    _check_envelope_depth(n, carrier_frac, band_frac, edge_trim, log_noise, seed)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 12),
+    st.integers(0, 15),
+    st.floats(0.01, 0.49),
+    st.floats(0.05, 0.95),
+    st.floats(0.0, 0.2),
+    st.floats(-3.0, 0.0),
+    st.integers(0, 2**32 - 1),
+)
+# The band's m bins fill a phase's M = n / P bins exactly: P = 4 and P = 512.
+@example(5, 12, 0.143, 0.871, 0.02, -1.0, 0)
+@example(9, 1, 0.015, 0.062, 0.02, -1.0, 0)
+def test_envelope_depth_phases_match_complex_fft(k, odd, carrier_frac, band_frac, edge_trim,
+                                                 log_noise, seed):
+    # n = odd * 2^k: P, the power of two with n / P >= m phases, runs from 1
+    # (odd n) to 2^12 phases of a few bins each.
+    n = (2 * odd + 1) << k
+    assume(n >= 16)
+    _check_envelope_depth(n, carrier_frac, band_frac, edge_trim, log_noise, seed)
+
+
+def _check_envelope_depth(n, carrier_frac, band_frac, edge_trim, log_noise, seed):
+    """envelope_depth of a noisy carrier against _envelope_depth_reference, to 1e-12."""
     carrier = carrier_frac * RATE
     t = np.arange(n) / RATE
     rng = np.random.default_rng(seed)
@@ -636,6 +664,8 @@ _DEFAULTS = dict(carriers=(1.0e6, 1.1e6), cutoff=4.0e4, decimation=8, orders=(25
 # Subnormal band edges: the windowed-sinc angle 2 pi f / rate underflows.
 @example(**{**_DEFAULTS, "cutoff": 1e-320})
 @example(**{**_DEFAULTS, "tones": (25.0e6, 1e-322)})
+# Band edges a rounding apart: every bandpass tap is zero.
+@example(**{**_DEFAULTS, "band_frac": 6e-17})
 def test_validate_accepts_exactly_what_the_stages_accept(
         carriers, cutoff, decimation, orders, floor, min_run, tones, same_tones, band_frac,
         diplex_order):
@@ -655,3 +685,20 @@ def test_validate_accepts_exactly_what_the_stages_accept(
     split_ok = _accepts(lambda: icdx.fir_split(
         composite, tone_a, tone_b, diplex_order, cfg.diplex_rate, band_frac))
     assert _accepts(cfg.validate) == (all(demod_ok) and split_ok)
+
+
+@settings(deadline=None)
+@given(st.floats(3.0, 9.0), st.floats(0.01, 0.45), st.integers(2, 40), st.floats(-17.0, -14.0))
+# Edges one angle apart in float, yet all four taps of order 3 cancel to zero.
+@example(math.log10(188784.74662868324), 54913.95399998682 / 188784.74662868324, 3,
+         math.log10(7.183603316834317e-17))
+def test_split_check_refuses_exactly_the_zero_gain_designs(log_rate, tone_frac, order,
+                                                           log_band_frac):
+    # Near the band_frac where the edges meet, _check_split must refuse
+    # just the designs that design_fir_bandpass cannot scale to unity gain.
+    rate, band_frac = 10.0**log_rate, 10.0**log_band_frac
+    tones = (tone_frac * rate, 0.5 * tone_frac * rate)
+    designs = [_accepts(lambda tone=tone: icdx.design_fir_bandpass(
+        order, tone * (1.0 - band_frac), tone * (1.0 + band_frac), rate)) for tone in tones]
+    check = _accepts(lambda: icdx.diplexer._check_split(*tones, order, rate, band_frac))
+    assert check == all(designs)

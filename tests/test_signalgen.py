@@ -186,6 +186,16 @@ def test_quantize_adc_validation():
         icdx.quantize_adc(signal, adc_bits=8, adc_full_scale=0.0)
 
 
+def test_spectrum_keeps_the_requested_bins_of_each_row():
+    data = np.random.default_rng(0).standard_normal((2, 1001))
+    signal = icdx.MultichannelSignal(data, RATE)
+    full = np.fft.rfft(data, axis=1)
+    for bins in (slice(40, 300), np.array([7, 3, 500, 0, 7])):
+        kept = signal.spectrum(bins)
+        assert kept.shape == full[:, bins].shape
+        assert kept.tobytes() == full[:, bins].tobytes()
+
+
 def test_multichannel_signal_is_readonly():
     signal = icdx.MultichannelSignal(np.zeros((1, 8)), RATE)
     with pytest.raises(ValueError):
