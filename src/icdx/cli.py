@@ -46,6 +46,7 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 _EXIT_IO = 4
+_PARAMS, _ICA = signalgen.InterferometerParams, fastica.FastIcaConfig
 
 
 def _setting(default: object, help: str, choices: tuple[str, ...] | None = None) -> Any:
@@ -60,11 +61,13 @@ class RunConfig:
     scenario: str = _setting(
         "shot-ramp", "signal scenario to synthesize", signalgen.SCENARIO_KINDS)
     samples: int = _setting(262144, "record length in samples")
-    sample_rate: float = _setting(8.0e6, "acquisition rate in Hz")
-    f_het1: float = _setting(1.0e6, "heterodyne carrier of channel 1 (long wavelength), Hz")
-    f_het2: float = _setting(1.1e6, "heterodyne carrier of channel 2 (short wavelength), Hz")
-    wavelength1: float = _setting(10.591e-6, "probe wavelength of channel 1, m")
-    wavelength2: float = _setting(1.064e-6, "probe wavelength of channel 2, m")
+    sample_rate: float = _setting(_PARAMS.sample_rate, "acquisition rate in Hz")
+    f_het1: float = _setting(
+        _PARAMS.f_het1, "heterodyne carrier of channel 1 (long wavelength), Hz")
+    f_het2: float = _setting(
+        _PARAMS.f_het2, "heterodyne carrier of channel 2 (short wavelength), Hz")
+    wavelength1: float = _setting(_PARAMS.wavelength1, "probe wavelength of channel 1, m")
+    wavelength2: float = _setting(_PARAMS.wavelength2, "probe wavelength of channel 2, m")
     coupling: np.ndarray = field(
         default_factory=lambda: [[1.0, 0.4], [0.3, 1.0]],
         metadata={"help": "channel coupling matrix, rows ';'-separated: \"1,0.4;0.3,1\""})
@@ -72,12 +75,13 @@ class RunConfig:
         math.inf, "additive white noise level per channel, dB (pos-inf disables)")
     adc_bits: int = _setting(0, "quantizer resolution in bits (0 disables quantization)")
     adc_full_scale: float = _setting(2.0, "quantizer full-scale amplitude")
-    seed: int = _setting(0, "seed for every pseudo-random draw in the run")
-    contrast: str = _setting("logcosh", "ICA contrast function", fastica.CONTRASTS)
-    contrast_shape: float = _setting(1.0, "log-cosh contrast shape parameter, in [1, 2]")
-    tol: float = _setting(1e-8, "ICA convergence tolerance on 1 - |<w_new, w_old>|")
-    max_iter: int = _setting(200, "ICA iteration budget per unit")
-    ortho: str = _setting("deflation", "ICA orthogonalization strategy", fastica.ORTHO_MODES)
+    seed: int = _setting(_ICA.seed, "seed for every pseudo-random draw in the run")
+    contrast: str = _setting(_ICA.contrast, "ICA contrast function", fastica.CONTRASTS)
+    contrast_shape: float = _setting(
+        _ICA.contrast_shape, "log-cosh contrast shape parameter, in [1, 2]")
+    tol: float = _setting(_ICA.tol, "ICA convergence tolerance on 1 - |<w_new, w_old>|")
+    max_iter: int = _setting(_ICA.max_iter, "ICA iteration budget per unit")
+    ortho: str = _setting(_ICA.ortho, "ICA orthogonalization strategy", fastica.ORTHO_MODES)
     lowpass_cutoff: float = _setting(4.0e4, "demodulation lowpass cutoff, Hz")
     decimation: int = _setting(8, "demodulation decimation factor")
     filter_order: int = _setting(256, "demodulation lowpass FIR order")
@@ -328,8 +332,10 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(args)
     mixed = _read(args.input, 2)
     truth = fileio.read_signal(args.truth) if args.truth else None
-    if truth is not None and truth.data.shape != mixed.data.shape:
-        raise ValueError("truth signal shape does not match the input")
+    if truth is not None:
+        if truth.data.shape != mixed.data.shape:
+            raise ValueError("truth signal shape does not match the input")
+        signalgen._check_same_rate("truth", truth.sample_rate, "input", mixed.sample_rate)
     # One transform per input channel serves all four depths: above DC, the
     # corrected channels' bins are w_full times these. Only the bins from
     # the lower carrier band's first to the upper one's last are kept.
@@ -410,6 +416,12 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ValueError(
             f"no steady density: {len(density)} decimated samples, {density.settle} "
             "settle at each end; use a longer record or a smaller decimation")
+    if args.truth:  # refused before anything is written
+        truth = _read(args.truth, 1)
+        signalgen._check_same_rate("truth", truth.sample_rate, "input", corrected.sample_rate)
+        truth = truth.data[0][::cfg.decimation]
+        if truth.shape[0] != len(density):
+            raise ValueError("truth density length does not match the input record")
 
     lost_samples = [
         sum(stop - start for start, stop in phase.lost_ranges) for phase in phases]
@@ -435,9 +447,6 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
         report[f"ch{i}_lost_ranges"] = " ".join(
             f"{start}:{stop}" for start, stop in phase.lost_ranges) or "none"
     if args.truth:
-        truth = _read(args.truth, 1).data[0][::cfg.decimation]
-        if truth.shape[0] != len(density):
-            raise ValueError("truth density length does not match the input record")
         keep = np.zeros(len(density), dtype=bool)
         keep[density.settle: len(density) - density.settle] = True
         for phase in phases:

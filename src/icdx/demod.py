@@ -36,8 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from .diplexer import _check_design, design_fir_lowpass
-from .signalgen import (InterferometerParams, _check_frequency, _check_positive, as_channel,
-                        own_arrays)
+from .signalgen import (InterferometerParams, _check_frequency, _check_positive,
+                        _check_same_rate, as_channel, own_arrays)
 
 __all__ = [
     "PhaseTrackingLostError",
@@ -328,9 +328,7 @@ def line_integrated_density(
     """
     if len(phase1) != len(phase2):
         raise ValueError(f"length mismatch: {len(phase1)} vs {len(phase2)}")
-    if not math.isclose(phase1.sample_rate, phase2.sample_rate, rel_tol=1e-9):
-        raise ValueError(
-            f"rate mismatch: {phase1.sample_rate} vs {phase2.sample_rate}")
+    _check_same_rate("phase1", phase1.sample_rate, "phase2", phase2.sample_rate)
     return DensitySeries(
         samples=params.line_density(phase1.samples, phase2.samples),
         sample_rate=phase1.sample_rate,

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fastica, metrics
-from .signalgen import Adopted, MultichannelSignal, _check_positive, as_channel, own_arrays
+from .signalgen import (Adopted, MultichannelSignal, _check_positive, _check_same_rate,
+                        as_channel, own_arrays)
 
 __all__ = [
     "FirFilter",
@@ -118,8 +119,7 @@ def filter_signal(signal: np.ndarray, fir: FirFilter, sample_rate: float) -> np.
     constant. The signal rate must match the filter's design rate.
     """
     channel, rate = as_channel(signal), _check_positive("sample_rate", sample_rate)
-    if not math.isclose(rate, fir.design_rate, rel_tol=1e-9):
-        raise ValueError(f"signal rate {rate} != filter design rate {fir.design_rate}")
+    _check_same_rate("signal", rate, "filter design", fir.design_rate)
     if channel.size < fir.taps.size:
         raise ValueError(
             f"signal length {channel.size} shorter than filter ({fir.taps.size} taps)")

@@ -59,8 +59,6 @@ from .preprocess import _CHUNK, WhiteningTransform, centered_product
 from .signalgen import Adopted, MultichannelSignal, _check_frequency, own_arrays
 
 __all__ = [
-    "CONTRASTS",
-    "ORTHO_MODES",
     "Assignment",
     "ConvergenceError",
     "FastIcaConfig",
@@ -161,7 +159,8 @@ def contrast_primitive(u: np.ndarray, contrast: str, shape: float = 1.0) -> np.n
 
 
 @lru_cache(maxsize=64)
-def _gaussian_reference_cached(contrast: str, shape: float) -> float:
+def gaussian_reference(contrast: str, shape: float = 1.0) -> float:
+    """E[G(nu)] for standard normal nu, used to zero the negentropy scale."""
     if contrast == "gauss":
         # E[-exp(-nu^2/2)] for nu ~ N(0,1) has the closed form -1/sqrt(2).
         return -1.0 / math.sqrt(2.0)
@@ -169,15 +168,8 @@ def _gaussian_reference_cached(contrast: str, shape: float) -> float:
     # |u|-like tails, so convergence is not spectral, but the error
     # stays below 1e-4 by a wide margin for shapes in [1, 2].
     nodes, weights = np.polynomial.hermite.hermgauss(32)
-    values = contrast_primitive(math.sqrt(2.0) * nodes, contrast, shape)
+    values = contrast_primitive(math.sqrt(2.0) * nodes, contrast, float(shape))
     return float(np.sum(weights * values) / math.sqrt(math.pi))
-
-
-def gaussian_reference(contrast: str, shape: float = 1.0) -> float:
-    """E[G(nu)] for standard normal nu, used to zero the negentropy scale."""
-    if contrast not in CONTRASTS:
-        raise ValueError(f"unknown contrast {contrast!r}")
-    return _gaussian_reference_cached(contrast, float(shape))
 
 
 def _check_whitened(data: np.ndarray, tol: float) -> None:

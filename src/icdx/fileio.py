@@ -34,9 +34,6 @@ from .signalgen import Adopted, MultichannelSignal
 __all__ = [
     "ConfigError",
     "FormatError",
-    "KeyValueFile",
-    "format_matrix",
-    "parse_matrix",
     "read_kv",
     "read_signal",
     "write_kv",

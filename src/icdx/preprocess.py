@@ -135,25 +135,30 @@ class WhiteningTransform:
     mean: np.ndarray
     eigvecs: np.ndarray
     eigvals: np.ndarray
-    whitener: np.ndarray
-    dewhitener: np.ndarray
 
     def __post_init__(self) -> None:
-        own_arrays(self, mean=1, eigvecs=2, eigvals=1, whitener=2, dewhitener=2)
+        own_arrays(self, mean=1, eigvecs=2, eigvals=1)
         c = self.mean.shape[0]
-        if self.eigvecs.shape != (c, c) or self.whitener.shape != (c, c):
+        if self.eigvecs.shape != (c, c) or self.eigvals.shape != (c,):
             raise ValueError("inconsistent transform shapes")
         if np.any(self.eigvals <= 0.0):
             raise ValueError("eigenvalues must be strictly positive")
-        eye = np.eye(c)
-        if np.max(np.abs(self.eigvecs.T @ self.eigvecs - eye)) > 1e-10:
+        if np.max(np.abs(self.eigvecs.T @ self.eigvecs - np.eye(c))) > 1e-10:
             raise ValueError("eigvecs is not orthonormal within 1e-10")
-        if np.max(np.abs(self.whitener @ self.dewhitener - eye)) > 1e-10:
-            raise ValueError("whitener @ dewhitener != I within 1e-10")
 
     @property
     def channels(self) -> int:
         return self.mean.shape[0]
+
+    @property
+    def whitener(self) -> np.ndarray:
+        """diag(eigvals)**-1/2 @ eigvecs.T: raw centered coordinates to whitened."""
+        return (1.0 / np.sqrt(self.eigvals))[:, None] * self.eigvecs.T
+
+    @property
+    def dewhitener(self) -> np.ndarray:
+        """eigvecs @ diag(eigvals)**1/2: whitened coordinates back to raw centered."""
+        return self.eigvecs * np.sqrt(self.eigvals)[None, :]
 
     def _check(self, signal: MultichannelSignal) -> None:
         if signal.channels != self.channels:
@@ -201,10 +206,5 @@ def whiten(signal: MultichannelSignal) -> tuple[MultichannelSignal, WhiteningTra
         raise RankDeficientError(
             f"covariance eigenvalues {eigvals.tolist()} fall at or below the "
             f"relative floor {_RANK_FLOOR:g}; input is rank deficient")
-    inv_root = 1.0 / np.sqrt(eigvals)
-    whitener = inv_root[:, None] * eigvecs.T
-    dewhitener = eigvecs * np.sqrt(eigvals)[None, :]
-    transform = WhiteningTransform(
-        mean=mean, eigvecs=eigvecs, eigvals=eigvals,
-        whitener=whitener, dewhitener=dewhitener)
-    return signal.with_data(Adopted(centered_product(whitener, signal.data, mean))), transform
+    transform = WhiteningTransform(mean=mean, eigvecs=eigvecs, eigvals=eigvals)
+    return transform.apply(signal), transform

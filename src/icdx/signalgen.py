@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "CLASSICAL_ELECTRON_RADIUS_M",
-    "SCENARIO_KINDS",
     "InterferometerParams",
     "PhaseTrack",
     "MultichannelSignal",
@@ -79,6 +78,12 @@ def _check_frequency(name: str, freq: float, sample_rate: float) -> None:
     """ValueError naming freq unless 0 < freq < Nyquist at sample_rate."""
     if not (0.0 < freq < 0.5 * sample_rate):
         raise ValueError(f"{name} must be in (0, Nyquist {0.5 * sample_rate}), got {freq}")
+
+
+def _check_same_rate(name: str, rate: float, other: str, other_rate: float) -> None:
+    """ValueError naming both rates unless they agree to a relative 1e-9."""
+    if not math.isclose(rate, other_rate, rel_tol=1e-9):
+        raise ValueError(f"{name} rate {rate} != {other} rate {other_rate}")
 
 
 def own_arrays(obj, **ndims: int) -> None:
@@ -239,9 +244,7 @@ def synth_clean_pair(
     for i, track in enumerate((track1, track2), start=1):
         if len(track) != n:
             raise ValueError(f"track{i} length {len(track)} != track1 length {n}")
-        if not math.isclose(track.sample_rate, params.sample_rate, rel_tol=1e-9):
-            raise ValueError(
-                f"track{i} rate {track.sample_rate} != params rate {params.sample_rate}")
+        _check_same_rate(f"track{i}", track.sample_rate, "params", params.sample_rate)
     t = np.arange(n) / params.sample_rate
     data = np.vstack([
         np.sin(2.0 * np.pi * params.f_het1 * t + track1.samples),
@@ -281,8 +284,7 @@ def make_scenario_tracks(
         raise ValueError(f"need at least 2 samples, got {n}")
     if params is None:
         params = InterferometerParams(sample_rate=sample_rate)
-    elif not math.isclose(params.sample_rate, sample_rate, rel_tol=1e-9):
-        raise ValueError(f"params rate {params.sample_rate} != requested {sample_rate}")
+    _check_same_rate("params", params.sample_rate, "requested", sample_rate)
 
     t = np.arange(n) / sample_rate
     if kind == "quiet":

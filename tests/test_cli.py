@@ -291,6 +291,22 @@ def test_unmix_reads_truth_before_writing(tmp_path, capsys, truth, code):
     assert _written(out) == []
 
 
+def test_truth_at_another_rate_exit_2_before_writing(tmp_path, capsys):
+    # A truth of the input's shape taken at 4 MHz is refused against an
+    # 8 MHz input, not scored, and nothing is written.
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert _gen(a) == 0
+    assert _gen(b, "--sample-rate", "4e6", "--f-het1", "0.5e6", "--f-het2", "0.55e6") == 0
+    capsys.readouterr()
+    for command, given, truth in (("unmix", "mixed.bin", "clean.bin"),
+                                  ("density", "clean.bin", "density_truth.csv")):
+        out = tmp_path / command
+        assert main([command, "--in", str(a / given), "--truth", str(b / truth),
+                     "--out-dir", str(out)]) == 2
+        assert "truth rate 4000000.0 != input rate 8000000.0" in capsys.readouterr().err
+        assert _written(out) == []
+
+
 def test_non_finite_coupling_exit_2(tmp_path, capsys):
     # Neither a flag nor a manifest line can carry a non-finite coupling
     # into a run, and the error names the field and, from a file, its line.
@@ -476,6 +492,7 @@ def test_value_types_take_run_config_fields_by_name(kind, build):
     built, default = build(cfg), kind()
     for name in names:
         assert getattr(built, name) == getattr(cfg, name) != getattr(default, name), name
+    assert build(RunConfig()) == default  # the shared fields take the kind's defaults
 
 
 @pytest.mark.parametrize("command", ["gen", "mix", "unmix", "density", "diplex", "report"])

@@ -73,6 +73,10 @@ def test_gaussian_reference_frozen_values():
     assert abs(icdx.gaussian_reference("gauss") + 1.0 / math.sqrt(2.0)) < 1e-15
     assert abs(icdx.gaussian_reference("logcosh", 1.0) - 0.37456723498753747) < 1e-12
     assert abs(icdx.gaussian_reference("logcosh", 1.5) - 0.46729083646508685) < 1e-12
+    # An unknown contrast is refused every time: a refusal is never cached.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^unknown contrast 'tanh'$"):
+            icdx.gaussian_reference("tanh")
 
 
 @pytest.mark.parametrize("shape,tol", [(1.0, 1e-7), (1.5, 1e-5), (2.0, 1e-4)])

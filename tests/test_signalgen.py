@@ -245,8 +245,7 @@ def _value_type(kind):
         "WhiteningTransform": (
             icdx.WhiteningTransform,
             {"mean": np.array([0.5, -0.5]), "eigvecs": np.eye(2),
-             "eigvals": np.array([4.0, 1.0]), "whitener": np.diag([0.5, 1.0]),
-             "dewhitener": np.diag([2.0, 1.0])}),
+             "eigvals": np.array([4.0, 1.0])}),
         "RunConfig": (RunConfig, {"coupling": np.array([[1.0, 0.2], [0.1, 1.0]])}),
     }
     return builders[kind]
@@ -256,8 +255,7 @@ _ARRAY_FIELDS = [
     ("MultichannelSignal", "data"), ("PhaseTrack", "samples"),
     ("PhaseSeries", "samples"), ("DensitySeries", "samples"), ("FirFilter", "taps"),
     ("SeparationResult", "w"), ("SeparationResult", "w_full"),
-    *(("WhiteningTransform", name)
-      for name in ("mean", "eigvecs", "eigvals", "whitener", "dewhitener")),
+    *(("WhiteningTransform", name) for name in ("mean", "eigvecs", "eigvals")),
     ("RunConfig", "coupling"),
 ]
 
