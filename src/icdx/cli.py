@@ -23,7 +23,9 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure
 phase tracking), 4 file I/O or format error.
 
 The output directory resolves in order: --out-dir flag, ICDX_OUT_DIR
-environment variable, current directory.
+environment variable, current directory. Only a run that writes creates
+it, once every input is read and checked: a refused setting or input
+(exit 2 or 4) leaves nothing, not even the directory. report only reads.
 """
 
 from __future__ import annotations
@@ -261,20 +263,26 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    path = Path(args.out_dir or os.environ.get("ICDX_OUT_DIR") or ".")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(args.out_dir or os.environ.get("ICDX_OUT_DIR") or ".")
 
 
-def _signal_name(stem: str, cfg: RunConfig) -> str:
-    return f"{stem}.{'csv' if cfg.file_format == 'csv' else 'bin'}"
+def _emit(args: argparse.Namespace, cfg: RunConfig, manifest: str,
+          outputs: dict[str, signalgen.MultichannelSignal | dict[str, object]]) -> None:
+    """A run's only writes: its outputs in order, then its manifest, each listed.
 
-
-def _finish(cfg: RunConfig, manifest: Path, *written: Path) -> None:
-    """Write the run's manifest, then list every file written, manifest last."""
-    fileio.write_kv(manifest, cfg.to_mapping())
-    for path in (*written, manifest):
-        print(f"wrote {path}")
+    A name without a suffix takes the signal format of --file-format.
+    """
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
+    suffix = ".csv" if cfg.file_format == "csv" else ".bin"
+    paths = {out / (name if "." in name else name + suffix): value
+             for name, value in {**outputs, manifest: cfg.to_mapping()}.items()}
+    for path, value in paths.items():
+        if isinstance(value, signalgen.MultichannelSignal):
+            fileio.write_signal(path, value)
+        else:
+            fileio.write_kv(path, value)
+    print("\n".join(f"wrote {path}" for path in paths))
 
 
 def _read(path: str, channels: int) -> signalgen.MultichannelSignal:
@@ -296,40 +304,28 @@ def _corrupt(clean: signalgen.MultichannelSignal, cfg: RunConfig) -> signalgen.M
 
 
 def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out = _out_dir(args)
     params = cfg.interferometer()
     track1, track2 = signalgen.make_scenario_tracks(
         cfg.scenario, cfg.samples, cfg.sample_rate, params)
     clean = signalgen.synth_clean_pair(params, track1, track2)
-    mixed = _corrupt(clean, cfg)
-
-    clean_path = out / _signal_name("clean", cfg)
-    mixed_path = out / _signal_name("mixed", cfg)
-    fileio.write_signal(clean_path, clean)
-    fileio.write_signal(mixed_path, mixed)
-    tracks = signalgen.MultichannelSignal(
-        np.vstack([track1.samples, track2.samples]), cfg.sample_rate)
-    tracks_path = out / "tracks.csv"
-    fileio.write_signal(tracks_path, tracks)
-    density = signalgen.MultichannelSignal(
-        params.line_density(track1.samples, track2.samples)[None, :], cfg.sample_rate)
-    density_path = out / "density_truth.csv"
-    fileio.write_signal(density_path, density)
-    _finish(cfg, out / "manifest.cfg", clean_path, mixed_path, tracks_path, density_path)
+    _emit(args, cfg, "manifest.cfg", {
+        "clean": clean,
+        "mixed": _corrupt(clean, cfg),
+        "tracks.csv": signalgen.MultichannelSignal(
+            np.vstack([track1.samples, track2.samples]), cfg.sample_rate),
+        "density_truth.csv": signalgen.MultichannelSignal(
+            params.line_density(track1.samples, track2.samples)[None, :], cfg.sample_rate),
+    })
     return _EXIT_OK
 
 
 def _cmd_mix(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out = _out_dir(args)
-    mixed = _corrupt(fileio.read_signal(args.input), cfg)
-    mixed_path = out / _signal_name("mixed", cfg)
-    fileio.write_signal(mixed_path, mixed)
-    _finish(cfg, out / "mix_manifest.cfg", mixed_path)
+    _emit(args, cfg, "mix_manifest.cfg",
+          {"mixed": _corrupt(fileio.read_signal(args.input), cfg)})
     return _EXIT_OK
 
 
 def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out = _out_dir(args)
     mixed = _read(args.input, 2)
     truth = fileio.read_signal(args.truth) if args.truth else None
     if truth is not None:
@@ -346,12 +342,6 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
     spectrum = mixed.spectrum(slice(first, max(band.stop for band in bands)))
     corrected, result, transform = fastica.separate(
         mixed, cfg.ica(), {"ch1": cfg.f_het1, "ch2": cfg.f_het2})
-
-    corrected_path = out / _signal_name("corrected", cfg)
-    fileio.write_signal(corrected_path, corrected)
-    fileio.write_kv(out / "separation.cfg", result.to_mapping())
-    fileio.write_kv(out / "whitening.cfg", transform.to_mapping())
-
     unmixing = result.assignment.apply_rows(result.w_full)
     depth_raw, depth_fixed = [], []
     for i, (carrier, band) in enumerate(zip(carriers, bands)):
@@ -379,10 +369,12 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
         "envelope_depth_corrected": depth_fixed,
         "gain_error": gain_error,
     }
-    fileio.write_kv(out / "quality.cfg",
-                    {key: value for key, value in report.items() if value is not None})
-    _finish(cfg, out / "unmix_manifest.cfg", corrected_path, out / "separation.cfg",
-            out / "whitening.cfg", out / "quality.cfg")
+    _emit(args, cfg, "unmix_manifest.cfg", {
+        "corrected": corrected,
+        "separation.cfg": result.to_mapping(),
+        "whitening.cfg": transform.to_mapping(),
+        "quality.cfg": {key: value for key, value in report.items() if value is not None},
+    })
     if not all(result.converged):
         raise fastica.ConvergenceError(
             f"separation did not converge (iterations {result.iterations})")
@@ -396,7 +388,6 @@ def _mask_lost(keep: np.ndarray, lost: tuple[tuple[int, int], ...], decimation: 
 
 
 def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out = _out_dir(args)
     corrected = _read(args.input, 2)
     params = cfg.interferometer()
     carriers = (cfg.f_het1, cfg.f_het2)
@@ -416,7 +407,7 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ValueError(
             f"no steady density: {len(density)} decimated samples, {density.settle} "
             "settle at each end; use a longer record or a smaller decimation")
-    if args.truth:  # refused before anything is written
+    if args.truth:
         truth = _read(args.truth, 1)
         signalgen._check_same_rate("truth", truth.sample_rate, "input", corrected.sample_rate)
         truth = truth.data[0][::cfg.decimation]
@@ -432,10 +423,6 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
         status = "partial"
     else:
         status = "failed"
-
-    density_path = out / "density.csv"
-    fileio.write_signal(density_path, signalgen.MultichannelSignal(
-        density.samples[None, :], density.sample_rate))
 
     report: dict[str, object] = {
         "status": status,
@@ -455,8 +442,11 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
             err = density.samples[keep] - truth[keep]
             report["rms_error"] = float(np.sqrt(np.mean(err**2)))
             report["truth_rms"] = float(np.sqrt(np.mean(truth[keep] ** 2)))
-    fileio.write_kv(out / "density_report.cfg", report)
-    _finish(cfg, out / "density_manifest.cfg", density_path, out / "density_report.cfg")
+    _emit(args, cfg, "density_manifest.cfg", {
+        "density.csv": signalgen.MultichannelSignal(
+            density.samples[None, :], density.sample_rate),
+        "density_report.cfg": report,
+    })
     if status != "ok":
         ranges = "; ".join(f"ch{i} {phase.lost_ranges}"
                            for i, phase in enumerate(phases, start=1) if phase.lost_ranges)
@@ -466,7 +456,6 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_diplex(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out = _out_dir(args)
     if args.input:
         signal = _read(args.input, 1)
         composite, rate = signal.data[0], signal.sample_rate
@@ -480,19 +469,17 @@ def _cmd_diplex(args: argparse.Namespace, cfg: RunConfig) -> int:
         composite, cfg.tone_a, cfg.tone_b, cfg.diplex_order, cfg.ica(), rate,
         band_frac=cfg.diplex_band_frac)
 
-    fir_path = out / _signal_name("diplex_fir_only", cfg)
-    sep_path = out / _signal_name("diplex_separated", cfg)
-    fileio.write_signal(fir_path, fir_only)
-    fileio.write_signal(sep_path, separated)
-
     report: dict[str, object] = {}
     for i, name in enumerate(("tone_a", "tone_b")):
         report[f"{name}_fir_residual_db"] = residual_db["fir"][i]
         report[f"{name}_ica_residual_db"] = residual_db["ica"][i]
         report[f"{name}_mean"] = float(np.mean(separated.data[i]))
         report[f"{name}_peak"] = float(np.max(np.abs(separated.data[i])))
-    fileio.write_kv(out / "diplex_report.cfg", report)
-    _finish(cfg, out / "diplex_manifest.cfg", fir_path, sep_path, out / "diplex_report.cfg")
+    _emit(args, cfg, "diplex_manifest.cfg", {
+        "diplex_fir_only": fir_only,
+        "diplex_separated": separated,
+        "diplex_report.cfg": report,
+    })
     return _EXIT_OK
 
 

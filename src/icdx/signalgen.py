@@ -323,10 +323,10 @@ def _check_coupling(coupling: np.ndarray, c: int) -> np.ndarray:
         raise ValueError(f"coupling must be {c}x{c}, got {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("coupling must be finite")
-    # Scale-aware singularity guard: reject matrices with relative
-    # determinant below 1e-12.
+    # Scale-aware singularity guard: reject matrices whose determinant,
+    # taken of mat / scale so that large entries cannot overflow, is below 1e-12.
     scale = np.max(np.sum(np.abs(mat), axis=1))
-    if scale == 0.0 or abs(np.linalg.det(mat)) < 1e-12 * scale**c:
+    if scale == 0.0 or abs(np.linalg.det(mat / scale)) < 1e-12:
         raise ValueError("coupling matrix is singular or nearly singular")
     return mat
 

@@ -6,13 +6,17 @@ Usage:
 SRC_DIR is the source tree to run (default: this checkout's src). Each
 step is a fresh `python -m icdx.cli` process started in OUT_DIR, so every
 path it prints is relative. A step's files land in OUT_DIR/<step>/, next
-to its exit_code, stdout and stderr. Running the matrix on two checkouts
-and comparing them with `diff -r` shows every output byte that changed.
+to its exit_code, stdout and stderr, and out_dir_made, which says whether
+the step itself created that directory. Running the matrix on two
+checkouts and comparing them with `diff -r` shows every output byte that
+changed.
 
 The matrix: gen (raw and CSV), unmix --truth, density --truth, diplex,
 mix --snr-db 30 and report at default options; re-runs of gen, unmix,
 density and diplex from their manifests; the two exit-3 runs (unmix out
-of iterations, density on a strong coupling); and one refused input.
+of iterations, density on a strong coupling); and three refusals: a
+setting (exit 2 before any subcommand runs), a missing input (exit 4)
+and a filter longer than the record (exit 2 inside density).
 This file has no test_ prefix, so pytest does not collect it.
 """
 
@@ -43,16 +47,22 @@ STEPS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("gen_strong", ("gen", "--coupling", "1,0.9;0.9,1")),
     ("density_lost", ("density", "--in", "gen_strong/mixed.bin")),
     ("refused_adc_bits", ("gen", "--adc-bits", "1")),
+    ("refused_missing_input", ("unmix", "--in", "gen/absent.bin")),
+    ("refused_filter_order", ("density", "--in", "gen/clean.bin", "--filter-order", "300000")),
 )
 
 
 def run_matrix(out: Path, src: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     for step, args in STEPS:
-        (out / step).mkdir(parents=True)
+        if (out / step).exists():
+            raise FileExistsError(f"{out / step} exists; give a fresh OUT_DIR")
         done = subprocess.run(
             [sys.executable, "-m", "icdx.cli", *args, "--out-dir", step],
             cwd=out, env=env, capture_output=True, text=True)
+        made = (out / step).is_dir()
+        (out / step).mkdir(exist_ok=True)
+        (out / step / "out_dir_made").write_text(f"{made}\n")
         (out / step / "exit_code").write_text(f"{done.returncode}\n")
         (out / step / "stdout").write_text(done.stdout)
         (out / step / "stderr").write_text(done.stderr)

@@ -183,7 +183,7 @@ def test_density_filter_longer_than_record_exit_2(tmp_path, capsys, extra, name)
     assert main(["density", "--in", str(tmp_path / "clean.bin"),
                  "--out-dir", str(tmp_path / "out"), *extra]) == 2
     assert f"shorter than the {name} filter" in capsys.readouterr().err
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("samples", ["337", "4096"])
@@ -273,7 +273,8 @@ def test_unmix_reruns_byte_identical(tmp_path, capsys):
 
 
 def _written(out):
-    return sorted(path.name for path in out.iterdir()) if out.exists() else []
+    """The names in out, or None where no directory was made."""
+    return sorted(path.name for path in out.iterdir()) if out.exists() else None
 
 
 @pytest.mark.parametrize("truth, code", [("absent.bin", 4), ("run/clean_short.bin", 2)])
@@ -288,7 +289,7 @@ def test_unmix_reads_truth_before_writing(tmp_path, capsys, truth, code):
     assert main(["unmix", "--in", str(run / "mixed.bin"), "--truth", str(tmp_path / truth),
                  "--out-dir", str(out)]) == code
     assert "error" in capsys.readouterr().err
-    assert _written(out) == []
+    assert _written(out) is None
 
 
 def test_truth_at_another_rate_exit_2_before_writing(tmp_path, capsys):
@@ -304,7 +305,17 @@ def test_truth_at_another_rate_exit_2_before_writing(tmp_path, capsys):
         assert main([command, "--in", str(a / given), "--truth", str(b / truth),
                      "--out-dir", str(out)]) == 2
         assert "truth rate 4000000.0 != input rate 8000000.0" in capsys.readouterr().err
-        assert _written(out) == []
+        assert _written(out) is None
+
+
+@pytest.mark.parametrize("command", ["mix", "unmix", "density", "diplex", "report"])
+def test_missing_input_exit_4_makes_no_directory(tmp_path, capsys, command):
+    # Inputs are read and checked before the output directory is made.
+    out = tmp_path / "out"
+    given = ["--in", str(tmp_path / "absent.bin")] if command != "report" else []
+    assert main([command, *given, "--out-dir", str(out)]) == 4
+    assert "icdx: error: " in capsys.readouterr().err
+    assert _written(out) is None
 
 
 def test_non_finite_coupling_exit_2(tmp_path, capsys):
@@ -325,7 +336,7 @@ def test_non_finite_coupling_exit_2(tmp_path, capsys):
                      *source]) == 2
         err = capsys.readouterr().err
         assert where in err and "coupling must be finite" in err
-        assert _written(out) == []
+        assert _written(out) is None
 
 
 def test_unmix_nonconvergence_exit_3(tmp_path, capsys):
@@ -386,7 +397,7 @@ def test_diplex_filter_longer_than_record_exit_2(tmp_path, capsys, order):
     assert main(["diplex", "--out-dir", str(out), "--diplex-samples", "16384",
                  "--diplex-order", order]) == 2
     assert "shorter than filter" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_report_subcommand(tmp_path, capsys):
@@ -446,6 +457,8 @@ def test_gen_refuses_adc_settings_out_of_range_before_writing(tmp_path, capsys, 
     # Below the 100 MHz Nyquist rate, but its passband reaches 108 MHz.
     ("tone_b", "--tone-b", "90e6", 90.0e6),
     ("coupling", "--coupling", "1,1;1,1", np.ones((2, 2))),
+    # Relative determinant 1e-300, though the row sum 1e300 squared overflows float64.
+    ("coupling", "--coupling", "1e300,0;0,1", np.diag([1e300, 1.0])),
     # Subnormal band edges: the windowed-sinc angle 2 pi f / rate underflows.
     ("lowpass_cutoff", "--lowpass-cutoff", "1e-320", 1e-320),
     ("tone_b", "--tone-b", "1e-322", 1e-322),
