@@ -18,9 +18,12 @@ echoing each resolved field, and re-running any subcommand from the
 same manifest and seed reproduces outputs byte for byte (outputs carry
 no timestamps).
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure
-(rank-deficient input, non-convergence, identification collision, lost
-phase tracking), 4 file I/O or format error.
+Exit codes: 0 success, 2 configuration error (a wrong channel count in
+--in or --truth, or a --truth at another rate or length, included), 3
+numeric failure (rank-deficient input, non-convergence, identification
+collision, lost phase tracking), 4 file I/O or format error. unmix and
+density write their outputs before exit 3; diplex raises before it has
+any to write.
 
 The output directory resolves in order: --out-dir flag, ICDX_OUT_DIR
 environment variable, current directory. Only a run that writes creates
@@ -48,6 +51,7 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 _EXIT_IO = 4
+_COUPLING_ROW_SUM = 1e64
 _PARAMS, _ICA = signalgen.InterferometerParams, fastica.FastIcaConfig
 
 
@@ -118,6 +122,10 @@ class RunConfig:
         self.interferometer()
         self.ica()
         signalgen._check_coupling(self.coupling, 2)
+        # Whitening squares the mixed record's covariance, a sum of squares:
+        # this bound keeps those fourth powers finite up to 2^26 samples.
+        if np.max(np.sum(np.abs(self.coupling) / _COUPLING_ROW_SUM, axis=1)) > 1.0:
+            raise ValueError(f"coupling absolute row sums must be at most {_COUPLING_ROW_SUM:g}")
         signalgen._noise_power_ratio(self.snr_db)
         if self.adc_bits:  # 0 turns the quantizer off
             signalgen._check_adc(self.adc_bits, self.adc_full_scale)
@@ -215,43 +223,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-color interferometer crosstalk removal pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", parents=[common],
-                           help="synthesize a scenario and its ground truth")
-    p_gen.set_defaults(handler=_cmd_gen)
-
-    p_mix = sub.add_parser("mix", parents=[common],
-                           help="apply coupling, noise, and quantization to a clean pair")
-    p_mix.add_argument("--in", dest="input", required=True, metavar="PATH",
-                       help="clean two-channel signal file")
-    p_mix.set_defaults(handler=_cmd_mix)
-
-    p_unmix = sub.add_parser("unmix", parents=[common],
-                             help="separate a mixed pair with fixed-point ICA")
-    p_unmix.add_argument("--in", dest="input", required=True, metavar="PATH",
-                         help="mixed two-channel signal file")
-    p_unmix.add_argument("--truth", metavar="PATH",
-                         help="clean pair for quality metrics (optional)")
-    p_unmix.set_defaults(handler=_cmd_unmix)
-
-    p_density = sub.add_parser("density", parents=[common],
-                               help="demodulate a pair and form line-integrated density")
-    p_density.add_argument("--in", dest="input", required=True, metavar="PATH",
-                           help="corrected two-channel signal file")
-    p_density.add_argument("--truth", metavar="PATH",
-                           help="ground-truth density CSV for error metrics (optional)")
-    p_density.set_defaults(handler=_cmd_density)
-
-    p_diplex = sub.add_parser("diplex", parents=[common],
-                              help="split a two-tone composite, FIR plus ICA")
-    p_diplex.add_argument("--in", dest="input", metavar="PATH",
-                          help="single-channel composite (synthesized when omitted)")
-    p_diplex.set_defaults(handler=_cmd_diplex)
-
-    p_report = sub.add_parser("report", parents=[common],
-                              help="pretty-print result files in a directory")
-    p_report.add_argument("--in-dir", dest="input_dir", metavar="DIR",
-                          help="directory to inspect (default: the output directory)")
-    p_report.set_defaults(handler=_cmd_report)
+    for name, (_, text, _, paths) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=text)
+        for flag, dest, required, metavar, about in paths:
+            command.add_argument(flag, dest=dest, required=required, metavar=metavar, help=about)
     return parser
 
 
@@ -266,8 +241,12 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return Path(args.out_dir or os.environ.get("ICDX_OUT_DIR") or ".")
 
 
-def _emit(args: argparse.Namespace, cfg: RunConfig, manifest: str,
-          outputs: dict[str, signalgen.MultichannelSignal | dict[str, object]]) -> None:
+# A handler's outputs for _emit, and the exit-3 failure main raises after writing them.
+_Outputs = dict[str, signalgen.MultichannelSignal | dict[str, object]]
+_Run = tuple[_Outputs, Exception | None]
+
+
+def _emit(args: argparse.Namespace, cfg: RunConfig, manifest: str, outputs: _Outputs) -> None:
     """A run's only writes: its outputs in order, then its manifest, each listed.
 
     A name without a suffix takes the signal format of --file-format.
@@ -285,11 +264,16 @@ def _emit(args: argparse.Namespace, cfg: RunConfig, manifest: str,
     print("\n".join(f"wrote {path}" for path in paths))
 
 
-def _read(path: str, channels: int) -> signalgen.MultichannelSignal:
-    """The signal file at path; ValueError unless it holds that many channels."""
+def _read(path: str, channels: int,
+          record: signalgen.MultichannelSignal | None = None) -> signalgen.MultichannelSignal:
+    """The signal at path, checked: its channels and, as record's truth, rate and length."""
     signal = fileio.read_signal(path)
     if signal.channels != channels:
         raise ValueError(f"{path} must hold {channels} channel(s), got {signal.channels}")
+    if record is not None:
+        signalgen._check_same_rate("truth", signal.sample_rate, "input", record.sample_rate)
+        if signal.length != record.length:
+            raise ValueError(f"{path} must hold {record.length} samples, got {signal.length}")
     return signal
 
 
@@ -303,35 +287,28 @@ def _corrupt(clean: signalgen.MultichannelSignal, cfg: RunConfig) -> signalgen.M
     return mixed
 
 
-def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> _Run:
     params = cfg.interferometer()
     track1, track2 = signalgen.make_scenario_tracks(
         cfg.scenario, cfg.samples, cfg.sample_rate, params)
     clean = signalgen.synth_clean_pair(params, track1, track2)
-    _emit(args, cfg, "manifest.cfg", {
+    return {
         "clean": clean,
         "mixed": _corrupt(clean, cfg),
         "tracks.csv": signalgen.MultichannelSignal(
             np.vstack([track1.samples, track2.samples]), cfg.sample_rate),
         "density_truth.csv": signalgen.MultichannelSignal(
             params.line_density(track1.samples, track2.samples)[None, :], cfg.sample_rate),
-    })
-    return _EXIT_OK
+    }, None
 
 
-def _cmd_mix(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _emit(args, cfg, "mix_manifest.cfg",
-          {"mixed": _corrupt(fileio.read_signal(args.input), cfg)})
-    return _EXIT_OK
+def _cmd_mix(args: argparse.Namespace, cfg: RunConfig) -> _Run:
+    return {"mixed": _corrupt(_read(args.input, 2), cfg)}, None
 
 
-def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> _Run:
     mixed = _read(args.input, 2)
-    truth = fileio.read_signal(args.truth) if args.truth else None
-    if truth is not None:
-        if truth.data.shape != mixed.data.shape:
-            raise ValueError("truth signal shape does not match the input")
-        signalgen._check_same_rate("truth", truth.sample_rate, "input", mixed.sample_rate)
+    truth = _read(args.truth, 2, mixed) if args.truth else None
     # One transform per input channel serves all four depths: above DC, the
     # corrected channels' bins are w_full times these. Only the bins from
     # the lower carrier band's first to the upper one's last are kept.
@@ -351,15 +328,16 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
         depth_fixed.append(metrics.envelope_depth(
             corrected.data[i], carrier, corrected.sample_rate,
             band_spectrum=unmixing[i] @ rows))
-    isr_db = None
-    gain_error = None
+    isr_db = gain_error = None
     if truth is not None:
-        isr_db = tuple(
-            metrics.isr(corrected.data[i], truth.data[i]) for i in range(2))
-        scales = np.sqrt(np.mean(truth.data**2, axis=1))
-        gain = result.w_full @ cfg.coupling @ np.diag(scales)
-        gain_error = metrics.signed_permutation_error(
-            result.assignment.apply_rows(gain))[2]
+        isr_db = tuple(metrics.isr(corrected.data[i], truth.data[i]) for i in range(2))
+        # The gain, measured: the least-squares map from the centred truth to
+        # the corrected pair (rows in slot order), each column times its rms.
+        clean, n = truth.data, truth.length
+        mean, gram = np.mean(clean, axis=1), clean @ clean.T
+        gain = ((corrected.data @ clean.T) @ np.linalg.inv(gram - n * np.outer(mean, mean))
+                * np.sqrt(np.diag(gram) / n))
+        gain_error = metrics.signed_permutation_error(gain)[2]
     # Truth-dependent entries (None without --truth) are left out.
     report = {
         "iterations": result.iterations,
@@ -369,16 +347,13 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> int:
         "envelope_depth_corrected": depth_fixed,
         "gain_error": gain_error,
     }
-    _emit(args, cfg, "unmix_manifest.cfg", {
+    return {
         "corrected": corrected,
         "separation.cfg": result.to_mapping(),
         "whitening.cfg": transform.to_mapping(),
         "quality.cfg": {key: value for key, value in report.items() if value is not None},
-    })
-    if not all(result.converged):
-        raise fastica.ConvergenceError(
-            f"separation did not converge (iterations {result.iterations})")
-    return _EXIT_OK
+    }, None if all(result.converged) else fastica.ConvergenceError(
+        f"separation did not converge (iterations {result.iterations})")
 
 
 def _mask_lost(keep: np.ndarray, lost: tuple[tuple[int, int], ...], decimation: int) -> None:
@@ -387,42 +362,27 @@ def _mask_lost(keep: np.ndarray, lost: tuple[tuple[int, int], ...], decimation: 
         keep[(start + decimation - 1) // decimation: (stop - 1) // decimation + 1] = False
 
 
-def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> _Run:
     corrected = _read(args.input, 2)
-    params = cfg.interferometer()
-    carriers = (cfg.f_het1, cfg.f_het2)
-    phases = []
-    for i in range(2):
-        phases.append(demod.demodulate(
-            corrected.data[i], carriers[i], cfg.lowpass_cutoff, cfg.decimation,
-            corrected.sample_rate,
-            filter_order=cfg.filter_order,
-            envelope_order=cfg.envelope_order,
-            envelope_floor=cfg.envelope_floor,
-            envelope_min_run=cfg.envelope_min_run,
-            strict=False,
-        ))
-    density = demod.line_integrated_density(phases[0], phases[1], params)
+    phases = [demod.demodulate(
+        corrected.data[i], carrier, cfg.lowpass_cutoff, cfg.decimation, corrected.sample_rate,
+        filter_order=cfg.filter_order, envelope_order=cfg.envelope_order,
+        envelope_floor=cfg.envelope_floor, envelope_min_run=cfg.envelope_min_run, strict=False)
+        for i, carrier in enumerate((cfg.f_het1, cfg.f_het2))]
+    density = demod.line_integrated_density(phases[0], phases[1], cfg.interferometer())
     if density.steady().size == 0:
         raise ValueError(
             f"no steady density: {len(density)} decimated samples, {density.settle} "
             "settle at each end; use a longer record or a smaller decimation")
-    if args.truth:
-        truth = _read(args.truth, 1)
-        signalgen._check_same_rate("truth", truth.sample_rate, "input", corrected.sample_rate)
-        truth = truth.data[0][::cfg.decimation]
-        if truth.shape[0] != len(density):
-            raise ValueError("truth density length does not match the input record")
+    if args.truth:  # read only now: the demodulation's buffers are gone
+        truth = _read(args.truth, 1, corrected).data[0][::cfg.decimation]
 
     lost_samples = [
         sum(stop - start for start, stop in phase.lost_ranges) for phase in phases]
     lost_fraction = max(lost_samples) / corrected.length
-    if lost_fraction == 0.0:
-        status = "ok"
-    elif lost_fraction < 0.5:
-        status = "partial"
-    else:
-        status = "failed"
+    # demodulate flags only middle samples below envelope_floor (< 1) times
+    # their median, fewer than half the record: a run is ok or partial.
+    status = "partial" if lost_fraction else "ok"
 
     report: dict[str, object] = {
         "status": status,
@@ -442,20 +402,18 @@ def _cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
             err = density.samples[keep] - truth[keep]
             report["rms_error"] = float(np.sqrt(np.mean(err**2)))
             report["truth_rms"] = float(np.sqrt(np.mean(truth[keep] ** 2)))
-    _emit(args, cfg, "density_manifest.cfg", {
+    ranges = "; ".join(f"ch{i} {phase.lost_ranges}"
+                       for i, phase in enumerate(phases, start=1) if phase.lost_ranges)
+    return {
         "density.csv": signalgen.MultichannelSignal(
             density.samples[None, :], density.sample_rate),
         "density_report.cfg": report,
-    })
-    if status != "ok":
-        ranges = "; ".join(f"ch{i} {phase.lost_ranges}"
-                           for i, phase in enumerate(phases, start=1) if phase.lost_ranges)
-        raise demod.PhaseTrackingLostError(f"phase tracking lost ({status}): {ranges}",
-                                           phases[0].lost_ranges + phases[1].lost_ranges)
-    return _EXIT_OK
+    }, None if status == "ok" else demod.PhaseTrackingLostError(
+        f"phase tracking lost ({status}): {ranges}",
+        phases[0].lost_ranges + phases[1].lost_ranges)
 
 
-def _cmd_diplex(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_diplex(args: argparse.Namespace, cfg: RunConfig) -> _Run:
     if args.input:
         signal = _read(args.input, 1)
         composite, rate = signal.data[0], signal.sample_rate
@@ -475,15 +433,14 @@ def _cmd_diplex(args: argparse.Namespace, cfg: RunConfig) -> int:
         report[f"{name}_ica_residual_db"] = residual_db["ica"][i]
         report[f"{name}_mean"] = float(np.mean(separated.data[i]))
         report[f"{name}_peak"] = float(np.max(np.abs(separated.data[i])))
-    _emit(args, cfg, "diplex_manifest.cfg", {
+    return {
         "diplex_fir_only": fir_only,
         "diplex_separated": separated,
         "diplex_report.cfg": report,
-    })
-    return _EXIT_OK
+    }, None
 
 
-def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> _Run:
     directory = Path(args.input_dir) if args.input_dir else _out_dir(args)
     if not directory.is_dir():
         raise OSError(f"not a directory: {directory}")
@@ -491,7 +448,6 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     signal_paths = sorted([*directory.glob("*.bin"), *directory.glob("*.csv")])
     if not kv_paths and not signal_paths:
         print(f"nothing to report in {directory}")
-        return _EXIT_OK
     for path in signal_paths:
         try:
             signal = fileio.read_signal(path)
@@ -506,15 +462,43 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         width = max((len(k) for k in kvf.values), default=0)
         for key, value in kvf.values.items():
             print(f"  {key:<{width}}  {value}")
-    return _EXIT_OK
+    return {}, None
+
+
+# Each subcommand in --help order: its handler, help line, manifest (None:
+# it only reads) and path arguments as (flag, dest, required, metavar, help).
+_COMMANDS: dict[str, tuple[Any, str, str | None, list[tuple[str, str, bool, str, str]]]] = {
+    "gen": (_cmd_gen, "synthesize a scenario and its ground truth", "manifest.cfg", []),
+    "mix": (_cmd_mix, "apply coupling, noise, and quantization to a clean pair",
+            "mix_manifest.cfg", [
+        ("--in", "input", True, "PATH", "clean two-channel signal file")]),
+    "unmix": (_cmd_unmix, "separate a mixed pair with fixed-point ICA", "unmix_manifest.cfg", [
+        ("--in", "input", True, "PATH", "mixed two-channel signal file"),
+        ("--truth", "truth", False, "PATH", "clean pair for quality metrics (optional)")]),
+    "density": (_cmd_density, "demodulate a pair and form line-integrated density",
+                "density_manifest.cfg", [
+        ("--in", "input", True, "PATH", "corrected two-channel signal file"),
+        ("--truth", "truth", False, "PATH",
+         "ground-truth density CSV for error metrics (optional)")]),
+    "diplex": (_cmd_diplex, "split a two-tone composite, FIR plus ICA", "diplex_manifest.cfg", [
+        ("--in", "input", False, "PATH", "single-channel composite (synthesized when omitted)")]),
+    "report": (_cmd_report, "pretty-print result files in a directory", None, [
+        ("--in-dir", "input_dir", False, "DIR",
+         "directory to inspect (default: the output directory)")]),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler, _, manifest, _ = _COMMANDS[args.command]
     try:
         cfg = _resolve_config(args)
-        return args.handler(args, cfg)
+        outputs, failure = handler(args, cfg)
+        if manifest is not None:
+            _emit(args, cfg, manifest, outputs)
+        if failure is not None:
+            raise failure
+        return _EXIT_OK
     except (preprocess.RankDeficientError, fastica.ConvergenceError,
             fastica.IdentificationError, demod.PhaseTrackingLostError) as exc:
         print(f"icdx: error: {exc}", file=sys.stderr)

@@ -84,6 +84,21 @@ def test_rerun_from_manifest_is_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def test_noisy_quantized_gen_reruns_byte_identical(tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert _gen(first, "--snr-db", "30", "--adc-bits", "12") == 0
+    assert main(["gen", "--config", str(first / "manifest.cfg"),
+                 "--out-dir", str(second)]) == 0
+    for name in ("clean.bin", "mixed.bin", "manifest.cfg"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    # Noise and the 12-bit quantizer (step 2 * 2.0 / 2^12) both reached mixed.bin.
+    clean, mixed = (icdx.read_signal(first / name) for name in ("clean.bin", "mixed.bin"))
+    codes = mixed.data / (4.0 / 2**12)
+    assert np.array_equal(codes, np.round(codes))
+    expected = np.array([[1.0, 0.4], [0.3, 1.0]]) @ clean.data
+    assert 0.0 < np.max(np.abs(mixed.data - expected)) < 0.2
+
+
 def test_unknown_config_key_reports_line(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("samples = 32768\n# fine\nbogus_knob = 3\n")
@@ -137,6 +152,35 @@ def test_non_finite_input_exit_4(tmp_path, capsys):
     for path in (csv_path, tmp_path / "inf.bin"):
         assert main(["unmix", "--in", str(path), "--out-dir", str(tmp_path)]) == 4
         assert "finite" in capsys.readouterr().err
+
+
+def _patched_raw(path, offset, value):
+    """A valid one-channel raw file at path, with one header field overwritten."""
+    icdx.write_signal(path, icdx.MultichannelSignal(np.ones((1, 4)), RATE))
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 4] = value.to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("version.bin", (4, 99), "unsupported version 99"),
+    ("shape.bin", (8, 0), "invalid shape 0 x 4"),
+    ("rate.csv", "# sample_rate_hz = fast\nt,ch0\n0,1\n1,1\n", "bad sample_rate_hz comment"),
+    ("columns.csv", "t,ch0\n0\n1\n", "need a time column plus at least one channel"),
+    ("one_row.csv", "t,ch0\n0,1\n", "cannot infer sample rate from one row"),
+    ("time.csv", "t,ch0\n0,1\n0,2\n", "non-increasing time column"),
+])
+def test_malformed_signal_file_exit_4_makes_no_directory(tmp_path, capsys, name, content,
+                                                          message):
+    path = tmp_path / name
+    if isinstance(content, tuple):
+        _patched_raw(path, *content)
+    else:
+        path.write_text(content)
+    out = tmp_path / "out"
+    assert main(["unmix", "--in", str(path), "--out-dir", str(out)]) == 4
+    assert f"icdx: error: {path}: {message}" in capsys.readouterr().err
+    assert _written(out) is None
 
 
 def test_raw_header_claiming_huge_length_exit_4(tmp_path, capsys):
@@ -318,6 +362,30 @@ def test_missing_input_exit_4_makes_no_directory(tmp_path, capsys, command):
     assert _written(out) is None
 
 
+@pytest.mark.parametrize("command, given, message", [
+    ("mix", ["--in", "a/density_truth.csv"], "must hold 2 channel(s), got 1"),
+    ("unmix", ["--in", "a/density_truth.csv"], "must hold 2 channel(s), got 1"),
+    ("unmix", ["--in", "a/mixed.bin", "--truth", "a/density_truth.csv"],
+     "must hold 2 channel(s), got 1"),
+    ("density", ["--in", "a/density_truth.csv"], "must hold 2 channel(s), got 1"),
+    ("density", ["--in", "a/clean.bin", "--truth", "a/clean.bin"],
+     "must hold 1 channel(s), got 2"),
+    ("density", ["--in", "a/clean.bin", "--truth", "b/density_truth.csv"],
+     "must hold 4096 samples, got 8192"),
+    ("diplex", ["--in", "a/clean.bin"], "must hold 1 channel(s), got 2"),
+])
+def test_input_of_the_wrong_shape_exit_2_makes_no_directory(tmp_path, capsys, command,
+                                                             given, message):
+    assert _gen(tmp_path / "a", "--samples", "4096") == 0
+    assert _gen(tmp_path / "b", "--samples", "8192") == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    args = [str(tmp_path / token) if "/" in token else token for token in given]
+    assert main([command, *args, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert _written(out) is None
+
+
 def test_non_finite_coupling_exit_2(tmp_path, capsys):
     # Neither a flag nor a manifest line can carry a non-finite coupling
     # into a run, and the error names the field and, from a file, its line.
@@ -337,6 +405,21 @@ def test_non_finite_coupling_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert where in err and "coupling must be finite" in err
         assert _written(out) is None
+
+
+def test_unmix_truth_gain_error_measured_from_the_truth(tmp_path):
+    # The gain error comes from the truth, not from --coupling: a record
+    # made with another coupling scores the same as under its own manifest.
+    run = tmp_path / "run"
+    assert _gen(run, "--coupling", "1,0.7;0.6,1") == 0
+    errors = []
+    for extra in ([], ["--config", str(run / "manifest.cfg")]):
+        out = tmp_path / f"u{len(errors)}"
+        assert main(["unmix", "--in", str(run / "mixed.bin"), "--truth", str(run / "clean.bin"),
+                     "--out-dir", str(out), *extra]) == 0
+        errors.append(_float(read_kv(out / "quality.cfg"), "gain_error"))
+    assert errors[0] < 1e-3
+    assert errors[0] == pytest.approx(errors[1], rel=1e-9)
 
 
 def test_unmix_nonconvergence_exit_3(tmp_path, capsys):
@@ -389,6 +472,25 @@ def test_diplex_subcommand(tmp_path):
         assert abs(_float(report, f"{tone}_peak") - 1.0) <= 1e-3
 
 
+def test_diplex_reads_a_composite_in_either_format(tmp_path):
+    # The same composite from a raw or a CSV file, or synthesized, gives the same bytes.
+    n, rate = 16384, 200.0e6
+    t = np.arange(n) / rate
+    composite = np.sin(2.0 * np.pi * 25.0e6 * t) + np.sin(2.0 * np.pi * 40.0e6 * t)
+    names = ("diplex_fir_only.bin", "diplex_separated.bin", "diplex_report.cfg")
+    outputs = []
+    for given in ("composite.bin", "composite.csv", None):
+        out = tmp_path / f"out{len(outputs)}"
+        if given is None:
+            args = ["--diplex-samples", str(n)]
+        else:
+            icdx.write_signal(tmp_path / given, icdx.MultichannelSignal(composite[None, :], rate))
+            args = ["--in", str(tmp_path / given)]
+        assert main(["diplex", *args, "--out-dir", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 @pytest.mark.parametrize("order", ["1000000000000", "16384"])
 def test_diplex_filter_longer_than_record_exit_2(tmp_path, capsys, order):
     # The order is compared with the composite before either bandpass is
@@ -412,6 +514,15 @@ def test_report_subcommand(tmp_path, capsys):
     empty.mkdir()
     assert main(["report", "--in-dir", str(empty)]) == 0
     assert "nothing to report" in capsys.readouterr().out
+
+
+def test_report_lists_an_unreadable_signal_and_goes_on(tmp_path, capsys):
+    (tmp_path / "broken.bin").write_bytes(b"ICDX")
+    (tmp_path / "run.cfg").write_text("samples = 4096\n")
+    assert main(["report", "--in-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("broken.bin: unreadable (")
+    assert "truncated header (4 bytes)" in out and "[run.cfg]" in out
 
 
 _FLOAT_FIELDS = [spec.name for spec in dataclasses.fields(RunConfig) if spec.type == "float"]
@@ -464,6 +575,13 @@ def test_gen_refuses_adc_settings_out_of_range_before_writing(tmp_path, capsys, 
     ("tone_b", "--tone-b", "1e-322", 1e-322),
     # Band edges a rounding apart: every bandpass tap is zero, so no gain scales them.
     ("diplex_band_frac", "--diplex-band-frac", "6e-17", 6e-17),
+    # Entries near the float64 limit: the mixed record would overflow the
+    # whitening, and the second's row sums must not overflow the singularity check.
+    ("coupling", "--coupling", "1e308,0;0,1e308", np.diag([1e308, 1e308])),
+    ("coupling", "--coupling", "1e308,1e308;1e308,-1e308",
+     np.array([[1e308, 1e308], [1e308, -1e308]])),
+    # The noise generator refuses a negative seed.
+    ("seed", "--seed", "-1", -1),
 ])
 def test_validate_refuses_what_a_stage_refuses(tmp_path, capsys, name, flag, token, value):
     with pytest.raises(ValueError, match=rf"^{name} "):
@@ -473,6 +591,19 @@ def test_validate_refuses_what_a_stage_refuses(tmp_path, capsys, name, flag, tok
     assert main(["gen", "--out-dir", str(out), "--samples", "4096", flag, token]) == 2
     assert f"error: {name} " in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_coupling_at_the_row_sum_bound_runs_the_chain(tmp_path):
+    # The largest accepted coupling runs gen, unmix and density with no overflow.
+    run = tmp_path / "run"
+    assert _gen(run, "--samples", "4096", "--coupling", "1e64,0;0,1e64") == 0
+    assert main(["unmix", "--in", str(run / "mixed.bin"), "--truth", str(run / "clean.bin"),
+                 "--out-dir", str(run)]) == 0
+    assert main(["density", "--in", str(run / "corrected.bin"), "--out-dir", str(run),
+                 "--truth", str(run / "density_truth.csv")]) == 0
+    with pytest.raises(ValueError, match="^coupling absolute row sums must be at most 1e"):
+        RunConfig(coupling=np.array([[1e64, 1e63], [0.0, 1e64]])).validate()
 
 
 def test_run_config_validate_catches_cross_field_violations():
