@@ -23,7 +23,9 @@ Exit codes: 0 success, 2 configuration error (a wrong channel count in
 numeric failure (rank-deficient input, non-convergence, identification
 collision, lost phase tracking), 4 file I/O or format error. unmix and
 density write their outputs before exit 3; diplex raises before it has
-any to write.
+any to write. unmix reads --truth after separating, as density does
+after demodulating: a refused truth still exits 2 or 4 with nothing
+written, but a separation that raises exits 3 first.
 
 The output directory resolves in order: --out-dir flag, ICDX_OUT_DIR
 environment variable, current directory. Only a run that writes creates
@@ -123,10 +125,15 @@ class RunConfig:
         self.ica()
         signalgen._check_coupling(self.coupling, 2)
         # Whitening squares the mixed record's covariance, a sum of squares:
-        # this bound keeps those fourth powers finite up to 2^26 samples.
-        if np.max(np.sum(np.abs(self.coupling) / _COUPLING_ROW_SUM, axis=1)) > 1.0:
+        # this bound on its amplitude, the coupling's largest absolute row sum
+        # times the noise's rms over the signal's where that exceeds 1, keeps
+        # those fourth powers finite up to 2^26 samples.
+        row_sum = np.max(np.sum(np.abs(self.coupling) / _COUPLING_ROW_SUM, axis=1))
+        if row_sum > 1.0:
             raise ValueError(f"coupling absolute row sums must be at most {_COUPLING_ROW_SUM:g}")
-        signalgen._noise_power_ratio(self.snr_db)
+        if row_sum * max(1.0, math.sqrt(signalgen._noise_power_ratio(self.snr_db))) > 1.0:
+            raise ValueError(f"snr_db {self.snr_db!r} takes the noise amplitude, times the "
+                             f"coupling's largest absolute row sum, past {_COUPLING_ROW_SUM:g}")
         if self.adc_bits:  # 0 turns the quantizer off
             signalgen._check_adc(self.adc_bits, self.adc_full_scale)
         for name in ("adc_full_scale", "diplex_rate"):
@@ -308,35 +315,45 @@ def _cmd_mix(args: argparse.Namespace, cfg: RunConfig) -> _Run:
 
 def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> _Run:
     mixed = _read(args.input, 2)
-    truth = _read(args.truth, 2, mixed) if args.truth else None
     # One transform per input channel serves all four depths: above DC, the
     # corrected channels' bins are w_full times these. Only the bins from
-    # the lower carrier band's first to the upper one's last are kept.
+    # the lower carrier band's first to the upper one's last are kept. One
+    # record is alive at a time: the mixed one is dropped after separating.
     carriers = (cfg.f_het1, cfg.f_het2)
     bands = [metrics.carrier_band(mixed.length, mixed.sample_rate, carrier)
              for carrier in carriers]
     first = min(band.start for band in bands)
     spectrum = mixed.spectrum(slice(first, max(band.stop for band in bands)))
-    corrected, result, transform = fastica.separate(
-        mixed, cfg.ica(), {"ch1": cfg.f_het1, "ch2": cfg.f_het2})
+    rows = [spectrum[:, band.start - first: band.stop - first] for band in bands]
+    expected = {"ch1": cfg.f_het1, "ch2": cfg.f_het2}
+    try:
+        depth_raw = [metrics.envelope_depth(mixed.data[i], carrier, mixed.sample_rate,
+                                            band_spectrum=rows[i][i])
+                     for i, carrier in enumerate(carriers)]
+    except ValueError:  # a failing separation's exit 3 comes first
+        fastica.separate(mixed, cfg.ica(), expected)
+        raise
+    corrected, result, transform = fastica.separate(mixed, cfg.ica(), expected)
+    del mixed
     unmixing = result.assignment.apply_rows(result.w_full)
-    depth_raw, depth_fixed = [], []
-    for i, (carrier, band) in enumerate(zip(carriers, bands)):
-        rows = spectrum[:, band.start - first: band.stop - first]
-        depth_raw.append(metrics.envelope_depth(
-            mixed.data[i], carrier, mixed.sample_rate, band_spectrum=rows[i]))
-        depth_fixed.append(metrics.envelope_depth(
-            corrected.data[i], carrier, corrected.sample_rate,
-            band_spectrum=unmixing[i] @ rows))
+    depth_fixed = [metrics.envelope_depth(corrected.data[i], carrier, corrected.sample_rate,
+                                          band_spectrum=unmixing[i] @ rows[i])
+                   for i, carrier in enumerate(carriers)]
+    del spectrum, rows
     isr_db = gain_error = None
-    if truth is not None:
+    if args.truth:  # read only now, against corrected: its rate and length are the input's
+        truth = _read(args.truth, 2, corrected)
         isr_db = tuple(metrics.isr(corrected.data[i], truth.data[i]) for i in range(2))
         # The gain, measured: the least-squares map from the centred truth to
         # the corrected pair (rows in slot order), each column times its rms.
+        # It has none where a channel's centred power is lost in rounding.
         clean, n = truth.data, truth.length
         mean, gram = np.mean(clean, axis=1), clean @ clean.T
-        gain = ((corrected.data @ clean.T) @ np.linalg.inv(gram - n * np.outer(mean, mean))
-                * np.sqrt(np.diag(gram) / n))
+        centred = gram - n * np.outer(mean, mean)
+        flat = np.diag(centred) <= n * np.finfo(float).eps * np.diag(gram)
+        if np.any(flat):
+            raise ValueError(f"{args.truth} channel {np.argmax(flat) + 1} is constant to rounding")
+        gain = (corrected.data @ clean.T) @ np.linalg.inv(centred) * np.sqrt(np.diag(gram) / n)
         gain_error = metrics.signed_permutation_error(gain)[2]
     # Truth-dependent entries (None without --truth) are left out.
     report = {

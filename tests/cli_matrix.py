@@ -15,10 +15,11 @@ The matrix: gen (raw and CSV), unmix --truth, density --truth, diplex,
 mix --snr-db 30 and report at default options; re-runs of gen, unmix,
 density and diplex from their manifests; the two exit-3 runs (unmix out
 of iterations, density on a strong coupling); gen with noise and a
-12-bit ADC, and unmix --truth on that record; and five refusals: a
+12-bit ADC, and unmix --truth on that record; and six refusals: a
 setting (exit 2 before any subcommand runs), a missing input (exit 4),
 a filter longer than the record (exit 2 inside density), a one-channel
-input to mix (exit 2) and a coupling near the float64 limit (exit 2).
+input to mix (exit 2), a coupling near the float64 limit (exit 2) and
+noise whose amplitude would pass that bound (exit 2).
 This file has no test_ prefix, so pytest does not collect it.
 """
 
@@ -55,6 +56,7 @@ STEPS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("unmix_noisy", ("unmix", "--in", "gen_noisy/mixed.bin", "--truth", "gen_noisy/clean.bin")),
     ("refused_mix_channels", ("mix", "--in", "gen/density_truth.csv")),
     ("refused_coupling_overflow", ("gen", "--coupling", "1e308,0;0,1e308")),
+    ("refused_snr_overflow", ("gen", "--snr-db", "-2000")),
 )
 
 

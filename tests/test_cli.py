@@ -323,8 +323,9 @@ def _written(out):
 
 @pytest.mark.parametrize("truth, code", [("absent.bin", 4), ("run/clean_short.bin", 2)])
 def test_unmix_reads_truth_before_writing(tmp_path, capsys, truth, code):
-    # A missing or misshapen --truth fails before the separation runs,
-    # so no output is left without its quality.cfg and manifest.
+    # A missing or misshapen --truth fails when it is read, after the
+    # separation and before anything is written, so no output is left
+    # without its quality.cfg and manifest.
     run = tmp_path / "run"
     assert _gen(run, "--samples", "4096") == 0
     clean = icdx.read_signal(run / "clean.bin")
@@ -334,6 +335,42 @@ def test_unmix_reads_truth_before_writing(tmp_path, capsys, truth, code):
                  "--out-dir", str(out)]) == code
     assert "error" in capsys.readouterr().err
     assert _written(out) is None
+
+
+def test_unmix_refuses_a_constant_truth_channel_before_writing(tmp_path, capsys):
+    # A constant truth channel leaves the gain's centred Gram matrix singular;
+    # it is refused, file and channel named, not scored.
+    run = tmp_path / "run"
+    assert _gen(run, "--samples", "4096") == 0
+    clean = icdx.read_signal(run / "clean.bin")
+    data = clean.data.copy()
+    data[1] = 1.0
+    icdx.write_signal(run / "clean_flat.bin", clean.with_data(data))
+    capsys.readouterr()
+    out = tmp_path / "u"
+    assert main(["unmix", "--in", str(run / "mixed.bin"), "--truth", str(run / "clean_flat.bin"),
+                 "--out-dir", str(out)]) == 2
+    assert f"{run / 'clean_flat.bin'} channel 2 is constant" in capsys.readouterr().err
+    assert _written(out) is None
+
+
+def test_unmix_on_an_all_zero_channel_exit_3_before_its_depth(tmp_path, capsys):
+    # The separation's rank-deficiency refusal (exit 3) comes before the
+    # raw depth's refusal of a channel with no carrier energy (exit 2).
+    run = tmp_path / "run"
+    assert _gen(run, "--samples", "4096") == 0
+    mixed = icdx.read_signal(run / "mixed.bin")
+    data = mixed.data.copy()
+    data[1] = 0.0
+    icdx.write_signal(run / "mixed_zero.bin", mixed.with_data(data))
+    capsys.readouterr()
+    out = tmp_path / "u"
+    for truth in ([], ["--truth", str(tmp_path / "absent.bin")]):
+        assert main(["unmix", "--in", str(run / "mixed_zero.bin"), *truth,
+                     "--out-dir", str(out)]) == 3
+        assert re.search(r"error: covariance eigenvalues \[0\.5\d*, 0\.0\] .* rank deficient",
+                         capsys.readouterr().err)
+        assert _written(out) is None
 
 
 def test_truth_at_another_rate_exit_2_before_writing(tmp_path, capsys):
@@ -582,6 +619,10 @@ def test_gen_refuses_adc_settings_out_of_range_before_writing(tmp_path, capsys, 
      np.array([[1e308, 1e308], [1e308, -1e308]])),
     # The noise generator refuses a negative seed.
     ("seed", "--seed", "-1", -1),
+    # Noise whose amplitude, times the coupling's largest absolute row sum,
+    # passes the same bound: at the default coupling even -1280 dB does.
+    ("snr_db", "--snr-db", "-2000", -2000.0),
+    ("snr_db", "--snr-db", "-1280", -1280.0),
 ])
 def test_validate_refuses_what_a_stage_refuses(tmp_path, capsys, name, flag, token, value):
     with pytest.raises(ValueError, match=rf"^{name} "):
@@ -604,6 +645,19 @@ def test_coupling_at_the_row_sum_bound_runs_the_chain(tmp_path):
                  "--truth", str(run / "density_truth.csv")]) == 0
     with pytest.raises(ValueError, match="^coupling absolute row sums must be at most 1e"):
         RunConfig(coupling=np.array([[1e64, 1e63], [0.0, 1e64]])).validate()
+
+
+@pytest.mark.filterwarnings("error")
+def test_snr_at_the_amplitude_bound_runs_unmix(tmp_path):
+    # Noise 1e64 times the signal's rms under a unit coupling is the largest
+    # accepted. unmix runs it with no overflow; the noise leaves both
+    # components peaked at one carrier, so identification fails (exit 3).
+    run = tmp_path / "run"
+    assert _gen(run, "--samples", "4096", "--coupling", "1,0;0,1", "--snr-db", "-1280") == 0
+    assert main(["unmix", "--in", str(run / "mixed.bin"), "--truth", str(run / "clean.bin"),
+                 "--out-dir", str(run)]) == 3
+    with pytest.raises(ValueError, match="^snr_db -1280.001 takes the noise amplitude"):
+        RunConfig(coupling=np.eye(2), snr_db=-1280.001).validate()
 
 
 def test_run_config_validate_catches_cross_field_violations():

@@ -14,9 +14,14 @@ identification adds one rfft of the components' leading block (at most
 built. Each depth inverts its carrier band in P phases of n / P samples
 (P = 4 at the default carriers), so `icdx unmix` takes no inverse
 transform as long as the record, and `icdx diplex` takes none at all.
+The reader and the depth are wrapped the same way to check that `icdx
+unmix` holds one input record at a time: the mixed record is gone before
+the corrected depths run, and the truth is read after the last depth.
 """
 
 import collections
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,3 +104,26 @@ def test_cli_diplex_splits_once(calls, numpy_calls, tmp_path):
     assert main(["diplex", "--out-dir", str(tmp_path), "--diplex-samples", str(n)]) == 0
     assert calls == DIPLEX_ONCE
     assert numpy_calls == _spectral_pass(n)
+
+
+def test_cli_unmix_holds_one_input_record_at_a_time(monkeypatch, tmp_path):
+    assert main(["gen", "--out-dir", str(tmp_path), "--samples", "4096"]) == 0
+    events, records = [], []
+    read, depth = icdx.fileio.read_signal, icdx.metrics.envelope_depth
+
+    def reading(path):
+        signal = read(path)
+        records.append(weakref.ref(signal.data))  # no strong reference is kept
+        events.append(("read", Path(path).name))
+        return signal
+
+    def measuring(*args, **kwargs):
+        events.append(("depth", records[0]() is not None))  # the mixed record alive?
+        return depth(*args, **kwargs)
+
+    monkeypatch.setattr(icdx.fileio, "read_signal", reading)
+    monkeypatch.setattr(icdx.metrics, "envelope_depth", measuring)
+    assert main(["unmix", "--in", str(tmp_path / "mixed.bin"), "--truth",
+                 str(tmp_path / "clean.bin"), "--out-dir", str(tmp_path / "u")]) == 0
+    assert events == [("read", "mixed.bin"), ("depth", True), ("depth", True),
+                      ("depth", False), ("depth", False), ("read", "clean.bin")]
