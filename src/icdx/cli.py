@@ -25,7 +25,8 @@ collision, lost phase tracking), 4 file I/O or format error. unmix and
 density write their outputs before exit 3; diplex raises before it has
 any to write. unmix reads --truth after separating, as density does
 after demodulating: a refused truth still exits 2 or 4 with nothing
-written, but a separation that raises exits 3 first.
+written, but a separation that raises exits 3 first, and a missing or
+mistyped --truth is only reported once the separation has run.
 
 The output directory resolves in order: --out-dir flag, ICDX_OUT_DIR
 environment variable, current directory. Only a run that writes creates
@@ -346,13 +347,13 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> _Run:
         isr_db = tuple(metrics.isr(corrected.data[i], truth.data[i]) for i in range(2))
         # The gain, measured: the least-squares map from the centred truth to
         # the corrected pair (rows in slot order), each column times its rms.
-        # It has none where a channel's centred power is lost in rounding.
+        # It has none where a truth channel is constant.
         clean, n = truth.data, truth.length
+        flat = np.ptp(clean, axis=1) == 0
+        if np.any(flat):
+            raise ValueError(f"{args.truth} channel {np.argmax(flat) + 1} is constant")
         mean, gram = np.mean(clean, axis=1), clean @ clean.T
         centred = gram - n * np.outer(mean, mean)
-        flat = np.diag(centred) <= n * np.finfo(float).eps * np.diag(gram)
-        if np.any(flat):
-            raise ValueError(f"{args.truth} channel {np.argmax(flat) + 1} is constant to rounding")
         gain = (corrected.data @ clean.T) @ np.linalg.inv(centred) * np.sqrt(np.diag(gram) / n)
         gain_error = metrics.signed_permutation_error(gain)[2]
     # Truth-dependent entries (None without --truth) are left out.

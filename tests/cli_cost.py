@@ -2,14 +2,14 @@
 
 Usage:
     python tests/cli_cost.py OUT.json [SRC_DIR] [--samples N [N ...]]
-                             [--repeats R] [--steps NAME[,NAME...]]
+                             [--steps NAME[,NAME...]]
 
 SRC_DIR is the source tree to run (default: this checkout's src). For each
 record length N (default 262144), the harness writes its inputs once into
 a scratch directory next to OUT.json (gen, then unmix for the corrected
-pair), then runs every step one untimed warm-up time and R timed times
-(default 5), each a fresh `python` process that imports icdx.cli and calls
-main() once. A run records the wall time of that main() call alone
+pair), then runs every step one untimed warm-up time and 5 timed times,
+each a fresh `python` process that imports icdx.cli and calls main()
+once. A run records the wall time of that main() call alone
 (perf_counter), and the process's ru_maxrss (peak RSS in MB, imports
 included) and ru_minflt (minor page faults) after it. Every step must
 exit 0. BLAS is pinned to one thread.
@@ -58,6 +58,7 @@ STEPS: dict[str, tuple[str, ...]] = {
     "diplex": ("diplex",),
 }
 _THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_REPEATS = 5
 
 
 def _run(args: list[str], work: Path, env: dict[str, str]) -> dict[str, float]:
@@ -80,7 +81,7 @@ def _summary(runs: list[dict[str, float]]) -> dict[str, object]:
     return out
 
 
-def measure(samples: int, steps: list[str], repeats: int, work: Path,
+def measure(samples: int, steps: list[str], work: Path,
             env: dict[str, str]) -> dict[str, object]:
     size = ["--samples", str(samples), "--diplex-samples", str(samples)]
     inputs = work / "inputs"
@@ -90,7 +91,7 @@ def measure(samples: int, steps: list[str], repeats: int, work: Path,
     for step in steps:
         args = [*STEPS[step], *size, "--out-dir", step]
         _run(args, work, env)  # warm-up
-        runs = [_run(args, work, env) for _ in range(repeats)]
+        runs = [_run(args, work, env) for _ in range(_REPEATS)]
         result[step] = {"args": " ".join(STEPS[step]), **_summary(runs)}
         shutil.rmtree(work / step)
         print(f"{samples} {step}: wall min {result[step]['wall_s']['min']:.3f} s, "
@@ -105,13 +106,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("src", type=Path, nargs="?",
                         default=Path(__file__).resolve().parents[1] / "src")
     parser.add_argument("--samples", type=int, nargs="+", default=[262144])
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--steps", default=",".join(STEPS))
     args = parser.parse_args(argv)
     steps = args.steps.split(",")
     unknown = sorted(set(steps) - set(STEPS))
-    if unknown or args.repeats < 1:
-        parser.error(f"unknown steps {unknown}" if unknown else "--repeats must be >= 1")
+    if unknown:
+        parser.error(f"unknown steps {unknown}")
     env = {**os.environ, "PYTHONPATH": str(args.src.resolve()),
            **{name: "1" for name in _THREADS}}
     work = args.out.resolve().parent / (args.out.name + ".work")
@@ -120,8 +120,8 @@ def main(argv: list[str]) -> int:
         report = {
             "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
                     f"{platform.python_version()}",
-            "repeats": args.repeats,
-            "samples": {str(n): measure(n, steps, args.repeats, work, env)
+            "repeats": _REPEATS,
+            "samples": {str(n): measure(n, steps, work, env)
                         for n in args.samples},
         }
     finally:

@@ -354,6 +354,23 @@ def test_unmix_refuses_a_constant_truth_channel_before_writing(tmp_path, capsys)
     assert _written(out) is None
 
 
+def test_unmix_scores_a_truth_channel_with_a_large_dc_offset(tmp_path):
+    # Only an exactly constant channel is refused. An offset of 2e6 rms puts
+    # the channel's centred power at 2.5e-13 of its total, under 4096 eps,
+    # and it is still scored: its column's rms, offset included, sets the
+    # gain error to about the offset in rms units.
+    run = tmp_path / "run"
+    assert _gen(run, "--samples", "4096") == 0
+    clean = icdx.read_signal(run / "clean.bin")
+    data = clean.data.copy()
+    data[1] += 2e6 * np.std(data[1])
+    icdx.write_signal(run / "clean_dc.bin", clean.with_data(data))
+    out = tmp_path / "u"
+    assert main(["unmix", "--in", str(run / "mixed.bin"), "--truth", str(run / "clean_dc.bin"),
+                 "--out-dir", str(out)]) == 0
+    assert _float(read_kv(out / "quality.cfg"), "gain_error") == pytest.approx(2e6, rel=1e-2)
+
+
 def test_unmix_on_an_all_zero_channel_exit_3_before_its_depth(tmp_path, capsys):
     # The separation's rank-deficiency refusal (exit 3) comes before the
     # raw depth's refusal of a channel with no carrier energy (exit 2).
