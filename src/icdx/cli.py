@@ -37,6 +37,7 @@ it, once every input is read and checked: a refused setting or input
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -55,7 +56,9 @@ _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 _EXIT_IO = 4
 _COUPLING_ROW_SUM = 1e64
+_COLLINEAR = 1e-12  # unmix --truth: least 1 - r^2 of the centred truth pair
 _PARAMS, _ICA = signalgen.InterferometerParams, fastica.FastIcaConfig
+_DEMOD, _SPLIT = demod.demodulate.__kwdefaults__, inspect.signature(diplexer.diplex).parameters
 
 
 def _setting(default: object, help: str, choices: tuple[str, ...] | None = None) -> Any:
@@ -93,16 +96,18 @@ class RunConfig:
     ortho: str = _setting(_ICA.ortho, "ICA orthogonalization strategy", fastica.ORTHO_MODES)
     lowpass_cutoff: float = _setting(4.0e4, "demodulation lowpass cutoff, Hz")
     decimation: int = _setting(8, "demodulation decimation factor")
-    filter_order: int = _setting(256, "demodulation lowpass FIR order")
-    envelope_order: int = _setting(128, "envelope-supervision FIR order")
-    envelope_floor: float = _setting(0.2, "tracking-lost threshold, fraction of median envelope")
-    envelope_min_run: int = _setting(4, "minimum consecutive below-floor samples to flag")
+    filter_order: int = _setting(_DEMOD["filter_order"], "demodulation lowpass FIR order")
+    envelope_order: int = _setting(_DEMOD["envelope_order"], "envelope-supervision FIR order")
+    envelope_floor: float = _setting(
+        _DEMOD["envelope_floor"], "tracking-lost threshold, fraction of median envelope")
+    envelope_min_run: int = _setting(
+        _DEMOD["envelope_min_run"], "minimum consecutive below-floor samples to flag")
     tone_a: float = _setting(25.0e6, "diplexer tone A frequency, Hz")
     tone_b: float = _setting(40.0e6, "diplexer tone B frequency, Hz")
     diplex_rate: float = _setting(200.0e6, "diplexer sample rate, Hz")
     diplex_order: int = _setting(5, "diplexer bandpass FIR order")
     diplex_band_frac: float = _setting(
-        0.2, "diplexer passband half-width as a fraction of the tone")
+        _SPLIT["band_frac"].default, "diplexer passband half-width as a fraction of the tone")
     diplex_samples: int = _setting(
         131072, "diplexer record length when synthesizing the composite")
     file_format: str = _setting("raw", "signal file format for outputs", ("raw", "csv"))
@@ -347,13 +352,20 @@ def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> _Run:
         isr_db = tuple(metrics.isr(corrected.data[i], truth.data[i]) for i in range(2))
         # The gain, measured: the least-squares map from the centred truth to
         # the corrected pair (rows in slot order), each column times its rms.
-        # It has none where a truth channel is constant.
+        # It has none where a truth channel is constant or the two are
+        # collinear: 1 - r^2 of the centred pair, free of scale and of n,
+        # at or below _COLLINEAR.
         clean, n = truth.data, truth.length
         flat = np.ptp(clean, axis=1) == 0
         if np.any(flat):
             raise ValueError(f"{args.truth} channel {np.argmax(flat) + 1} is constant")
         mean, gram = np.mean(clean, axis=1), clean @ clean.T
         centred = gram - n * np.outer(mean, mean)
+        spread = np.sqrt(np.diag(centred))
+        unshared = 1.0 - (centred[0, 1] / spread[0] / spread[1]) ** 2
+        if not unshared > _COLLINEAR:  # NaN included: a centred power rounded below 0
+            raise ValueError(f"{args.truth} channels are collinear: 1 - r^2 of the "
+                             f"centred pair is {unshared:.3g}, at most {_COLLINEAR:g}")
         gain = (corrected.data @ clean.T) @ np.linalg.inv(centred) * np.sqrt(np.diag(gram) / n)
         gain_error = metrics.signed_permutation_error(gain)[2]
     # Truth-dependent entries (None without --truth) are left out.
@@ -475,7 +487,11 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> _Run:
         print(f"{path.name}: {signal.channels} channel(s) x {signal.length} "
               f"samples @ {signal.sample_rate:g} Hz")
     for path in kv_paths:
-        kvf = fileio.read_kv(path)
+        try:
+            kvf = fileio.read_kv(path)
+        except (fileio.ConfigError, OSError) as exc:
+            print(f"\n{path.name}: unreadable ({exc})")
+            continue
         print(f"\n[{path.name}]")
         width = max((len(k) for k in kvf.values), default=0)
         for key, value in kvf.values.items():

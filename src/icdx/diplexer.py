@@ -9,6 +9,7 @@ removes that leakage far below what the FIR alone achieves.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -193,7 +194,7 @@ def diplex(
     order: int,
     cfg: fastica.FastIcaConfig,
     sample_rate: float,
-    band_frac: float = 0.2,
+    band_frac: float = inspect.signature(fir_split).parameters["band_frac"].default,
 ) -> tuple[MultichannelSignal, MultichannelSignal, dict[str, tuple[float, float]]]:
     """Split a two-tone composite into clean per-tone channels, FIR then ICA.
 

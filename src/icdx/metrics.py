@@ -31,6 +31,8 @@ __all__ = [
 _ZERO_RESIDUAL = 1e-24
 
 _TONE_HALF_WIDTH_BINS = 4  # cross_tone_residual_db(): band half-width in FFT bins
+_BAND_FRAC = 0.6  # envelope_depth(): band half-width, relative to the carrier
+_EDGE_TRIM = 0.02  # envelope_depth(): samples dropped from each end, relative to n
 
 _NEG_INF_TOKEN = "neg-inf"
 _POS_INF_TOKEN = "pos-inf"
@@ -93,7 +95,7 @@ def snr(estimated, truth) -> float:
 
 
 def carrier_band(
-    n: int, sample_rate: float, carrier: float, band_frac: float = 0.6,
+    n: int, sample_rate: float, carrier: float, band_frac: float = _BAND_FRAC,
 ) -> slice:
     """The rfft bins of an n-sample record that envelope_depth() keeps.
 
@@ -121,17 +123,15 @@ def envelope_depth(
     channel: np.ndarray,
     carrier: float,
     sample_rate: float,
-    band_frac: float = 0.6,
-    edge_trim: float = 0.02,
     band_spectrum: np.ndarray | None = None,
 ) -> float:
     """Modulation depth (max - min) / (max + min) of the carrier envelope.
 
     The envelope is the magnitude of the analytic signal restricted to
-    the band carrier * (1 +- band_frac), computed by FFT masking, so
-    beats from a nearby contaminating tone register at full strength.
-    A fraction edge_trim of samples is dropped from each end before
-    taking the extrema (FFT masking rings at the record edges). The
+    the band carrier * (1 +- 0.6) (_BAND_FRAC), computed by FFT masking,
+    so beats from a nearby contaminating tone register at full strength.
+    A fraction 0.02 (_EDGE_TRIM) of samples is dropped from each end
+    before taking the extrema (FFT masking rings at the record edges). The
     result lies in [0, 1]: 0 for a clean constant-amplitude carrier,
     approaching 1 when interference beats the envelope through zero.
 
@@ -149,13 +149,9 @@ def envelope_depth(
     """
     data, rate = as_channel(channel), _check_positive("sample_rate", sample_rate)
     _check_frequency("carrier", carrier, rate)
-    if not (0.0 < band_frac < 1.0):
-        raise ValueError(f"band_frac must be in (0, 1), got {band_frac}")
-    if not (0.0 <= edge_trim < 0.5):
-        raise ValueError(f"edge_trim must be in [0, 0.5), got {edge_trim}")
 
     n = data.shape[0]
-    band = carrier_band(n, rate, carrier, band_frac)
+    band = carrier_band(n, rate, carrier)
     m = band.stop - band.start
     if band_spectrum is None:
         band_spectrum = np.fft.rfft(data)[band]
@@ -170,7 +166,7 @@ def envelope_depth(
     shifted[:m] = band_spectrum
     angle = (2.0 * np.pi / n) * np.arange(m)
     ramp = np.cos(angle) + 1j * np.sin(angle)  # exp(2 pi i k / n)
-    trim = int(edge_trim * n)
+    trim = int(_EDGE_TRIM * n)
     analytic, envelope = np.empty_like(shifted), np.empty(shifted.size)
     hi, lo = 0.0, math.inf
     for r in range(phases):

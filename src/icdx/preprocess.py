@@ -1,4 +1,4 @@
-"""Centering, covariance, eigendecomposition, and PCA whitening.
+"""Eigendecomposition and PCA whitening.
 
 The whitening stage maps a centered multichannel signal onto
 unit-covariance coordinates: B = diag(eigvals)**-1/2 @ U.T @ X. The
@@ -9,8 +9,8 @@ solver, which reads the lower triangle); eigendecompose() adds the
 input checks, the descending order and a sign rule that make the
 decomposition deterministic.
 
-Every pass over the record runs _CHUNK samples at a time: the Gram
-matrix and the centering check's sums are accumulated chunk by chunk,
+Every pass over the record runs _CHUNK samples at a time: whiten()
+accumulates the Gram matrix and the centering check's sums chunk by chunk,
 and centered_product() writes M @ (X - offset) into one fresh array,
 so no centered copy of the record is ever made.
 """
@@ -26,13 +26,11 @@ from .signalgen import Adopted, MultichannelSignal, own_arrays
 __all__ = [
     "RankDeficientError",
     "WhiteningTransform",
-    "center",
-    "covariance",
     "eigendecompose",
     "whiten",
 ]
 
-_MEAN_TOL = 1e-8  # covariance(): largest channel mean, relative to its RMS
+_MEAN_TOL = 1e-8  # whiten(): largest mean left after centering, relative to the RMS
 _SYM_TOL = 1e-10  # eigendecompose(): largest |A - A.T|, relative to |A|
 _RANK_FLOOR = 1e-12  # whiten(): eigenvalue floor, relative to the largest
 # Samples per step of every pass over a record (its temporaries' length).
@@ -48,12 +46,6 @@ class RankDeficientError(ValueError):
     """
 
 
-def center(signal: MultichannelSignal) -> tuple[MultichannelSignal, np.ndarray]:
-    """Remove each channel's mean. Returns (centered signal, means)."""
-    mean = signal.data.mean(axis=1)
-    return signal.with_data(signal.data - mean[:, None]), mean
-
-
 def centered_product(matrix: np.ndarray, data: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """matrix @ (data - offset[:, None]) as a fresh array, _CHUNK samples at a time."""
     out = np.empty((matrix.shape[0], data.shape[1]))
@@ -61,39 +53,6 @@ def centered_product(matrix: np.ndarray, data: np.ndarray, offset: np.ndarray) -
         stop = start + _CHUNK
         np.matmul(matrix, data[:, start:stop] - offset[:, None], out=out[:, start:stop])
     return out
-
-
-def _covariance(data: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Covariance of data - offset[:, None], summed _CHUNK samples at a time.
-
-    Rejects visibly uncentered input: each channel mean of data - offset
-    must be below 1e-8 of its RMS (_MEAN_TOL).
-    """
-    n = data.shape[1]
-    gram = np.zeros((data.shape[0],) * 2)
-    total = np.zeros(data.shape[0])
-    for start in range(0, n, _CHUNK):
-        block = data[:, start:start + _CHUNK] - offset[:, None]
-        gram += block @ block.T
-        total += block.sum(axis=1)
-    mean = total / n
-    rms = np.sqrt(np.diag(gram) / n)
-    limit = _MEAN_TOL * np.maximum(rms, np.finfo(np.float64).tiny)
-    if np.any(np.abs(mean) > limit):
-        worst = int(np.argmax(np.abs(mean) / limit))
-        raise ValueError(
-            f"channel {worst} mean {mean[worst]:.3e} exceeds centering tolerance; "
-            "call center() first")
-    return gram / n
-
-
-def covariance(signal: MultichannelSignal) -> np.ndarray:
-    """Sample covariance (1/N normalization) of a centered signal.
-
-    Rejects visibly uncentered input: each channel mean must be below
-    1e-8 of its RMS (_MEAN_TOL).
-    """
-    return _covariance(signal.data, np.zeros(signal.channels))
 
 
 def eigendecompose(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,14 +152,26 @@ def whiten(signal: MultichannelSignal) -> tuple[MultichannelSignal, WhiteningTra
 
     Eigendecomposes the covariance about the channel means and rescales
     the principal components to unit variance; the whitened record is
-    the one array this makes (no centered copy). Eigenvalues at or below
-    1e-12 (_RANK_FLOOR) times the largest eigenvalue raise RankDeficientError:
-    such directions carry no usable signal and would amplify noise
-    without bound.
+    the one array this makes (no centered copy). A channel mean left
+    after centering above 1e-8 (_MEAN_TOL) of the RMS raises ValueError.
+    Eigenvalues at or below 1e-12 (_RANK_FLOOR) times the largest raise
+    RankDeficientError: such directions carry no usable signal and would
+    amplify noise without bound.
     """
-    mean = signal.data.mean(axis=1)
-    sigma = _covariance(signal.data, mean)
-    eigvecs, eigvals = eigendecompose(sigma)
+    data, n = signal.data, signal.length
+    mean = data.mean(axis=1)
+    gram, total = np.zeros((signal.channels,) * 2), np.zeros(signal.channels)
+    for start in range(0, n, _CHUNK):
+        block = data[:, start:start + _CHUNK] - mean[:, None]
+        gram += block @ block.T
+        total += block.sum(axis=1)
+    left, rms = total / n, np.sqrt(np.diag(gram) / n)
+    ratio = np.abs(left) / np.maximum(rms, np.finfo(np.float64).tiny)
+    if np.any(ratio > _MEAN_TOL):
+        worst = int(np.argmax(ratio))
+        raise ValueError(f"channel {worst} mean {left[worst]:.3e} after centering is "
+                         f"{ratio[worst]:.3e} of its rms, above {_MEAN_TOL:g}")
+    eigvecs, eigvals = eigendecompose(gram / n)
     floor = _RANK_FLOOR * eigvals[0]
     if eigvals[0] <= 0.0 or np.any(eigvals <= floor):
         raise RankDeficientError(

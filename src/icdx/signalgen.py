@@ -264,7 +264,7 @@ def make_scenario_tracks(
     kind: str,
     n: int,
     sample_rate: float,
-    params: InterferometerParams | None = None,
+    params: InterferometerParams,
 ) -> tuple[PhaseTrack, PhaseTrack]:
     """Ground-truth phase tracks for a named scenario.
 
@@ -282,8 +282,6 @@ def make_scenario_tracks(
         raise ValueError(f"unknown scenario {kind!r}; expected one of {SCENARIO_KINDS}")
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    if params is None:
-        params = InterferometerParams(sample_rate=sample_rate)
     _check_same_rate("params", params.sample_rate, "requested", sample_rate)
 
     t = np.arange(n) / sample_rate

@@ -19,7 +19,8 @@ of iterations, density on a strong coupling); gen with noise and a
 setting (exit 2 before any subcommand runs), a missing input (exit 4),
 a filter longer than the record (exit 2 inside density), a one-channel
 input to mix (exit 2), a coupling near the float64 limit (exit 2) and
-noise whose amplitude would pass that bound (exit 2).
+noise whose amplitude would pass that bound (exit 2); and the --help
+text of icdx and of each subcommand, at a fixed width of 80 columns.
 This file has no test_ prefix, so pytest does not collect it.
 """
 
@@ -57,11 +58,14 @@ STEPS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("refused_mix_channels", ("mix", "--in", "gen/density_truth.csv")),
     ("refused_coupling_overflow", ("gen", "--coupling", "1e308,0;0,1e308")),
     ("refused_snr_overflow", ("gen", "--snr-db", "-2000")),
+    ("help", ("--help",)),
+    *((f"help_{command}", (command, "--help"))
+      for command in ("gen", "mix", "unmix", "density", "diplex", "report")),
 )
 
 
 def run_matrix(out: Path, src: Path) -> None:
-    env = {**os.environ, "PYTHONPATH": str(src.resolve())}
+    env = {**os.environ, "PYTHONPATH": str(src.resolve()), "COLUMNS": "80"}
     for step, args in STEPS:
         if (out / step).exists():
             raise FileExistsError(f"{out / step} exists; give a fresh OUT_DIR")

@@ -1,6 +1,7 @@
 """In-process exercises of the command-line pipeline driver."""
 
 import dataclasses
+import inspect
 import math
 import re
 
@@ -354,6 +355,39 @@ def test_unmix_refuses_a_constant_truth_channel_before_writing(tmp_path, capsys)
     assert _written(out) is None
 
 
+@pytest.mark.parametrize("scale", [1.0, -2.0, 0.3])
+def test_unmix_refuses_collinear_truth_channels_before_writing(tmp_path, capsys, scale):
+    # ch2 = scale * ch1 leaves the centred truth pair no second dimension:
+    # 1 - r^2 is 0 for the exact scales and about 1e-15 for 0.3, far below
+    # the 1e-12 floor. It is refused, file named, not scored.
+    run = tmp_path / "run"
+    assert _gen(run, "--samples", "8192") == 0
+    clean = icdx.read_signal(run / "clean.bin")
+    truth = run / "clean_collinear.bin"
+    icdx.write_signal(truth, clean.with_data(np.vstack([clean.data[0], scale * clean.data[0]])))
+    capsys.readouterr()
+    out = tmp_path / "u"
+    assert main(["unmix", "--in", str(run / "mixed.bin"), "--truth", str(truth),
+                 "--out-dir", str(out)]) == 2
+    assert f"{truth} channels are collinear" in capsys.readouterr().err
+    assert _written(out) is None
+
+
+def test_unmix_refuses_a_mean_whitening_cannot_remove_before_writing(tmp_path, capsys):
+    # A 1e9 DC offset survives centering in float64 at 7e-8 of the rms;
+    # whiten refuses it, naming the channel.
+    run = tmp_path / "run"
+    assert _gen(run, "--samples", "8192") == 0
+    mixed = icdx.read_signal(run / "mixed.bin")
+    icdx.write_signal(run / "mixed_dc.bin", mixed.with_data(mixed.data + 1e9))
+    capsys.readouterr()
+    out = tmp_path / "u"
+    assert main(["unmix", "--in", str(run / "mixed_dc.bin"), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"channel \d mean \S+ after centering", err) and "center()" not in err
+    assert _written(out) is None
+
+
 def test_unmix_scores_a_truth_channel_with_a_large_dc_offset(tmp_path):
     # Only an exactly constant channel is refused. An offset of 2e6 rms puts
     # the channel's centred power at 2.5e-13 of its total, under 4096 eps,
@@ -579,6 +613,16 @@ def test_report_lists_an_unreadable_signal_and_goes_on(tmp_path, capsys):
     assert "truncated header (4 bytes)" in out and "[run.cfg]" in out
 
 
+def test_report_lists_a_malformed_config_and_goes_on(tmp_path, capsys):
+    (tmp_path / "clean.bin").write_bytes(b"ICDX")
+    (tmp_path / "bad.cfg").write_text("samples = 4096\nbroken line\n")
+    (tmp_path / "good.cfg").write_text("seed = 7\n")
+    assert main(["report", "--in-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert f"bad.cfg: unreadable ({tmp_path / 'bad.cfg'}:2: expected 'key = value')" in out
+    assert out.index("bad.cfg") < out.index("[good.cfg]") and "seed  7" in out
+
+
 _FLOAT_FIELDS = [spec.name for spec in dataclasses.fields(RunConfig) if spec.type == "float"]
 
 
@@ -708,6 +752,21 @@ def test_value_types_take_run_config_fields_by_name(kind, build):
     for name in names:
         assert getattr(built, name) == getattr(cfg, name) != getattr(default, name), name
     assert build(RunConfig()) == default  # the shared fields take the kind's defaults
+
+
+@pytest.mark.parametrize("stage, names", [
+    (icdx.demodulate, {name: name for name in (
+        "filter_order", "envelope_order", "envelope_floor", "envelope_min_run")}),
+    (icdx.fir_split, {"diplex_band_frac": "band_frac"}),
+    (icdx.diplex, {"diplex_band_frac": "band_frac"}),
+], ids=["demodulate", "fir_split", "diplex"])
+def test_run_config_takes_the_stages_defaults(stage, names):
+    # The settings the CLI passes to a stage by keyword default to that
+    # stage's own keyword defaults.
+    defaults = {name: spec.default for name, spec in inspect.signature(stage).parameters.items()}
+    cfg = RunConfig()
+    for name, keyword in names.items():
+        assert getattr(cfg, name) == defaults[keyword], name
 
 
 @pytest.mark.parametrize("command", ["gen", "mix", "unmix", "density", "diplex", "report"])

@@ -1,4 +1,4 @@
-"""Centering, covariance, eigendecomposition, whitening.
+"""Eigendecomposition and whitening.
 
 eigendecompose() takes its eigenpairs from numpy.linalg.eigh, so the
 oracles here are cases solved by hand and the defining properties, not
@@ -20,33 +20,39 @@ def _random_spd(rng: np.random.Generator, dim: int, cond: float) -> np.ndarray:
     return basis @ np.diag(eigvals) @ basis.T
 
 
-def test_center_removes_means():
+def test_whiten_removes_means():
     rng = np.random.default_rng(0)
     signal = icdx.MultichannelSignal(rng.standard_normal((3, 4096)) + 5.0, RATE)
-    centered, mean = icdx.center(signal)
-    assert np.allclose(mean, signal.data.mean(axis=1), atol=0)
-    rms = np.sqrt(np.mean(centered.data**2, axis=1))
-    assert np.all(np.abs(centered.data.mean(axis=1)) <= 1e-12 * rms)
+    whitened, transform = icdx.whiten(signal)
+    assert np.allclose(transform.mean, signal.data.mean(axis=1), atol=0)
+    # Whitened rows have unit rms, so their means are relative to it.
+    assert np.all(np.abs(whitened.data.mean(axis=1)) <= 1e-12)
 
 
-def test_covariance_orthogonal_unit_tones():
+def test_whiten_orthogonal_unit_tones():
     # Two orthogonal tones over integer cycle counts: each sin^2 averages
-    # to exactly 1/2 and the cross term to 0, so the covariance is I/2.
+    # to exactly 1/2 and the cross term to 0, so the covariance is I/2:
+    # both eigenvalues are 1/2, and dewhitener @ dewhitener.T rebuilds it.
     n = 81920
     t = np.arange(n) / RATE
     data = np.vstack([
         np.sin(2.0 * np.pi * 1.0e6 * t),
         np.sin(2.0 * np.pi * 1.1e6 * t),
     ])
-    data = data - data.mean(axis=1, keepdims=True)
-    sigma = icdx.covariance(icdx.MultichannelSignal(data, RATE))
+    _, transform = icdx.whiten(icdx.MultichannelSignal(data, RATE))
+    assert np.max(np.abs(transform.eigvals - 0.5)) < 1e-10
+    sigma = transform.dewhitener @ transform.dewhitener.T
     assert np.max(np.abs(sigma - 0.5 * np.eye(2))) < 1e-10
 
 
-def test_covariance_rejects_uncentered():
-    signal = icdx.MultichannelSignal(np.ones((2, 64)) + 0.5, RATE)
-    with pytest.raises(ValueError, match="center"):
-        icdx.covariance(signal)
+def test_whiten_refuses_a_mean_centering_cannot_remove():
+    # A 1e9 DC offset on a unit-rms record leaves a mean of about 5e-8 of
+    # the rms after centering in float64, past the 1e-8 tolerance.
+    _, _, _, mixed = scenario_pair(n=8192)
+    offset = mixed.with_data(mixed.data + 1e9)
+    with pytest.raises(ValueError, match=r"channel \d mean \S+ after centering") as refused:
+        icdx.whiten(offset)
+    assert "center()" not in str(refused.value)
 
 
 def test_eigendecompose_2x2_hand_case():

@@ -192,61 +192,56 @@ def test_overlap_save_matches_direct_convolution(data):
     assert np.max(np.abs(kept - reference)) <= tol
 
 
-def _envelope_depth_reference(data, carrier, rate, band_frac, edge_trim):
+def _envelope_depth_reference(data, carrier, rate):
     """The complex-FFT form: full spectrum, negative frequencies zeroed."""
     n = data.shape[0]
     spectrum = np.fft.fft(data)
     freqs = np.fft.fftfreq(n, d=1.0 / rate)
-    band = (freqs > 0) & (np.abs(freqs - carrier) <= band_frac * carrier)
+    band = (freqs > 0) & (np.abs(freqs - carrier) <= 0.6 * carrier)
     if not np.any(band):
         raise ValueError("no FFT bins fall inside the carrier band")
     analytic = np.zeros_like(spectrum)
     analytic[band] = 2.0 * spectrum[band]
     envelope = np.abs(np.fft.ifft(analytic))
-    trim = int(edge_trim * n)
+    trim = int(0.02 * n)
     if trim > 0:
         envelope = envelope[trim: n - trim]
     hi, lo = float(np.max(envelope)), float(np.min(envelope))
     return min(max((hi - lo) / (hi + lo), 0.0), 1.0)
 
 
+# Carriers down to 0.001 of the rate give bands of a few bins, so P reaches 512.
 @settings(deadline=None)
 @given(
     st.integers(16, 4096),
-    st.floats(0.01, 0.49),
-    st.floats(0.05, 0.95),
-    st.floats(0.0, 0.2),
+    st.floats(0.001, 0.49),
     st.floats(-3.0, 0.0),
     st.integers(0, 2**32 - 1),
 )
-def test_envelope_depth_matches_complex_fft(n, carrier_frac, band_frac, edge_trim,
-                                            log_noise, seed):
-    _check_envelope_depth(n, carrier_frac, band_frac, edge_trim, log_noise, seed)
+def test_envelope_depth_matches_complex_fft(n, carrier_frac, log_noise, seed):
+    _check_envelope_depth(n, carrier_frac, log_noise, seed)
 
 
 @settings(deadline=None)
 @given(
     st.integers(0, 12),
     st.integers(0, 15),
-    st.floats(0.01, 0.49),
-    st.floats(0.05, 0.95),
-    st.floats(0.0, 0.2),
+    st.floats(0.001, 0.49),
     st.floats(-3.0, 0.0),
     st.integers(0, 2**32 - 1),
 )
 # The band's m bins fill a phase's M = n / P bins exactly: P = 4 and P = 512.
-@example(5, 12, 0.143, 0.871, 0.02, -1.0, 0)
-@example(9, 1, 0.015, 0.062, 0.02, -1.0, 0)
-def test_envelope_depth_phases_match_complex_fft(k, odd, carrier_frac, band_frac, edge_trim,
-                                                 log_noise, seed):
+@example(5, 12, 0.2079, -1.0, 0)
+@example(9, 1, 0.0013, -1.0, 0)
+def test_envelope_depth_phases_match_complex_fft(k, odd, carrier_frac, log_noise, seed):
     # n = odd * 2^k: P, the power of two with n / P >= m phases, runs from 1
     # (odd n) to 2^12 phases of a few bins each.
     n = (2 * odd + 1) << k
     assume(n >= 16)
-    _check_envelope_depth(n, carrier_frac, band_frac, edge_trim, log_noise, seed)
+    _check_envelope_depth(n, carrier_frac, log_noise, seed)
 
 
-def _check_envelope_depth(n, carrier_frac, band_frac, edge_trim, log_noise, seed):
+def _check_envelope_depth(n, carrier_frac, log_noise, seed):
     """envelope_depth of a noisy carrier against _envelope_depth_reference, to 1e-12."""
     carrier = carrier_frac * RATE
     t = np.arange(n) / RATE
@@ -254,12 +249,12 @@ def _check_envelope_depth(n, carrier_frac, band_frac, edge_trim, log_noise, seed
     x = np.cos(2.0 * np.pi * carrier * t + rng.uniform(0.0, 2.0 * np.pi))
     x += 10.0**log_noise * rng.standard_normal(n)
     try:
-        expected = _envelope_depth_reference(x, carrier, RATE, band_frac, edge_trim)
+        expected = _envelope_depth_reference(x, carrier, RATE)
     except ValueError:
         with pytest.raises(ValueError):
-            icdx.envelope_depth(x, carrier, RATE, band_frac, edge_trim)
+            icdx.envelope_depth(x, carrier, RATE)
         return
-    got = icdx.envelope_depth(x, carrier, RATE, band_frac, edge_trim)
+    got = icdx.envelope_depth(x, carrier, RATE)
     assert abs(got - expected) <= 1e-12
 
 
@@ -461,7 +456,6 @@ def test_chunked_passes_match_one_shot_products(n, seed):
     gram = centered @ centered.T / n
     signal = icdx.MultichannelSignal(x, RATE)
     whitened, transform = icdx.whiten(signal)
-    assert _relative(icdx.covariance(icdx.MultichannelSignal(centered, RATE)), gram) <= 1e-13
     assert _relative(transform.dewhitener @ transform.dewhitener.T, gram) <= 1e-13
     assert _relative(whitened.data, transform.whitener @ centered) <= 1e-13
     applied = transform.apply(signal)

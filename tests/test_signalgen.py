@@ -14,18 +14,20 @@ from helpers import RATE
 
 
 def test_scenario_kinds_shapes_and_labels():
+    params = icdx.InterferometerParams()
     for kind in icdx.signalgen.SCENARIO_KINDS:
-        t1, t2 = icdx.make_scenario_tracks(kind, 4096, RATE)
+        t1, t2 = icdx.make_scenario_tracks(kind, 4096, RATE, params)
         assert len(t1) == len(t2) == 4096
         assert t1.sample_rate == t2.sample_rate == RATE
         assert t1.label == "combined"
         assert t2.label == "vibration"
     with pytest.raises(ValueError):
-        icdx.make_scenario_tracks("nope", 4096, RATE)
+        icdx.make_scenario_tracks("nope", 4096, RATE, params)
 
 
 def test_quiet_scenario_is_silent():
-    t1, t2 = icdx.make_scenario_tracks("quiet", 1024, RATE)
+    params = icdx.InterferometerParams()
+    t1, t2 = icdx.make_scenario_tracks("quiet", 1024, RATE, params)
     assert np.all(t1.samples == 0.0)
     assert np.all(t2.samples == 0.0)
 
