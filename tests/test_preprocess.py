@@ -46,7 +46,7 @@ def test_whiten_orthogonal_unit_tones():
 
 
 def test_whiten_refuses_a_mean_centering_cannot_remove():
-    # A 1e9 DC offset on a unit-rms record leaves a mean of about 5e-8 of
+    # A 1e9 DC offset on a unit-rms record leaves a mean of about 7e-8 of
     # the rms after centering in float64, past the 1e-8 tolerance.
     _, _, _, mixed = scenario_pair(n=8192)
     offset = mixed.with_data(mixed.data + 1e9)
