@@ -27,8 +27,9 @@ run on the leading contiguous block (a strided subsample would alias
 the carriers); the separation error shrinks as 1/N, so the same update
 then polishes that result on the whole record to the same tolerance in
 a step or two. A block that does not converge is dropped and the unit
-searched on the whole record from the same start. The last deflation
-unit is fixed by the accepted rows: one update, no kick. Iteration
+searched on the whole record from the same start. The accepted rows
+fix the last deflation unit up to sign, so it is its Gram-Schmidt
+start: no update, no kick, and identification fixes the sign. Iteration
 counts include every update: block, polish, verification, fallback.
 
 Identification also reads only the leading 2^15-sample block: a
@@ -39,10 +40,12 @@ from all their samples.
 
 Each update streams the record: both expectations are sums over
 2^14-sample chunks, accumulated in order and divided by N once, so no
-temporary is longer than a chunk. A record of at most one chunk gets
-the one-shot sums bit for bit; on longer ones only the rounding of the
-sums changes, which moved w by at most 2.7e-15 and no iteration count
-over 56 fits of 2^14 to 2^20 samples, both modes and both contrasts.
+temporary is longer than a chunk. g is computed over w @ block in place,
+and the sum of g' comes from g with no g' array (see _contrast_sums).
+A record of at most one chunk gets the one-shot sums bit for bit; on
+longer ones only the rounding of the sums changes, which moved w by at
+most 2.7e-15 and no iteration count over 56 fits of 2^14 to 2^20
+samples, both modes and both contrasts.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import preprocess
-from .preprocess import _CHUNK, WhiteningTransform, centered_product
+from .preprocess import _CHUNK, WhiteningTransform, _gram, centered_product
 from .signalgen import Adopted, MultichannelSignal, _check_frequency, own_arrays
 
 __all__ = [
@@ -142,6 +145,26 @@ def contrast_eval(
     raise ValueError(f"unknown contrast {contrast!r}")
 
 
+def _contrast_sums(u: np.ndarray, contrast: str, shape: float) -> tuple[np.ndarray, np.ndarray]:
+    """g(u) and the sum of g'(u) along the last axis; u is overwritten.
+
+    The sum comes from g, with no g' array: logcosh's g' = shape (1 - g^2)
+    sums to shape (len - sum g^2), and gauss's g' = (1 - u^2) e, with
+    e = exp(-u^2 / 2), to sum e - sum u g. g is contrast_eval's, bit for bit.
+    """
+    if contrast == "logcosh":
+        if shape != 1.0:
+            u *= shape
+        g = np.tanh(u, out=u)
+        return g, shape * (u.shape[-1] - np.vecdot(g, g))
+    e = np.multiply(u, u)
+    e *= -0.5
+    np.exp(e, out=e)
+    total = e.sum(axis=-1)
+    g = np.multiply(u, e, out=e)
+    return g, total - np.vecdot(u, g)
+
+
 def contrast_primitive(u: np.ndarray, contrast: str, shape: float = 1.0) -> np.ndarray:
     """The contrast function G(u) itself (antiderivative of g).
 
@@ -173,7 +196,7 @@ def gaussian_reference(contrast: str, shape: float = 1.0) -> float:
 
 
 def _check_whitened(data: np.ndarray, tol: float) -> None:
-    cov = (data @ data.T) / data.shape[1]
+    cov = _gram(data) / data.shape[1]
     dev = np.max(np.abs(cov - np.eye(data.shape[0])))
     if dev > tol:
         raise ValueError(
@@ -189,13 +212,13 @@ def _update(data: np.ndarray, w: np.ndarray, cfg: FastIcaConfig) -> np.ndarray:
     """
     n = data.shape[1]
     moment = np.zeros(w.shape)
-    slope = np.zeros(w.shape[:-1] + (1,))
+    slope = np.zeros(w.shape[:-1])
     for start in range(0, n, _CHUNK):
         block = data[:, start:start + _CHUNK]
-        g, gprime = contrast_eval(w @ block, cfg.contrast, cfg.contrast_shape)
+        g, gprime_sum = _contrast_sums(w @ block, cfg.contrast, cfg.contrast_shape)
         moment += (block @ g.T).T
-        slope += gprime.sum(axis=-1, keepdims=True)
-    return moment / n - (slope / n) * w
+        slope += gprime_sum
+    return moment / n - (slope / n)[..., None] * w
 
 
 def _iterate(
@@ -256,13 +279,9 @@ def _settle_unit(
         if not converged:
             break
         kick = rng.standard_normal(w.shape[0])
-        raw = float(np.linalg.norm(kick))
         kick = kick - basis.T @ (basis @ kick)
         kick = kick - (kick @ w) * w
-        knorm = float(np.linalg.norm(kick))
-        if knorm <= 1e-8 * raw:
-            break  # no orthogonal direction left to test, up to rounding
-        w_try = w + _KICK_SIZE * (kick / knorm)
+        w_try = w + _KICK_SIZE * (kick / float(np.linalg.norm(kick)))
         w_try = w_try / float(np.linalg.norm(w_try))
         w_new, used, converged = _iterate(data, w_try, cfg, cfg.max_iter, project)
         total += used
@@ -426,7 +445,8 @@ def fit(
     count is the shared sweep count. Every converged point is stability
     checked, on the leading block when the record is long enough (see the
     module docstring); reported iteration counts include block, polish
-    and verification updates.
+    and verification updates. The last deflation unit, which the accepted
+    rows fix up to sign, takes no update: 0 iterations, converged.
 
     Non-convergence of any unit is recorded in converged, never raised;
     callers that need a hard failure check the flags.
@@ -445,12 +465,12 @@ def fit(
             w0 = _random_unit(rng, c)
             if rows:
                 w0 = _gram_schmidt(basis, w0)
-            settle = partial(_settle_unit, cfg=cfg, rng=rng, basis=basis)
-            if i == c - 1:  # the accepted rows already fix this direction
-                w, used, ok = settle(data, w0)
+            if i == c - 1:  # the accepted rows fix this direction up to sign
+                w, used, ok = w0, 0, True
             else:
                 w, used, ok = _coarse_to_fine(
-                    data, w0, cfg, settle, partial(_gram_schmidt, basis))
+                    data, w0, cfg, partial(_settle_unit, cfg=cfg, rng=rng, basis=basis),
+                    partial(_gram_schmidt, basis))
             rows.append(w)
             counts.append(used)
             flags.append(ok)

@@ -80,15 +80,24 @@ def write_signal(path: str | Path, signal: MultichannelSignal) -> None:
 def read_signal(path: str | Path) -> MultichannelSignal:
     """Read a signal written by write_signal, dispatching on the suffix.
 
-    Samples MultichannelSignal rejects (non-finite ones) raise FormatError.
+    Samples MultichannelSignal rejects (non-finite ones), and CSV bytes
+    that do not decode as text, raise FormatError.
     """
     path = Path(path)
     reader = _read_csv if path.suffix.lower() == ".csv" else _read_raw
-    data, rate = reader(path)
+    try:
+        data, rate = reader(path)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {_not_text(exc)}") from exc
     try:
         return MultichannelSignal(Adopted(data), rate)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def _not_text(exc: UnicodeDecodeError) -> str:
+    # exc.start counts from the decoder's buffer, not the file, so it is not named.
+    return f"not text: byte 0x{exc.object[exc.start]:02x} does not decode as {exc.encoding}"
 
 
 def _write_raw(path: Path, signal: MultichannelSignal) -> None:
@@ -292,7 +301,11 @@ def read_kv(path: str | Path) -> KeyValueFile:
     values: dict[str, str] = {}
     line_numbers: dict[str, int] = {}
     with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(_not_text(exc), path) from exc
+        for lineno, raw in enumerate(lines, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue

@@ -2,6 +2,7 @@
 
 Usage:
     python tests/cli_matrix.py OUT_DIR [SRC_DIR]
+    python tests/cli_matrix.py --compare A B
 
 SRC_DIR is the source tree to run (default: this checkout's src). Each
 step is a fresh `python -m icdx.cli` process started in OUT_DIR, so every
@@ -21,15 +22,29 @@ a filter longer than the record (exit 2 inside density), a one-channel
 input to mix (exit 2), a coupling near the float64 limit (exit 2) and
 noise whose amplitude would pass that bound (exit 2); and the --help
 text of icdx and of each subcommand, at a fixed width of 80 columns.
+
+--compare A B reads two matrix outputs and prints, for each file that
+differs, how far its numbers moved, which diff -r cannot show: how many
+values differ, the largest relative difference |a - b| / max(|a|, |b|)
+with the pair it came from, and the largest difference against the
+file's peak magnitude. Raw .bin payloads are read as float64 samples; in
+any other file every decimal number is a value, and each line whose
+values moved by more than 1e-6 relative, more than rounding, is printed
+on both sides. A file whose text or .bin header differs beyond its
+numbers, or that one side lacks, is named as such. It exits 1 when any
+file differs, like diff.
 This file has no test_ prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 STEPS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("gen", ("gen",)),
@@ -81,8 +96,61 @@ def run_matrix(out: Path, src: Path) -> None:
         print(f"{step}: exit {done.returncode}")
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_SHOWN = 1e-6  # a text line whose values move by more than this, relative, is printed
+
+
+def _numbers(text: str) -> np.ndarray:
+    return np.array([float(v) for v in _NUMBER.findall(text)])
+
+
+def _relative(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    diff = np.abs(va - vb)
+    return diff / np.where(diff == 0.0, 1.0, np.maximum(np.abs(va), np.abs(vb)))
+
+
+def compare(a: Path, b: Path) -> int:
+    differ = 0
+    names = sorted({path.relative_to(root)
+                    for root in (a, b) for path in root.rglob("*") if path.is_file()})
+    for name in names:
+        if not ((a / name).is_file() and (b / name).is_file()):
+            print(f"{name}: only in {a if (a / name).is_file() else b}")
+            differ = 1
+            continue
+        raw_a, raw_b = (a / name).read_bytes(), (b / name).read_bytes()
+        if raw_a == raw_b:
+            continue
+        differ = 1
+        if raw_a[:4] == raw_b[:4] == b"ICDX":
+            layout_a, layout_b = raw_a[:64], raw_b[:64]
+            va, vb = np.frombuffer(raw_a[64:], "<f8"), np.frombuffer(raw_b[64:], "<f8")
+            lines = []
+        else:
+            text_a, text_b = raw_a.decode(errors="replace"), raw_b.decode(errors="replace")
+            layout_a, layout_b = _NUMBER.sub("#", text_a), _NUMBER.sub("#", text_b)
+            va, vb = _numbers(text_a), _numbers(text_b)
+            lines = [(la, lb) for la, lb in zip(text_a.splitlines(), text_b.splitlines())
+                     if la != lb]
+        if layout_a != layout_b or va.shape != vb.shape or not va.size:
+            print(f"{name}: differs beyond its numbers")
+            continue
+        rel = _relative(va, vb)
+        i = int(np.argmax(rel))
+        peak = np.maximum(np.abs(va), np.abs(vb)).max()
+        print(f"{name}: {np.count_nonzero(rel)} of {va.size} values differ; largest relative "
+              f"{rel[i]:.2g} ({float(va[i])!r} -> {float(vb[i])!r}); largest against the peak "
+              f"{np.abs(va - vb).max() / peak:.2g}")
+        for la, lb in lines:
+            if _relative(_numbers(la), _numbers(lb)).max() > _SHOWN:
+                print(f"    {la.strip()}  ->  {lb.strip()}")
+    return differ
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) not in (1, 2) or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)
         return 2
     out = Path(argv[0])

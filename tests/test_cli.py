@@ -155,6 +155,17 @@ def test_non_finite_input_exit_4(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff,ch0\n0,1\n1,1\n", b"t,ch0\n0,1\n1,\xff\n"],
+                         ids=["header", "row"])
+def test_undecodable_csv_input_exit_4(tmp_path, capsys, content):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["unmix", "--in", str(path), "--out-dir", str(out)]) == 4
+    assert f"icdx: error: {path}: not text: byte 0xff does not decode" in capsys.readouterr().err
+    assert _written(out) is None
+
+
 def _patched_raw(path, offset, value):
     """A valid one-channel raw file at path, with one header field overwritten."""
     icdx.write_signal(path, icdx.MultichannelSignal(np.ones((1, 4)), RATE))
@@ -621,6 +632,17 @@ def test_report_lists_a_malformed_config_and_goes_on(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"bad.cfg: unreadable ({tmp_path / 'bad.cfg'}:2: expected 'key = value')" in out
     assert out.index("bad.cfg") < out.index("[good.cfg]") and "seed  7" in out
+
+
+def test_report_lists_undecodable_files_and_goes_on(tmp_path, capsys):
+    (tmp_path / "bad.cfg").write_bytes(b"seed = \xff\n")
+    (tmp_path / "bad.csv").write_bytes(b"t,ch0\n0,\xff\n")
+    (tmp_path / "good.cfg").write_text("seed = 7\n")
+    assert main(["report", "--in-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    for name in ("bad.csv", "bad.cfg"):
+        assert f"{name}: unreadable ({tmp_path / name}: not text: byte 0xff does not" in out
+    assert "[good.cfg]" in out and "seed  7" in out
 
 
 _FLOAT_FIELDS = [spec.name for spec in dataclasses.fields(RunConfig) if spec.type == "float"]

@@ -1,5 +1,6 @@
 """Fixed-point search, contrasts, stability checks, identification."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -250,25 +251,26 @@ def _one_shot_update(data: np.ndarray, w: np.ndarray, cfg: icdx.FastIcaConfig) -
     return (data @ g.T).T / data.shape[1] - gprime.mean(axis=-1, keepdims=True) * w
 
 
-def _streamed_update(data: np.ndarray, w: np.ndarray, cfg: icdx.FastIcaConfig) -> np.ndarray:
-    """The same update from partial sums over fit()'s _CHUNK-sample blocks, in order."""
-    n = data.shape[1]
-    moment = np.zeros(w.shape)
-    slope = np.zeros(w.shape[:-1] + (1,))
-    for start in range(0, n, _CHUNK):
-        block = data[:, start:start + _CHUNK]
-        g, gprime = icdx.contrast_eval(w @ block, cfg.contrast, cfg.contrast_shape)
-        moment += (block @ g.T).T
-        slope += gprime.sum(axis=-1, keepdims=True)
-    return moment / n - (slope / n) * w
+def _one_chunk_update(data: np.ndarray, w: np.ndarray, cfg: icdx.FastIcaConfig) -> np.ndarray:
+    """The one-shot update with the sum of g' taken from g, as fit()'s update takes it."""
+    n, shape = data.shape[1], cfg.contrast_shape
+    u = w @ data
+    if cfg.contrast == "logcosh":
+        g = np.tanh(shape * u)
+        gprime_sum = shape * (n - np.vecdot(g, g))
+    else:
+        e = np.exp(-0.5 * u * u)
+        g = u * e
+        gprime_sum = e.sum(axis=-1) - np.vecdot(u, g)
+    return (data @ g.T).T / n - (gprime_sum / n)[..., None] * w
 
 
 def _full_record_fit(data: np.ndarray, cfg: icdx.FastIcaConfig):
     """The fit with every unit settled on the whole record, written out with numpy.
 
     Same seeded starts and kicks, stopping rule, stability check and
-    streamed update sums as fit(), with no leading block and no polish.
-    Returns (w, iterations, converged).
+    update as fit(), with no leading block and no polish; the last
+    deflation unit is its deflated start. Returns (w, iterations, converged).
     """
     c, n = data.shape
     rng = np.random.default_rng(cfg.seed)
@@ -279,7 +281,7 @@ def _full_record_fit(data: np.ndarray, cfg: icdx.FastIcaConfig):
 
     def iterate(w, project, budget):
         for it in range(1, budget + 1):
-            w_new = project(_streamed_update(data, w, cfg))
+            w_new = project(_update(data, w, cfg))
             delta = 1.0 - np.min(np.abs(np.sum(w_new * w, axis=-1)))
             w = w_new
             if delta <= cfg.tol:
@@ -313,6 +315,11 @@ def _full_record_fit(data: np.ndarray, cfg: icdx.FastIcaConfig):
         w = w / np.linalg.norm(w)
         if rows:
             w = project(w)
+        if len(rows) == c - 1:
+            rows.append(w)
+            counts.append(0)
+            flags.append(True)
+            break
         w, total, ok = iterate(w, project, cfg.max_iter)
         for _ in range(3):
             if not ok:
@@ -320,8 +327,6 @@ def _full_record_fit(data: np.ndarray, cfg: icdx.FastIcaConfig):
             kick = rng.standard_normal(c)
             kick = kick - basis.T @ (basis @ kick)
             kick = kick - (kick @ w) * w
-            if np.linalg.norm(kick) == 0.0:
-                break
             w_try = w + 1e-2 * kick / np.linalg.norm(kick)
             w_new, used, ok = iterate(w_try / np.linalg.norm(w_try), project, cfg.max_iter)
             total += used
@@ -374,12 +379,36 @@ def test_coarse_to_fine_matches_full_record_fit(n, ortho, source):
 
 
 @pytest.mark.parametrize("n", [2**14, 2**17])
-def test_last_deflation_unit_takes_one_update(n):
-    # The accepted row fixes the last direction, so no kick is tested.
+def test_last_deflation_unit_takes_no_update(n):
+    # The accepted row fixes the last direction up to sign: no update, no kick.
     _, mixed = _mixed_pair(n)
     whitened, _ = icdx.whiten(mixed)
     result = icdx.fit(whitened, icdx.FastIcaConfig(seed=5))
-    assert result.iterations[-1] == 1 and all(result.converged)
+    assert result.iterations[-1] == 0 and all(result.converged)
+    accepted, last = result.w[:-1], result.w[-1]
+    assert np.max(np.abs(accepted @ last)) <= 1e-15
+    assert abs(np.linalg.norm(last) - 1.0) <= 1e-15
+
+
+def test_last_row_sign_leaves_corrected_record_unchanged(monkeypatch):
+    # Identification fixes each row's sign, so the last unit's sign is free.
+    _, mixed = _mixed_pair(2**17)
+    corrected, result, _ = separate(mixed, seed=5)
+    fit = icdx.fastica.fit
+
+    def fit_last_row_negated(b, cfg, transform=None):
+        fitted = fit(b, cfg, transform)
+        w, w_full = fitted.w.copy(), fitted.w_full.copy()
+        w[-1] *= -1.0
+        w_full[-1] *= -1.0
+        return dataclasses.replace(fitted, w=w, w_full=w_full)
+
+    monkeypatch.setattr(icdx.fastica, "fit", fit_last_row_negated)
+    flipped, flipped_result, _ = separate(mixed, seed=5)
+    assert np.array_equal(flipped_result.w[-1], -result.w[-1])
+    assert flipped_result.assignment.perm == result.assignment.perm
+    assert flipped_result.assignment.signs != result.assignment.signs
+    assert np.array_equal(flipped.data, corrected.data)
 
 
 @pytest.mark.parametrize("ortho", ["deflation", "symmetric"])
@@ -427,7 +456,7 @@ def test_record_of_one_chunk_fits_bit_identically(n, ortho, monkeypatch):
     whitened, _ = icdx.whiten(mixed)
     cfg = icdx.FastIcaConfig(seed=3, ortho=ortho)
     result = icdx.fit(whitened, cfg)
-    monkeypatch.setattr(icdx.fastica, "_update", _one_shot_update)
+    monkeypatch.setattr(icdx.fastica, "_update", _one_chunk_update)
     reference = icdx.fit(whitened, cfg)
     assert all(result.converged) and result.iterations == reference.iterations
     assert np.array_equal(result.w, reference.w)

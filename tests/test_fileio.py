@@ -226,6 +226,18 @@ def test_kv_parse_reports_line_numbers(tmp_path):
     assert info.value.line == 3
 
 
+def test_undecodable_text_files_raise_errors_naming_the_file(tmp_path):
+    cfg = tmp_path / "bytes.cfg"
+    cfg.write_bytes(b"a = 1\nb = \xff\n")
+    with pytest.raises(icdx.ConfigError, match=r"bytes\.cfg: not text: byte 0xff ") as info:
+        icdx.read_kv(cfg)
+    assert info.value.path == str(cfg)
+    csv = tmp_path / "bytes.csv"
+    csv.write_bytes(b"# sample_rate_hz = 8000000.0\nt,ch0\n0,1\n1,\xff\n")
+    with pytest.raises(icdx.FormatError, match=r"bytes\.csv: not text: byte 0xff "):
+        icdx.read_signal(csv)
+
+
 def test_kv_file_accessors(tmp_path):
     path = tmp_path / "vals.cfg"
     path.write_text("# header comment\nrate = 8000000.0\nlabel = three words here\n")
