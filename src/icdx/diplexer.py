@@ -216,10 +216,11 @@ def diplex(
     fir_only = fir_split(composite, tone_a, tone_b, order, sample_rate, band_frac)
     tones = (tone_a, tone_b)
     rate = fir_only.sample_rate
-    # One transform per branch serves all four residuals, and only the two
-    # tone bands of it are kept: full-length spectra would outlive their use.
+    # Both tone bands of each branch, summed directly row by row as the metric does
+    # for one channel, serve all four residuals; the FIR ones equal the metric's.
     bands = [metrics.tone_band(fir_only.length, rate, freq) for freq in tones]
-    branch_bands = np.split(fir_only.spectrum(np.concatenate(bands)), [bands[0].size], axis=1)
+    branch_bands = np.split(metrics._rfft_bins(fir_only.data, np.concatenate(bands)),
+                            [bands[0].size], axis=1)
 
     # Estimate statistics on the steady-state region only: the first
     # `order` samples are partial convolutions, and that startup

@@ -31,6 +31,7 @@ __all__ = [
 _ZERO_RESIDUAL = 1e-24
 
 _TONE_HALF_WIDTH_BINS = 4  # cross_tone_residual_db(): band half-width in FFT bins
+_DFT_PIECE = 1 << 12  # _rfft_bins(): samples per piece of the blocked product
 _BAND_FRAC = 0.6  # envelope_depth(): band half-width, relative to the carrier
 _EDGE_TRIM = 0.02  # envelope_depth(): samples dropped from each end, relative to n
 
@@ -183,6 +184,33 @@ def envelope_depth(
     return min(max((hi - lo) / (hi + lo), 0.0), 1.0)
 
 
+def _rfft_bins(rows: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """rfft(row)[bins] of each row of a 2-D array, by direct sums in O(bins x n).
+
+    Twiddle angles are 2 pi ((k t) mod n) / n, reduced exactly in int64. A row's
+    _DFT_PIECE-sample pieces share one cos/sin table of the bins, their sums are
+    combined with their own twiddles, and the remainder is added. Each row is
+    summed alone on the sorted distinct bins, the same bits whatever the bin order.
+    """
+    n = rows.shape[1]
+    keep, where = np.unique(bins, return_inverse=True)
+
+    def twiddles(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        angle = (2.0 * np.pi / n) * ((t[:, None] * keep) % n)
+        return np.cos(angle), np.sin(angle)
+
+    split = n - n % (piece := min(n, _DFT_PIECE))
+    table = np.hstack(twiddles(np.arange(piece)))
+    shift_cos, shift_sin = twiddles(np.arange(0, split, piece))
+    tail_cos, tail_sin = twiddles(np.arange(split, n))
+    out = np.empty((rows.shape[0], keep.size), dtype=np.complex128)
+    for row, dft in zip(rows, out):
+        c, s = np.hsplit(row[:split].reshape(-1, piece) @ table, 2)
+        dft.real = (shift_cos * c - shift_sin * s).sum(axis=0) + row[split:] @ tail_cos
+        dft.imag = -(shift_sin * c + shift_cos * s).sum(axis=0) - row[split:] @ tail_sin
+    return out[:, where]
+
+
 def _tone_bins(n: int, sample_rate: float, freq: float) -> tuple[np.ndarray, np.ndarray]:
     """(mirrored, index): where a tone's DFT bins lie past Nyquist, and their rfft bins.
 
@@ -225,13 +253,14 @@ def cross_tone_residual_db(
     The window is the periodic (DFT-even) Hann w[n] = 0.5 - 0.5 cos(2 pi n / N),
     applied in the frequency domain: its DFT has three taps, so the windowed
     spectrum at bin k is 0.5 X[k] - 0.25 (X[k-1] + X[k+1]) with X the plain
-    DFT, and only the band bins are formed.
+    DFT; only X's band bins are formed, as direct sums (_rfft_bins), and they
+    are divided by the largest windowed bin before squaring, so no power overflows.
 
     A caller that already has the channel's spectrum passes band_spectrum,
     the pair (own, other) of rfft(channel) on tone_band(n, rate, own_freq)
-    and on tone_band(n, rate, other_freq), and the forward transform is
-    skipped. Only its bins above DC are read: bin 0 is the sum of the
-    channel's samples, so a spectrum equal above DC will do.
+    and on tone_band(n, rate, other_freq), and no bin is summed. Only its
+    bins above DC are read: bin 0 is the sum of the channel's samples, so
+    a spectrum equal above DC will do.
     """
     data, rate = as_channel(channel), _check_positive("sample_rate", sample_rate)
     n = data.shape[0]
@@ -242,8 +271,8 @@ def cross_tone_residual_db(
 
     bands = [_tone_bins(n, rate, freq) for freq in (own_freq, other_freq)]
     if band_spectrum is None:
-        spectrum = np.fft.rfft(data)
-        band_spectrum = [spectrum[index] for _, index in bands]
+        spectrum = _rfft_bins(data[None], np.concatenate([index for _, index in bands]))
+        band_spectrum = np.split(spectrum[0], [bands[0][1].size])
     else:
         shapes = [np.shape(band) for band in band_spectrum]
         if shapes != [index.shape for _, index in bands]:
@@ -254,13 +283,13 @@ def cross_tone_residual_db(
         band_spectrum = [np.where(index == 0, dc, band)
                          for band, (_, index) in zip(band_spectrum, bands)]
 
-    def band_power(band: np.ndarray, mirrored: np.ndarray) -> float:
+    def windowed(band: np.ndarray, mirrored: np.ndarray) -> np.ndarray:
         band = np.where(mirrored, np.conj(band), band)
-        windowed = 0.5 * band[1:-1] - 0.25 * (band[:-2] + band[2:])
-        return float(np.sum(windowed.real**2 + windowed.imag**2))
+        return 0.5 * band[1:-1] - 0.25 * (band[:-2] + band[2:])
 
-    own, other = (band_power(band, mirrored)
-                  for band, (mirrored, _) in zip(band_spectrum, bands))
+    own, other = (windowed(band, mirrored) for band, (mirrored, _) in zip(band_spectrum, bands))
+    peak = max(np.abs(own).max(), np.abs(other).max()) or 1.0
+    own, other = (float(np.sum(np.abs(band / peak) ** 2)) for band in (own, other))
     if own == 0.0:
         raise ValueError("channel has no power at its own tone")
     if other <= _ZERO_RESIDUAL * own:

@@ -83,8 +83,8 @@ def eigendecompose(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix must be finite")
-    scale = np.linalg.norm(mat)
-    if np.linalg.norm(mat - mat.T) > _SYM_TOL * max(scale, np.finfo(np.float64).tiny):
+    scale = np.max(np.abs(mat), initial=0.0)
+    if np.max(np.abs(mat - mat.T), initial=0.0) > _SYM_TOL * max(scale, np.finfo(np.float64).tiny):
         raise ValueError("matrix is not symmetric within tolerance")
     eigvals, eigvecs = np.linalg.eigh(mat)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]

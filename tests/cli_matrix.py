@@ -5,10 +5,11 @@ Usage:
     python tests/cli_matrix.py --compare A B
 
 SRC_DIR is the source tree to run (default: this checkout's src). Each
-step is a fresh `python -m icdx.cli` process started in OUT_DIR, so every
-path it prints is relative. A step's files land in OUT_DIR/<step>/, next
-to its exit_code, stdout and stderr, and out_dir_made, which says whether
-the step itself created that directory. Running the matrix on two
+step is a fresh `python -W error -m icdx.cli` process started in OUT_DIR,
+so every path it prints is relative and a warning fails the step. A
+step's files land in OUT_DIR/<step>/, next to its exit_code, stdout and
+stderr, and out_dir_made, which says whether the step itself created
+that directory. Running the matrix on two
 checkouts and comparing them with `diff -r` shows every output byte that
 changed.
 
@@ -85,7 +86,7 @@ def run_matrix(out: Path, src: Path) -> None:
         if (out / step).exists():
             raise FileExistsError(f"{out / step} exists; give a fresh OUT_DIR")
         done = subprocess.run(
-            [sys.executable, "-m", "icdx.cli", *args, "--out-dir", step],
+            [sys.executable, "-W", "error", "-m", "icdx.cli", *args, "--out-dir", step],
             cwd=out, env=env, capture_output=True, text=True)
         made = (out / step).is_dir()
         (out / step).mkdir(exist_ok=True)

@@ -590,6 +590,30 @@ def test_diplex_reads_a_composite_in_either_format(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.filterwarnings("error")
+def test_diplex_on_a_huge_composite_reports_the_unscaled_residuals(tmp_path):
+    # At amplitude 1e150 the squared tone-band bins of 2^17 samples overflowed
+    # and the FIR residuals read neg-inf; the covariance's norm overflowed too.
+    n, rate = 2**17, 200.0e6
+    t = np.arange(n) / rate
+    composite = np.sin(2.0 * np.pi * 25.0e6 * t) + np.sin(2.0 * np.pi * 40.0e6 * t)
+    reports = []
+    for scale in (1.0, 1e150):
+        path, out = tmp_path / f"composite_{scale:g}.bin", tmp_path / f"out_{scale:g}"
+        icdx.write_signal(path, icdx.MultichannelSignal(scale * composite[None, :], rate))
+        assert main(["diplex", "--in", str(path), "--out-dir", str(out)]) == 0
+        reports.append(read_kv(out / "diplex_report.cfg"))
+    for tone in ("tone_a", "tone_b"):
+        fir_db = [_float(report, f"{tone}_fir_residual_db") for report in reports]
+        assert fir_db[0] > -20.0
+        assert abs(fir_db[1] - fir_db[0]) <= 1e-9
+        # Scaling by 1e150 rounds each sample, which moves the separation by
+        # rounding; at about -106 dB that is a few 1e-9 dB.
+        ica_db = [_float(report, f"{tone}_ica_residual_db") for report in reports]
+        assert ica_db[0] <= -40.0
+        assert abs(ica_db[1] - ica_db[0]) <= 1e-6
+
+
 @pytest.mark.parametrize("order", ["1000000000000", "16384"])
 def test_diplex_filter_longer_than_record_exit_2(tmp_path, capsys, order):
     # The order is compared with the composite before either bandpass is

@@ -8,10 +8,11 @@ through a name bound at import time, and none is called twice. The
 diplexer's FIR split is counted too: a diplex run splits its composite
 once. Spectral work is counted the same way on numpy, by input shape:
 `icdx unmix` takes one full-length rfft per input channel for its four
-depths and `icdx diplex` one per FIR branch for its four residuals;
-identification adds one rfft of the components' leading block (at most
-2^15 samples); nothing else is transformed forward and no window is
-built. Each depth inverts its carrier band in P phases of n / P samples
+depths, while `icdx diplex` takes none, since its four residuals read
+tone-band bins summed directly over each FIR branch; identification
+adds one rfft of the components' leading block (at most 2^15 samples);
+nothing else is transformed forward and no window is built. Each depth
+inverts its carrier band in P phases of n / P samples
 (P = 4 at the default carriers), so `icdx unmix` takes no inverse
 transform as long as the record, and `icdx diplex` takes none at all.
 The reader and the depth are wrapped the same way to check that `icdx
@@ -103,7 +104,7 @@ def test_cli_diplex_splits_once(calls, numpy_calls, tmp_path):
     n = _BLOCK // 2  # shorter than the block: identification reads it all
     assert main(["diplex", "--out-dir", str(tmp_path), "--diplex-samples", str(n)]) == 0
     assert calls == DIPLEX_ONCE
-    assert numpy_calls == _spectral_pass(n)
+    assert numpy_calls == {("rfft", (2, n)): 1}  # identification's block only
 
 
 def test_cli_unmix_holds_one_input_record_at_a_time(monkeypatch, tmp_path):

@@ -171,6 +171,18 @@ def test_cross_tone_residual_on_bin_clean_tone_is_neg_inf(n):
     assert icdx.cross_tone_residual_db(tone, 100 * RATE / n, 150 * RATE / n, RATE) == -math.inf
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_cross_tone_residual_is_scale_free(scale):
+    # Band powers are relative to the largest windowed bin: squared raw bins
+    # overflowed (1e300) or underflowed to "no power" (1e-300).
+    t = np.arange(4096) / RATE
+    x = np.sin(2.0 * np.pi * CARRIER_1 * t) + 0.1 * np.sin(2.0 * np.pi * CARRIER_2 * t + 0.3)
+    expected = icdx.cross_tone_residual_db(x, CARRIER_1, CARRIER_2, RATE)
+    assert -25.0 < expected < -15.0
+    assert abs(icdx.cross_tone_residual_db(scale * x, CARRIER_1, CARRIER_2, RATE)
+               - expected) <= 1e-9
+
+
 def test_envelope_depth_band_spectrum_validation():
     # The whole spectrum is not the carrier band's bins.
     tone = np.sin(2.0 * np.pi * CARRIER_1 * np.arange(4096) / RATE)

@@ -10,7 +10,7 @@ import pytest
 
 import icdx
 
-from helpers import RATE, STRONG_COUPLING, scenario_pair
+from helpers import RATE, STRONG_COUPLING, scenario_pair, separate
 
 
 def _random_spd(rng: np.random.Generator, dim: int, cond: float) -> np.ndarray:
@@ -116,6 +116,18 @@ def test_eigendecompose_matches_library_solver():
         recon = eigvecs @ np.diag(eigvals) @ eigvecs.T
         assert np.linalg.norm(recon - sym) <= 1e-9 * np.linalg.norm(sym)
         assert np.max(np.abs(eigvecs.T @ eigvecs - np.eye(dim))) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_record_scaled_by_1e100_separates_as_the_unscaled_one():
+    # The symmetry check compares largest entries: a norm's sum of squares
+    # overflowed once a covariance entry passed about 1e154.
+    _, _, _, mixed = scenario_pair(n=2**14)
+    _, plain, _ = separate(mixed)
+    _, huge, _ = separate(mixed.with_data(1e100 * mixed.data))
+    assert huge.assignment.perm == plain.assignment.perm
+    assert huge.assignment.signs == plain.assignment.signs
+    assert np.max(np.abs(huge.w - plain.w)) <= 1e-12
 
 
 def test_eigendecompose_deterministic_signs():

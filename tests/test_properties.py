@@ -6,8 +6,9 @@ of lost decimated indices, a decomposition built to have a known
 least-squares answer, the step-by-step form of a fused product, the
 full-rate convolution, the complex-FFT envelope (for record lengths
 with every power-of-two factor up to 2^12), an explicitly windowed
-periodic-Hann spectrum, rfftfreq's band mask, np.savetxt or np.loadtxt,
-or a one-shot product or Gram matrix of the whole record. The
+periodic-Hann spectrum, np.fft.rfft on a few bins, rfftfreq's band
+mask, np.savetxt or np.loadtxt, or a one-shot product or Gram matrix of
+the whole record. The
 linear-algebra properties check the defining equations instead: a
 matrix rebuilt from its eigenpairs, the polar factor's orthonormality
 and symmetric positive semidefinite remainder, whiten() undone by
@@ -33,7 +34,7 @@ from icdx.cli import RunConfig, _mask_lost
 from icdx.demod import _BLOCK, _overlap_save
 from icdx.fastica import _orthonormalize
 from icdx.fileio import _CSV_CHUNK_ROWS, _read_csv, _write_csv, format_matrix, parse_matrix
-from icdx.metrics import _fit
+from icdx.metrics import _DFT_PIECE, _fit, _rfft_bins
 from icdx.preprocess import _CHUNK, centered_product
 
 from helpers import (CARRIER_1, CARRIER_2, RATE, hann_band_power_db, same_residual,
@@ -300,6 +301,26 @@ def test_depths_from_the_input_spectrum_match_the_channels(perm, signs, seed):
         shared = icdx.envelope_depth(corrected[i], carrier, RATE,
                                      band_spectrum=unmixing[i] @ spectrum[:, band])
         assert abs(shared - icdx.envelope_depth(corrected[i], carrier, RATE)) <= 1e-12
+
+
+_PIECE_LENGTHS = st.one_of(
+    st.integers(2, 3 * _DFT_PIECE + 1),
+    st.builds(lambda pieces, off: pieces * _DFT_PIECE + off, st.integers(1, 3), st.integers(-1, 1)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_PIECE_LENGTHS, st.lists(st.floats(0.0, 1.0), max_size=6), st.floats(-3.0, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_direct_bins_match_rfft(n, inner, offset, seed):
+    # Below, at and between multiples of the piece; DC, the last bin and
+    # bins between. Each row's bins depend only on the row and the bin set.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, n)) + offset
+    bins = np.array([0, n // 2, *(round(f * (n // 2)) for f in inner)])
+    got = _rfft_bins(x, bins)
+    want = np.fft.rfft(x, axis=1)[:, bins]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(x).sum(axis=1, keepdims=True))
+    assert np.array_equal(_rfft_bins(x[1:], bins[::-1])[0], got[1][::-1])
 
 
 _TONE_PLACES = st.tuples(
