@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fastica, metrics
+from .preprocess import _CHUNK
 from .signalgen import (Adopted, MultichannelSignal, _check_positive, _check_same_rate,
                         as_channel, own_arrays)
 
@@ -124,7 +125,23 @@ def filter_signal(signal: np.ndarray, fir: FirFilter, sample_rate: float) -> np.
     if channel.size < fir.taps.size:
         raise ValueError(
             f"signal length {channel.size} shorter than filter ({fir.taps.size} taps)")
-    return np.convolve(channel, fir.taps, mode="full")[: channel.size]
+    return _filter_into(np.empty(channel.size), channel, fir.taps)
+
+
+def _filter_into(out: np.ndarray, channel: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """out filled with np.convolve(channel, taps)[:channel.size], _CHUNK samples at a time.
+
+    The first block (at least taps.size samples) is a truncated full
+    convolution, each later one the valid convolution of the block and
+    the taps.size - 1 samples before it: the same dot products, so the
+    same bits, with no record-length temporary.
+    """
+    head, reach = max(min(_CHUNK, channel.size), taps.size), taps.size - 1
+    out[:head] = np.convolve(channel[:head], taps, mode="full")[:head]
+    for start in range(head, channel.size, _CHUNK):
+        stop = start + _CHUNK
+        out[start:stop] = np.convolve(channel[start - reach:stop], taps, mode="valid")
+    return out
 
 
 def _zero_taps(order: int, f_lo: float, f_hi: float, sample_rate: float) -> bool:
@@ -183,7 +200,7 @@ def fir_split(
     for row, freq in zip(branches, (tone_a, tone_b)):
         fir = design_fir_bandpass(
             order, freq * (1.0 - band_frac), freq * (1.0 + band_frac), rate)
-        row[:] = filter_signal(channel, fir, rate)
+        _filter_into(row, channel, fir.taps)
     return MultichannelSignal(Adopted(branches), rate)
 
 
@@ -218,9 +235,10 @@ def diplex(
     rate = fir_only.sample_rate
     # Both tone bands of each branch, summed directly row by row as the metric does
     # for one channel, serve all four residuals; the FIR ones equal the metric's.
-    bands = [metrics.tone_band(fir_only.length, rate, freq) for freq in tones]
-    branch_bands = np.split(metrics._rfft_bins(fir_only.data, np.concatenate(bands)),
-                            [bands[0].size], axis=1)
+    bands = [metrics._tone_bins(fir_only.length, rate, freq) for freq in tones]
+    branch_bands = np.split(
+        metrics._rfft_bins(fir_only.data, np.concatenate([index for _, index in bands])),
+        [bands[0][1].size], axis=1)
 
     # Estimate statistics on the steady-state region only: the first
     # `order` samples are partial convolutions, and that startup
@@ -246,12 +264,13 @@ def diplex(
     # The cleaned channels are this fixed map of the centered branches, so
     # above DC (all the metric reads) their bins are the map of the branches'.
     mapping = result.assignment.apply_rows(result.w_full) / peaks[:, None]
+    # fir_split checked both tones and every channel here is finite, so the
+    # metric's own checks are skipped.
     residual_db = {}
-    for key, signal, bands in (("fir", fir_only, branch_bands),
-                               ("ica", cleaned, [mapping @ band for band in branch_bands])):
+    for key, signal, spectra in (("fir", fir_only, branch_bands),
+                                 ("ica", cleaned, [mapping @ band for band in branch_bands])):
         residual_db[key] = tuple(
-            metrics.cross_tone_residual_db(
-                signal.data[i], tones[i], tones[1 - i], rate,
-                band_spectrum=(bands[i][i], bands[1 - i][i]))
+            metrics._residual_db(signal.data[i], [bands[i], bands[1 - i]],
+                                 (spectra[i][i], spectra[1 - i][i]))
             for i in range(2))
     return fir_only, cleaned, residual_db

@@ -523,18 +523,17 @@ def separate(
     """The separation stage: whiten, fit, identify, unmix.
 
     Whitening and the fit see signal.data[:, skip:] only (skip drops a
-    startup transient). Identification reads the fitted components on the
-    leading block only (see identify_components), and unmixing then makes
-    the one full-record product, with the identified assignment folded in.
+    startup transient; preprocess.whiten reads it as a view, with no
+    copy, and refuses a skip outside [0, length)). Identification reads
+    the fitted components on the leading block only (see
+    identify_components), and unmixing then makes the one full-record
+    product, with the identified assignment folded in.
     Returns (corrected, result, transform); corrected holds the expected
     carriers in order and result the identified assignment.
     Non-convergence is recorded in result.converged, never raised.
     """
-    if not 0 <= skip < signal.length:
-        raise ValueError(f"skip must be in [0, {signal.length}), got {skip}")
     # Layers are looked up at call time, so wrappers on module attributes see them.
-    whitened, transform = preprocess.whiten(
-        signal.with_data(signal.data[:, skip:]) if skip else signal)
+    whitened, transform = preprocess.whiten(signal, skip=skip)
     result = fit(whitened, cfg, transform)
     del whitened
     block = centered_product(result.w_full, signal.data[:, :_BLOCK], transform.mean)

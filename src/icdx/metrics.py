@@ -270,15 +270,25 @@ def cross_tone_residual_db(
         raise ValueError("own_freq and other_freq must be distinct")
 
     bands = [_tone_bins(n, rate, freq) for freq in (own_freq, other_freq)]
-    if band_spectrum is None:
-        spectrum = _rfft_bins(data[None], np.concatenate([index for _, index in bands]))
-        band_spectrum = np.split(spectrum[0], [bands[0][1].size])
-    else:
+    if band_spectrum is not None:
         shapes = [np.shape(band) for band in band_spectrum]
         if shapes != [index.shape for _, index in bands]:
             raise ValueError(
                 f"band_spectrum must hold the {[index.size for _, index in bands]} "
                 f"tone-band bins of own_freq and other_freq, got shapes {shapes}")
+    return _residual_db(data, bands, band_spectrum)
+
+
+def _residual_db(data: np.ndarray, bands: list[tuple[np.ndarray, np.ndarray]],
+                 band_spectrum: tuple[np.ndarray, np.ndarray] | None) -> float:
+    """cross_tone_residual_db() past its checks; bands holds _tone_bins() of both tones.
+
+    A given band_spectrum's bin 0, if any, is replaced by the channel's sum.
+    """
+    if band_spectrum is None:
+        spectrum = _rfft_bins(data[None], np.concatenate([index for _, index in bands]))
+        band_spectrum = np.split(spectrum[0], [bands[0][1].size])
+    else:
         dc = data.sum() if any(0 in index for _, index in bands) else 0.0
         band_spectrum = [np.where(index == 0, dc, band)
                          for band, (_, index) in zip(band_spectrum, bands)]

@@ -33,6 +33,7 @@ __all__ = [
 _MEAN_TOL = 1e-8  # whiten(): largest mean left after centering, relative to the RMS
 _SYM_TOL = 1e-10  # eigendecompose(): largest |A - A.T|, relative to |A|
 _RANK_FLOOR = 1e-12  # whiten(): eigenvalue floor, relative to the largest
+_GRAM_BOUND = np.sqrt(np.finfo(np.float64).max)  # whiten(): largest rms * sqrt(length)
 # Samples per step of every pass over a record (its temporaries' length).
 _CHUNK = 2**14
 
@@ -161,24 +162,37 @@ class WhiteningTransform:
         }
 
 
-def whiten(signal: MultichannelSignal) -> tuple[MultichannelSignal, WhiteningTransform]:
+def whiten(signal: MultichannelSignal, *,
+           skip: int = 0) -> tuple[MultichannelSignal, WhiteningTransform]:
     """PCA-whiten a multichannel signal.
 
     Eigendecomposes the covariance about the channel means and rescales
     the principal components to unit variance; the whitened record is
-    the one array this makes (no centered copy). A channel mean left
-    after centering above 1e-8 (_MEAN_TOL) of the RMS raises ValueError.
+    the one array this makes (no centered copy). skip, in [0, length),
+    drops that many leading samples: every pass reads signal.data[:, skip:]
+    as a view, and the whitened record holds the samples after it. A
+    channel mean left after centering above 1e-8 (_MEAN_TOL) of the RMS
+    raises ValueError, as does a record whose sum of squares passes the
+    float64 range (rms times sqrt(length) above about 1.3e154).
     Eigenvalues at or below 1e-12 (_RANK_FLOOR) times the largest raise
     RankDeficientError: such directions carry no usable signal and would
     amplify noise without bound.
     """
-    data, n = signal.data, signal.length
-    mean = data.mean(axis=1)
+    if not 0 <= skip < signal.length:
+        raise ValueError(f"skip must be in [0, {signal.length}), got {skip}")
+    data = signal.data[:, skip:]
+    n = data.shape[1]
     gram, total = np.zeros((signal.channels,) * 2), np.zeros(signal.channels)
-    for start in range(0, n, _CHUNK):
-        block = data[:, start:start + _CHUNK] - mean[:, None]
-        gram += _gram(block)
-        total += block.sum(axis=1)
+    # A huge record overflows here; the non-finite Gram matrix is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = data.mean(axis=1)
+        for start in range(0, n, _CHUNK):
+            block = data[:, start:start + _CHUNK] - mean[:, None]
+            gram += _gram(block)
+            total += block.sum(axis=1)
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("the centered record's sum of squares passes the float64 range: "
+                         f"rms times sqrt(length) must stay below {_GRAM_BOUND:.3g}")
     left, rms = total / n, np.sqrt(np.diag(gram) / n)
     ratio = np.abs(left) / np.maximum(rms, np.finfo(np.float64).tiny)
     if np.any(ratio > _MEAN_TOL):
@@ -192,4 +206,5 @@ def whiten(signal: MultichannelSignal) -> tuple[MultichannelSignal, WhiteningTra
             f"covariance eigenvalues {eigvals.tolist()} fall at or below the "
             f"relative floor {_RANK_FLOOR:g}; input is rank deficient")
     transform = WhiteningTransform(mean=mean, eigvecs=eigvecs, eigvals=eigvals)
-    return transform.apply(signal), transform
+    whitened = centered_product(transform.whitener, data, transform.mean)
+    return signal.with_data(Adopted(whitened)), transform

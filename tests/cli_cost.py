@@ -16,9 +16,12 @@ exit 0. BLAS is pinned to one thread.
 
 The steps, all at default settings: gen; unmix; unmix --truth (the clean
 pair); density; density --truth (the CSV density truth); diplex on an
-N-sample synthesized composite. OUT.json holds, per N and step, every
-run's three numbers and their minimum, median, maximum and spread
-(maximum minus minimum). The scratch directory is removed at the end.
+N-sample synthesized composite; diplex_in, diplex --in on that composite
+as a one-channel raw file, which the harness writes once with the
+inputs: the benchmark and recorded runs feed diplex a file. OUT.json
+holds, per N and step, every run's three numbers and their minimum,
+median, maximum and spread (maximum minus minimum). The scratch
+directory is removed at the end.
 This file has no test_ prefix, so pytest does not collect it.
 """
 
@@ -56,7 +59,19 @@ STEPS: dict[str, tuple[str, ...]] = {
     "density_truth": ("density", "--in", "inputs/corrected.bin",
                       "--truth", "inputs/density_truth.csv"),
     "diplex": ("diplex",),
+    "diplex_in": ("diplex", "--in", "inputs/composite.bin"),
 }
+# Writes the composite diplex synthesizes, at its default settings, as a raw file.
+_COMPOSITE = """
+import sys
+import numpy as np
+from icdx import cli, fileio, signalgen
+cfg = cli.RunConfig()
+t = np.arange(int(sys.argv[1])) / cfg.diplex_rate
+composite = np.sin(2.0 * np.pi * cfg.tone_a * t) + np.sin(2.0 * np.pi * cfg.tone_b * t)
+fileio.write_signal("inputs/composite.bin",
+                    signalgen.MultichannelSignal(composite[None], cfg.diplex_rate))
+"""
 _THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _REPEATS = 5
 
@@ -87,6 +102,8 @@ def measure(samples: int, steps: list[str], work: Path,
     inputs = work / "inputs"
     _run(["gen", *size, "--out-dir", "inputs"], work, env)
     _run(["unmix", "--in", "inputs/mixed.bin", *size, "--out-dir", "inputs"], work, env)
+    subprocess.run([sys.executable, "-c", _COMPOSITE, str(samples)],
+                   cwd=work, env=env, check=True)
     result: dict[str, object] = {}
     for step in steps:
         args = [*STEPS[step], *size, "--out-dir", step]

@@ -614,6 +614,29 @@ def test_diplex_on_a_huge_composite_reports_the_unscaled_residuals(tmp_path):
         assert abs(ica_db[1] - ica_db[0]) <= 1e-6
 
 
+@pytest.mark.parametrize("command", ["unmix", "diplex"])
+def test_record_past_the_float64_range_exit_2_makes_no_directory(tmp_path, capsys, command):
+    # At 1e160 whitening's sum of squares over 2^16 samples passes the float64
+    # range: the run is refused (exit 2) with the bound, and no warning (an
+    # error here) comes first.
+    n, rate = 2**16, 200.0e6
+    if command == "unmix":
+        assert _gen(tmp_path / "run") == 0
+        record = icdx.read_signal(tmp_path / "run" / "mixed.bin")
+    else:
+        t = np.arange(n) / rate
+        record = icdx.MultichannelSignal(
+            np.sin(2.0 * np.pi * 25.0e6 * t) + np.sin(2.0 * np.pi * 40.0e6 * t)[None], rate)
+    assert record.length == n
+    path, out = tmp_path / "huge.bin", tmp_path / "out"
+    icdx.write_signal(path, record.with_data(1e160 * record.data))
+    capsys.readouterr()
+    assert main([command, "--in", str(path), "--out-dir", str(out)]) == 2
+    assert re.search(r"error: .* rms times sqrt\(length\) must stay below 1\.34e\+154",
+                     capsys.readouterr().err)
+    assert _written(out) is None
+
+
 @pytest.mark.parametrize("order", ["1000000000000", "16384"])
 def test_diplex_filter_longer_than_record_exit_2(tmp_path, capsys, order):
     # The order is compared with the composite before either bandpass is

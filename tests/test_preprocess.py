@@ -5,6 +5,8 @@ oracles here are cases solved by hand and the defining properties, not
 another library solver.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,25 @@ def test_record_scaled_by_1e100_separates_as_the_unscaled_one():
     assert huge.assignment.perm == plain.assignment.perm
     assert huge.assignment.signs == plain.assignment.signs
     assert np.max(np.abs(huge.w - plain.w)) <= 1e-12
+
+
+def test_whiten_refuses_a_record_whose_sum_of_squares_overflows():
+    # At 1e160 the Gram matrix of 2^16 samples passes the float64 range; it is
+    # refused with the bound, and no overflow warning (an error here) comes first.
+    _, _, _, mixed = scenario_pair(n=2**16)
+    bound = f"rms times sqrt(length) must stay below {np.sqrt(np.finfo(np.float64).max):.3g}"
+    with pytest.raises(ValueError, match=re.escape(bound)):
+        icdx.whiten(mixed.with_data(1e160 * mixed.data))
+    icdx.whiten(mixed.with_data(1e150 * mixed.data))
+
+
+@pytest.mark.parametrize("skip", [-1, 4096, 4097])
+def test_whiten_refuses_a_skip_outside_the_record(skip):
+    signal = icdx.MultichannelSignal(np.random.default_rng(1).standard_normal((2, 4096)), RATE)
+    with pytest.raises(ValueError, match=rf"skip must be in \[0, 4096\), got {skip}"):
+        icdx.whiten(signal, skip=skip)
+    with pytest.raises(ValueError, match=rf"skip must be in \[0, 4096\), got {skip}"):
+        icdx.separate(signal, icdx.FastIcaConfig(seed=0), {"a": 1.0e6, "b": 1.1e6}, skip=skip)
 
 
 def test_eigendecompose_deterministic_signs():

@@ -560,6 +560,56 @@ def test_orthonormalize_rejects_nonfinite_and_singular(dim, seed, defect):
         _orthonormalize(w)
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.data(), st.sampled_from(_CHUNK_EDGES), st.integers(0, 2**32 - 1))
+def test_whiten_skip_is_whitening_the_tail(data, n, seed):
+    # skip reads the tail as a view: the same bits as whitening a copy of it.
+    k = data.draw(st.sampled_from([0, 1, n - 8, *(e for e in _CHUNK_EDGES if e < n - 8)]))
+    rng = np.random.default_rng(seed)
+    x = np.array([[1.0, 0.6], [0.4, 1.0]]) @ rng.standard_normal((2, n)) + 3.0
+    signal = icdx.MultichannelSignal(x, RATE)
+    ours, transform = icdx.whiten(signal, skip=k)
+    tail, reference = icdx.whiten(signal.with_data(x[:, k:]))
+    assert ours.length == n - k and ours.sample_rate == tail.sample_rate
+    for got, want in ((ours.data, tail.data), (transform.mean, reference.mean),
+                      (transform.eigvecs, reference.eigvecs),
+                      (transform.eigvals, reference.eigvals)):
+        assert got.tobytes() == want.tobytes()
+
+
+_FIR_TONES = (25.0e6, 40.0e6)
+_FIR_RATE = 200.0e6
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), st.integers(2, 64), st.integers(0, 2**32 - 1))
+def test_fir_split_rows_are_filter_signal_bit_for_bit(data, order, seed):
+    # From one filter length up to several blocks, across each block edge:
+    # every branch is filter_signal of its design, which is the full-rate
+    # convolution truncated to the record.
+    n = data.draw(st.one_of(
+        st.sampled_from([order + 1, order + 2, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                         _CHUNK + order, 3 * _CHUNK + 5]),
+        st.integers(order + 1, 4 * _CHUNK)))
+    composite = np.random.default_rng(seed).standard_normal(n)
+    split = icdx.fir_split(composite, *_FIR_TONES, order, _FIR_RATE)
+    for row, tone in zip(split.data, _FIR_TONES):
+        edges = (tone * (1.0 - 0.2), tone * (1.0 + 0.2))  # fir_split's default band_frac
+        fir = icdx.design_fir_bandpass(order, *edges, _FIR_RATE)
+        filtered = icdx.filter_signal(composite, fir, _FIR_RATE)
+        assert row.tobytes() == filtered.tobytes()
+        assert filtered.tobytes() == np.convolve(composite, fir.taps)[:n].tobytes()
+
+
+@pytest.mark.parametrize("extra", [0, 1, _CHUNK + 1])
+def test_filter_longer_than_a_block_is_the_full_convolution(extra):
+    # A first block shorter than the filter would swap np.convolve's operands.
+    fir = icdx.design_fir_lowpass(_CHUNK + 2, 1.0e6, _FIR_RATE)
+    x = np.random.default_rng(extra).standard_normal(fir.taps.size + extra)
+    filtered = icdx.filter_signal(x, fir, _FIR_RATE)
+    assert filtered.tobytes() == np.convolve(x, fir.taps)[:x.size].tobytes()
+
+
 @settings(deadline=None)
 @given(st.integers(1, 4), st.integers(16, 400), st.integers(0, 2**32 - 1))
 def test_whiten_then_restore_reproduces_the_input(channels, n, seed):
