@@ -458,11 +458,11 @@ def _cmd_diplex(args: argparse.Namespace, cfg: RunConfig) -> _Run:
         band_frac=cfg.diplex_band_frac)
 
     report: dict[str, object] = {}
-    for i, name in enumerate(("tone_a", "tone_b")):
+    for i, (name, row) in enumerate(zip(("tone_a", "tone_b"), separated.data)):
         report[f"{name}_fir_residual_db"] = residual_db["fir"][i]
         report[f"{name}_ica_residual_db"] = residual_db["ica"][i]
-        report[f"{name}_mean"] = float(np.mean(separated.data[i]))
-        report[f"{name}_peak"] = float(np.max(np.abs(separated.data[i])))
+        report[f"{name}_mean"] = float(np.mean(row))
+        report[f"{name}_peak"] = float(max(row.max(), -row.min()))  # no |row| temporary
     return {
         "diplex_fir_only": fir_only,
         "diplex_separated": separated,

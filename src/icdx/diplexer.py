@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fastica, metrics
-from .preprocess import _CHUNK
+from .preprocess import _CHUNK, centered_product
 from .signalgen import (Adopted, MultichannelSignal, _check_positive, _check_same_rate,
                         as_channel, own_arrays)
 
@@ -216,13 +216,15 @@ def diplex(
     """Split a two-tone composite into clean per-tone channels, FIR then ICA.
 
     The FIR branch outputs from fir_split() are treated as a linear
-    mixture of the two tones and separated by fastica.separate(), which
-    matches components to the tone frequencies; each is peak-normalized
-    to amplitude 1. Returns (fir_only, separated, residual_db): the FIR
-    branches, the baseline the cascade is measured against, and the
-    cleaned channels, both ordered (tone_a, tone_b); residual_db["fir"]
-    and residual_db["ica"] hold each one's
-    metrics.cross_tone_residual_db(), in the same order.
+    mixture of the two tones; the separation stage estimates the map
+    that unmixes them and matches components to the tone frequencies.
+    One product of that map with the branches, centred on their means,
+    gives the cleaned channels, each peak-normalized to amplitude 1.
+    Returns (fir_only, separated, residual_db): the FIR branches, the
+    baseline the cascade is measured against, and the cleaned channels,
+    both ordered (tone_a, tone_b); residual_db["fir"] and
+    residual_db["ica"] hold each one's metrics.cross_tone_residual_db(),
+    in the same order.
 
     Raises RankDeficientError when the composite does not actually
     contain two distinct tones, IdentificationError if the components
@@ -245,16 +247,17 @@ def diplex(
     # transient is enough rank-2 energy to mask a genuinely
     # one-dimensional input (a single tone must fail as rank deficient,
     # not limp through to a component identification collision).
-    separated, result, _ = fastica.separate(
+    result, _ = fastica._estimate(
         fir_only, cfg, {"tone_a": tone_a, "tone_b": tone_b}, skip=order)
     if not all(result.converged):
         raise fastica.ConvergenceError(
             f"unmixing did not converge (iterations {result.iterations})")
 
-    # Tones carry no DC: pin each output mean to zero exactly, then
-    # normalize to unit peak, in place on the one centered copy.
-    data = separated.data - separated.data.mean(axis=1, keepdims=True)
-    del separated
+    # Tones carry no DC: the identified map acts on the branches centred on
+    # their full-record means, so each output mean is zero up to rounding.
+    # That one product is normalized to unit peak in place and adopted.
+    mapping = result.assignment.apply_rows(result.w_full)
+    data = centered_product(mapping, fir_only.data, fir_only.data.mean(axis=1))
     peaks = np.maximum(data.max(axis=1), -data.min(axis=1))
     if np.any(peaks == 0.0):
         raise fastica.ConvergenceError("separated component is identically zero")
@@ -263,7 +266,7 @@ def diplex(
 
     # The cleaned channels are this fixed map of the centered branches, so
     # above DC (all the metric reads) their bins are the map of the branches'.
-    mapping = result.assignment.apply_rows(result.w_full) / peaks[:, None]
+    mapping /= peaks[:, None]
     # fir_split checked both tones and every channel here is finite, so the
     # metric's own checks are skipped.
     residual_db = {}

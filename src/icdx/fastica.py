@@ -514,23 +514,20 @@ def unmix(
     return signal.with_data(Adopted(centered_product(w_full, signal.data, transform.mean)))
 
 
-def separate(
+def _estimate(
     signal: MultichannelSignal,
     cfg: FastIcaConfig,
     expected: dict[str, float],
     skip: int = 0,
-) -> tuple[MultichannelSignal, SeparationResult, WhiteningTransform]:
-    """The separation stage: whiten, fit, identify, unmix.
+) -> tuple[SeparationResult, WhiteningTransform]:
+    """The separation stage short of its full-record product: whiten, fit, identify.
 
     Whitening and the fit see signal.data[:, skip:] only (skip drops a
     startup transient; preprocess.whiten reads it as a view, with no
     copy, and refuses a skip outside [0, length)). Identification reads
     the fitted components on the leading block only (see
-    identify_components), and unmixing then makes the one full-record
-    product, with the identified assignment folded in.
-    Returns (corrected, result, transform); corrected holds the expected
-    carriers in order and result the identified assignment.
-    Non-convergence is recorded in result.converged, never raised.
+    identify_components). Returns (result, transform), result carrying
+    the identified assignment.
     """
     # Layers are looked up at call time, so wrappers on module attributes see them.
     whitened, transform = preprocess.whiten(signal, skip=skip)
@@ -538,7 +535,22 @@ def separate(
     del whitened
     block = centered_product(result.w_full, signal.data[:, :_BLOCK], transform.mean)
     assignment = identify_components(signal.with_data(Adopted(block)), expected)
-    result = replace(result, assignment=assignment)
+    return replace(result, assignment=assignment), transform
+
+
+def separate(
+    signal: MultichannelSignal,
+    cfg: FastIcaConfig,
+    expected: dict[str, float],
+    skip: int = 0,
+) -> tuple[MultichannelSignal, SeparationResult, WhiteningTransform]:
+    """The separation stage: _estimate() (whiten, fit, identify), then unmix's one product.
+
+    Returns (corrected, result, transform); corrected holds the expected
+    carriers in order and result the identified assignment.
+    Non-convergence is recorded in result.converged, never raised.
+    """
+    result, transform = _estimate(signal, cfg, expected, skip)
     return unmix(signal, result, transform), result, transform
 
 

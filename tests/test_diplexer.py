@@ -1,6 +1,7 @@
 """FIR designs, the band splitter, and the ICA-cleaned diplexer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,38 @@ def test_diplex_cleans_both_branches():
     # Contract: exactly zero-mean, unit-peak outputs.
     assert np.max(np.abs(cleaned.data.mean(axis=1))) <= 1e-6
     assert np.allclose(np.max(np.abs(cleaned.data), axis=1), 1.0, atol=1e-12)
+
+
+def test_diplex_output_is_the_separated_record_centred_and_peak_normalized():
+    # diplex makes its output as one product of the identified map with the
+    # branches centred on their full-record means; in exact arithmetic that
+    # is the separation stage's own output minus its mean, over its peak.
+    order, cfg = 5, icdx.FastIcaConfig(seed=0)
+    fir_only, cleaned, _ = icdx.diplex(_composite(), _TONE_A, _TONE_B, order, cfg, _RATE)
+    separated, _, _ = icdx.separate(
+        fir_only, cfg, {"tone_a": _TONE_A, "tone_b": _TONE_B}, skip=order)
+    old = separated.data - separated.data.mean(axis=1, keepdims=True)
+    old /= np.max(np.abs(old), axis=1, keepdims=True)
+    assert np.max(np.abs(cleaned.data - old)) <= 1e-14
+    assert np.max(np.abs(cleaned.data.mean(axis=1))) <= 1e-12
+    assert np.max(np.abs(np.max(np.abs(cleaned.data), axis=1) - 1.0)) <= 1e-12
+
+
+def test_diplex_holds_two_records_not_three():
+    # Past its input, diplex holds the FIR branches and the one output
+    # record (the whitened record is gone before the output is made); a
+    # product plus a centred copy of it would make three records.
+    n = 2**18
+    composite = _composite(n)
+    cfg = icdx.FastIcaConfig(seed=0)
+    icdx.diplex(composite[:4096], _TONE_A, _TONE_B, 5, cfg, _RATE)  # warm caches
+    tracemalloc.start()
+    try:
+        icdx.diplex(composite, _TONE_A, _TONE_B, 5, cfg, _RATE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (2 * n * 8)
 
 
 def test_diplex_seed_sweep():

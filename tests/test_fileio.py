@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import icdx
-from icdx.fileio import HEADER_SIZE, KeyValueFile, format_matrix, parse_matrix
+from icdx.fileio import (_RAW_CHUNK_FRAMES, HEADER_SIZE, KeyValueFile, format_matrix,
+                         parse_matrix)
 
 from helpers import RATE
 
@@ -94,18 +95,24 @@ def test_raw_reader_rejects_a_damaged_file_before_trusting_it(tmp_path, damage):
         icdx.read_signal(path)
 
 
-@pytest.mark.parametrize("channels,n", [(1, 1), (1, 70_000), (3, 2**16), (2, 2**16 + 1)])
+_CHUNK_EDGES = (1, _RAW_CHUNK_FRAMES - 1, _RAW_CHUNK_FRAMES, _RAW_CHUNK_FRAMES + 1,
+                2 * _RAW_CHUNK_FRAMES + 3)
+
+
+@pytest.mark.parametrize("channels,n", [(1, 70_000)] + [
+    (channels, n) for channels in (1, 2, 3) for n in _CHUNK_EDGES])
 def test_raw_round_trip_across_the_frame_chunks(tmp_path, channels, n):
-    # The reader and writer move 2^16 frames at a time; records below, at
-    # and past one chunk keep their frame order and every bit.
+    # The reader and writer move 2^16 frames at a time, the writer one
+    # channel column at a time; records below, at and past one chunk are
+    # the header then the frames in order, and read back bit for bit.
     path = tmp_path / "sig.bin"
     original = _signal(channels, n, seed=n)
     icdx.write_signal(path, original)
-    blob = path.read_bytes()
-    frames = np.frombuffer(blob, dtype="<f8", offset=HEADER_SIZE)
-    assert np.array_equal(frames, original.data.T.ravel())
+    header = struct.pack("<4sIIQd", b"ICDX", 1, channels, n, RATE).ljust(HEADER_SIZE, b"\0")
+    assert path.read_bytes() == header + original.data.T.astype("<f8").tobytes()
     loaded = icdx.read_signal(path)
-    assert np.array_equal(loaded.data, original.data)
+    assert loaded.data.tobytes() == original.data.tobytes()
+    assert loaded.sample_rate == original.sample_rate
     assert not loaded.data.flags.writeable and loaded.data.flags.c_contiguous
 
 

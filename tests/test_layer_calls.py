@@ -6,15 +6,18 @@ counting wrappers the same way and check that each entry point into the
 separation stage calls every layer exactly once, so no layer is called
 through a name bound at import time, and none is called twice. The
 diplexer's FIR split is counted too: a diplex run splits its composite
-once. Spectral work is counted the same way on numpy, by input shape:
-`icdx unmix` takes one full-length rfft per input channel for its four
-depths, while `icdx diplex` takes none, since its four residuals read
-tone-band bins summed directly over each FIR branch; identification
-adds one rfft of the components' leading block (at most 2^15 samples);
-nothing else is transformed forward and no window is built. Each depth
-inverts its carrier band in P phases of n / P samples
-(P = 4 at the default carriers), so `icdx unmix` takes no inverse
-transform as long as the record, and `icdx diplex` takes none at all.
+once. A diplex run calls no unmix: it makes its one output record
+itself, the identified map applied to the branches centred on their
+means, so whiten, fit and identification run once each and unmix never.
+Spectral work is counted the same way on numpy, by input shape: `icdx
+unmix` takes one full-length rfft per input channel for its four depths,
+while `icdx diplex` takes none, since its four residuals read tone-band
+bins summed directly over each FIR branch; identification adds one rfft
+of the components' leading block (at most 2^15 samples); nothing else is
+transformed forward and no window is built. Each depth inverts its
+carrier band in P phases of n / P samples (P = 4 at the default
+carriers), so `icdx unmix` takes no inverse transform as long as the
+record, and `icdx diplex` takes none at all.
 The reader and the depth are wrapped the same way to check that `icdx
 unmix` holds one input record at a time: the mixed record is gone before
 the corrected depths run, and the truth is read after the last depth.
@@ -40,7 +43,7 @@ LAYERS = (
     (icdx.fastica, "identify_components"),
 )
 ONCE = {name: 1 for _, name in LAYERS}
-DIPLEX_ONCE = {**ONCE, "fir_split": 1}
+DIPLEX_ONCE = {**{name: 1 for name in ONCE if name != "unmix"}, "fir_split": 1}
 
 
 def _count(monkeypatch, targets, key=lambda name, args: name):
@@ -97,13 +100,13 @@ def test_diplex_calls_each_layer_once(calls):
     t = np.arange(2**14) / rate
     composite = np.sin(2.0 * np.pi * tone_a * t) + 0.8 * np.sin(2.0 * np.pi * tone_b * t)
     icdx.diplex(composite, tone_a, tone_b, 5, icdx.FastIcaConfig(seed=0), sample_rate=rate)
-    assert calls == DIPLEX_ONCE
+    assert calls == DIPLEX_ONCE and calls["unmix"] == 0
 
 
 def test_cli_diplex_splits_once(calls, numpy_calls, tmp_path):
     n = _BLOCK // 2  # shorter than the block: identification reads it all
     assert main(["diplex", "--out-dir", str(tmp_path), "--diplex-samples", str(n)]) == 0
-    assert calls == DIPLEX_ONCE
+    assert calls == DIPLEX_ONCE and calls["unmix"] == 0
     assert numpy_calls == {("rfft", (2, n)): 1}  # identification's block only
 
 
