@@ -37,7 +37,7 @@ import numpy as np
 
 from .diplexer import _check_design, design_fir_lowpass
 from .signalgen import (InterferometerParams, _check_frequency, _check_positive,
-                        _check_same_rate, as_channel, own_arrays)
+                        _check_same_rate, _two_lanes, as_channel, own_arrays)
 
 __all__ = [
     "PhaseTrackingLostError",
@@ -170,7 +170,10 @@ def _overlap_save(x: np.ndarray, wide: np.ndarray, narrow: np.ndarray,
 
     Output n of taps g is np.convolve(x, g)[n + (g.size - 1) // 2], x zero outside
     the record: one rfft per block, Hermitian-extended, times each filter's spectrum,
-    inverted with one complex ifft.
+    inverted in place with one complex ifft. Groups of _GROUP // 2 blocks alternate
+    between two lanes (signalgen._two_lanes), each with its own two group-sized
+    buffers, so both hold no more than one _GROUP-block group would; every block's
+    transforms are the same whichever lane runs them.
     """
     n, size = x.shape[0], max(wide.size, narrow.size)
     lead, overlap = (size - 1) // 2, size - 1
@@ -184,17 +187,27 @@ def _overlap_save(x: np.ndarray, wide: np.ndarray, narrow: np.ndarray,
     padded = np.zeros((blocks - 1) * valid + block)
     padded[overlap - lead: overlap - lead + n] = x
     frames = np.lib.stride_tricks.sliding_window_view(padded, block)[::valid]
-    envelope, kept = np.empty(n), np.empty(-(-n // step), dtype=complex)
-    for first in range(0, blocks, _GROUP):
-        half = np.fft.rfft(frames[first: first + _GROUP])
-        spectrum = np.concatenate((half, half[:, -2: 0: -1].conj()), axis=1)
-        lo = first * valid
-        out = np.fft.ifft(spectrum * spectra[0])[:, overlap:]
-        envelope[lo: lo + out.size] = np.abs(out).reshape(-1)[: n - lo]
-        out = np.fft.ifft(spectrum * spectra[1])[:, overlap:].reshape(-1)
-        i, stop = -(-lo // step), -(-min(lo + out.size, n) // step)
-        kept[i: stop] = out[i * step - lo:: step][: stop - i]
-    return envelope, kept
+    envelope, kept = np.empty(blocks * valid), np.empty(-(-n // step), dtype=complex)
+    rows, bins = _GROUP // 2, block // 2 + 1
+    # Per lane: Hermitian-extended block spectra, and their products inverted in place.
+    work = np.empty((2, 2, rows, block), dtype=complex)
+
+    def lane(j: int) -> None:
+        spectrum, product = work[j]
+        for first in range(j * rows, blocks, 2 * rows):
+            k = min(rows, blocks - first)
+            np.fft.rfft(frames[first: first + k], out=spectrum[:k, :bins])
+            np.conjugate(spectrum[:k, bins - 2: 0: -1], out=spectrum[:k, bins:])
+            lo = first * valid
+            np.fft.ifft(np.multiply(spectrum[:k], spectra[0], out=product[:k]), out=product[:k])
+            np.abs(product[:k, overlap:], out=envelope[lo: lo + k * valid].reshape(k, valid))
+            np.fft.ifft(np.multiply(spectrum[:k], spectra[1], out=product[:k]), out=product[:k])
+            for row, start in zip(product, range(lo, min(lo + k * valid, n), valid)):
+                i, stop = -(-start // step), -(-min(start + valid, n) // step)
+                kept[i: stop] = row[overlap + i * step - start:: step][: stop - i]
+
+    _two_lanes(lane)
+    return envelope[:n], kept
 
 
 def _find_runs(mask: np.ndarray, min_run: int) -> list[tuple[int, int]]:

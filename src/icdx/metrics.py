@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .signalgen import _check_frequency, _check_positive, as_channel
+from .signalgen import _check_frequency, _check_positive, _two_lanes, as_channel
 
 __all__ = [
     "carrier_band",
@@ -34,6 +34,7 @@ _TONE_HALF_WIDTH_BINS = 4  # cross_tone_residual_db(): band half-width in FFT bi
 _DFT_PIECE = 1 << 12  # _rfft_bins(): samples per piece of the blocked product
 _BAND_FRAC = 0.6  # envelope_depth(): band half-width, relative to the carrier
 _EDGE_TRIM = 0.02  # envelope_depth(): samples dropped from each end, relative to n
+_ABS_CHUNK = 1 << 14  # envelope_depth(): magnitudes taken per pass, so none is phase-sized
 
 _NEG_INF_TOKEN = "neg-inf"
 _POS_INF_TOKEN = "pos-inf"
@@ -138,11 +139,17 @@ def envelope_depth(
 
     The inverse transform is exact and polyphase. Shifting the band's m
     bins down to bin 0 multiplies the analytic signal by a unit-modulus
-    factor, so the envelope is unchanged. With P the largest power of two
-    dividing n such that M = n / P >= m, the envelope at samples
-    j = P q + r is |ifft_M| of those bins times exp(2 pi i k r / n), one
-    length-M transform per phase r, and the extrema are reduced phase by
-    phase. No length-n complex array is formed.
+    factor, so the envelope is unchanged. Let P be the largest power of two
+    dividing n such that n / P >= m, and Q = 2P phases when 2P divides n
+    (Q = P otherwise, odd n included). The envelope at samples j = Q q + r
+    is |ifft_L| of those bins times exp(2 pi i k r / n), folded once onto
+    L = n / Q bins (bin k + L adds onto bin k; L < m <= 2L when Q = 2P):
+    one length-L transform per phase r, the extrema reduced phase by phase.
+    The 2P phases run on two lanes (signalgen._two_lanes), the even ones on
+    the calling thread and the odd ones on one worker, each lane with its
+    own band copy and one length-L buffer inverted in place, so the two
+    hold no more than P phases of 2L bins on one thread would. No length-n
+    complex array is formed, and the result does not depend on thread timing.
 
     A caller that already has the channel's spectrum passes
     band_spectrum, rfft(channel) on the carrier_band() bins, and the
@@ -163,22 +170,49 @@ def envelope_depth(
     phases = 1
     while n % (2 * phases) == 0 and n // (2 * phases) >= m:
         phases *= 2
-    shifted = np.zeros(n // phases, dtype=np.complex128)
-    shifted[:m] = band_spectrum
+    lanes = 2 if n % (2 * phases) == 0 else 1
+    phases *= lanes
+    size = n // phases
+    tail = max(m - size, 0)  # bins folded onto the first ones: size < m <= 2 size with two lanes
     angle = (2.0 * np.pi / n) * np.arange(m)
     ramp = np.cos(angle) + 1j * np.sin(angle)  # exp(2 pi i k / n)
     trim = int(_EDGE_TRIM * n)
-    analytic, envelope = np.empty_like(shifted), np.empty(shifted.size)
-    hi, lo = 0.0, math.inf
-    for r in range(phases):
-        if r:
-            shifted[:m] *= ramp
-        # The kept samples trim <= P q + r < n - trim of this phase.
-        start, stop = -((r - trim) // phases), -((r + trim - n) // phases)
-        if start < stop:
-            kept = np.abs(np.fft.ifft(shifted, out=analytic)[start:stop],
-                          out=envelope[start:stop])
-            hi, lo = max(hi, float(kept.max())), min(lo, float(kept.min()))
+    # Per lane, views of one block made before the lanes start (freed as one hole):
+    # the band times ramp^r, and the phase's bins folded and inverted in place.
+    block = np.empty((lanes, m + size), dtype=np.complex128)
+    mags = np.empty((lanes, min(size, _ABS_CHUNK)))
+    work = []
+    for j in range(lanes):
+        band = block[j, :m]
+        band[:] = band_spectrum
+        if j:
+            band *= ramp
+        work.append((band, block[j, m:], mags[j]))
+    if lanes == 2:
+        ramp *= ramp  # a lane steps two phases at a time
+
+    def lane(j: int) -> tuple[float, float]:
+        band, folded, mag = work[j]
+        hi, lo = 0.0, math.inf
+        for r in range(j, phases, lanes):
+            if r > j:
+                band *= ramp
+            # The kept samples trim <= Q q + r < n - trim of this phase.
+            start, stop = -((r - trim) // phases), -((r + trim - n) // phases)
+            if start >= stop:
+                continue
+            folded[:m] = band[:size]
+            folded[m:] = 0.0
+            folded[:tail] += band[size:]
+            np.fft.ifft(folded, out=folded)
+            for a in range(start, stop, mag.size):
+                b = min(a + mag.size, stop)
+                kept = np.abs(folded[a:b], out=mag[:b - a])
+                hi, lo = max(hi, float(kept.max())), min(lo, float(kept.min()))
+        return hi, lo
+
+    extrema = _two_lanes(lane) if lanes == 2 else (lane(0),)
+    hi, lo = max(e[0] for e in extrema), min(e[1] for e in extrema)
     if hi <= 0.0:
         raise ValueError("channel has no energy in the carrier band")
     return min(max((hi - lo) / (hi + lo), 0.0), 1.0)

@@ -13,9 +13,10 @@ seed must produce bit-identical signals on every run.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from numbers import Real
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,6 +85,34 @@ def _check_same_rate(name: str, rate: float, other: str, other_rate: float) -> N
     """ValueError naming both rates unless they agree to a relative 1e-9."""
     if not math.isclose(rate, other_rate, rel_tol=1e-9):
         raise ValueError(f"{name} rate {rate} != {other} rate {other_rate}")
+
+
+def _two_lanes(lane: Callable[[int], object]) -> tuple:
+    """(lane(0), lane(1)): lane(1) on a thread started for this call, lane(0) on the caller's.
+
+    The thread is joined before this returns or raises, so none outlives the
+    call and a later fork inherits none; an exception raised in lane(1)
+    reaches the caller. A lane runs numpy kernels only, on arrays allocated
+    before the call, and writes slices the other lane does not touch, so the
+    results depend neither on scheduling nor on the CPU count.
+    """
+    results, errors = [None, None], []
+
+    def second() -> None:
+        try:
+            results[1] = lane(1)
+        except BaseException as exc:  # raised again on the caller's thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=second)
+    worker.start()
+    try:
+        results[0] = lane(0)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return tuple(results)
 
 
 def own_arrays(obj, **ndims: int) -> None:

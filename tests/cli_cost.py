@@ -10,16 +10,19 @@ a scratch directory next to OUT.json (gen, then unmix for the corrected
 pair), then runs every step one untimed warm-up time and 5 timed times,
 each a fresh `python` process that imports icdx.cli and calls main()
 once. A run records the wall time of that main() call alone
-(perf_counter), and the process's ru_maxrss (peak RSS in MB, imports
-included) and ru_minflt (minor page faults) after it. Every step must
-exit 0. BLAS is pinned to one thread.
+(perf_counter), its CPU time (the process's ru_utime + ru_stime after
+the call minus before it, summed over every thread, so a step whose
+transforms run on two threads shows CPU time above its wall time), and
+the process's ru_maxrss (peak RSS in MB, imports included) and ru_minflt
+(minor page faults) after it. Every step must exit 0. BLAS is pinned to
+one thread.
 
 The steps, all at default settings: gen; unmix; unmix --truth (the clean
 pair); density; density --truth (the CSV density truth); diplex on an
 N-sample synthesized composite; diplex_in, diplex --in on that composite
 as a one-channel raw file, which the harness writes once with the
 inputs: the benchmark and recorded runs feed diplex a file. OUT.json
-holds, per N and step, every run's three numbers and their minimum,
+holds, per N and step, every run's four numbers and their minimum,
 median, maximum and spread (maximum minus minimum). The scratch
 directory is removed at the end.
 This file has no test_ prefix, so pytest does not collect it.
@@ -42,12 +45,14 @@ _CHILD = """
 import contextlib, io, json, resource, sys, time
 import icdx.cli
 argv = json.loads(sys.argv[1])
+cpu = lambda usage: usage.ru_utime + usage.ru_stime
 with contextlib.redirect_stdout(io.StringIO()):
+    before = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     code = icdx.cli.main(argv)
     wall = time.perf_counter() - start
 usage = resource.getrusage(resource.RUSAGE_SELF)
-print(json.dumps({"exit_code": code, "wall_s": wall,
+print(json.dumps({"exit_code": code, "wall_s": wall, "cpu_s": cpu(usage) - cpu(before),
                   "peak_rss_mb": usage.ru_maxrss / 1024.0, "minflt": usage.ru_minflt}))
 """
 
@@ -89,7 +94,7 @@ def _run(args: list[str], work: Path, env: dict[str, str]) -> dict[str, float]:
 
 def _summary(runs: list[dict[str, float]]) -> dict[str, object]:
     out: dict[str, object] = {}
-    for key in ("wall_s", "peak_rss_mb", "minflt"):
+    for key in ("wall_s", "cpu_s", "peak_rss_mb", "minflt"):
         values = [run[key] for run in runs]
         out[key] = {"min": min(values), "median": statistics.median(values),
                     "max": max(values), "spread": max(values) - min(values), "runs": values}
@@ -112,6 +117,7 @@ def measure(samples: int, steps: list[str], work: Path,
         result[step] = {"args": " ".join(STEPS[step]), **_summary(runs)}
         shutil.rmtree(work / step)
         print(f"{samples} {step}: wall min {result[step]['wall_s']['min']:.3f} s, "
+              f"CPU min {result[step]['cpu_s']['min']:.3f} s, "
               f"peak RSS min {result[step]['peak_rss_mb']['min']:.1f} MB", file=sys.stderr)
     shutil.rmtree(inputs)
     return result

@@ -15,15 +15,17 @@ while `icdx diplex` takes none, since its four residuals read tone-band
 bins summed directly over each FIR branch; identification adds one rfft
 of the components' leading block (at most 2^15 samples); nothing else is
 transformed forward and no window is built. Each depth inverts its
-carrier band in P phases of n / P samples (P = 4 at the default
-carriers), so `icdx unmix` takes no inverse transform as long as the
-record, and `icdx diplex` takes none at all.
+carrier band, folded once, in P phases of n / P samples (P = 8 at the
+default carriers), so `icdx unmix` takes no inverse transform as long
+as the record, and `icdx diplex` takes none at all. The depths' phases
+run on two threads, so the counting wrappers count under a lock.
 The reader and the depth are wrapped the same way to check that `icdx
 unmix` holds one input record at a time: the mixed record is gone before
 the corrected depths run, and the truth is read after the last depth.
 """
 
 import collections
+import threading
 import weakref
 from pathlib import Path
 
@@ -48,10 +50,12 @@ DIPLEX_ONCE = {**{name: 1 for name in ONCE if name != "unmix"}, "fir_split": 1}
 
 def _count(monkeypatch, targets, key=lambda name, args: name):
     counts = collections.Counter()
+    lock = threading.Lock()
 
     def counting(name, original):
         def counted(*args, **kwargs):
-            counts[key(name, args)] += 1
+            with lock:
+                counts[key(name, args)] += 1
             return original(*args, **kwargs)
         return counted
 
@@ -91,8 +95,8 @@ def test_cli_unmix_calls_each_layer_once(calls, numpy_calls, tmp_path):
     assert main(["unmix", "--in", str(tmp_path / "mixed.bin"),
                  "--out-dir", str(tmp_path)]) == 0
     assert calls == ONCE
-    # Four depths, each four phases of a quarter of the record.
-    assert numpy_calls == {**_spectral_pass(n), ("ifft", (n // 4,)): 16}
+    # Four depths, each eight phases of an eighth of the record.
+    assert numpy_calls == {**_spectral_pass(n), ("ifft", (n // 8,)): 32}
 
 
 def test_diplex_calls_each_layer_once(calls):

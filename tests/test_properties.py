@@ -5,7 +5,8 @@ reference: numpy.unwrap, a per-row permutation loop, a brute-force set
 of lost decimated indices, a decomposition built to have a known
 least-squares answer, the step-by-step form of a fused product, the
 full-rate convolution, the complex-FFT envelope (for record lengths
-with every power-of-two factor up to 2^12), an explicitly windowed
+with every power-of-two factor up to 2^12, and for bands folded once
+onto each phase), an explicitly windowed
 periodic-Hann spectrum, np.fft.rfft on a few bins, rfftfreq's band
 mask, np.savetxt or np.loadtxt, or a one-shot product or Gram matrix of
 the whole record. The
@@ -239,6 +240,25 @@ def test_envelope_depth_phases_match_complex_fft(k, odd, carrier_frac, log_noise
     # (odd n) to 2^12 phases of a few bins each.
     n = (2 * odd + 1) << k
     assume(n >= 16)
+    _check_envelope_depth(n, carrier_frac, log_noise, seed)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(2, 10),
+    st.integers(0, 15),
+    st.floats(0.0, 1.0),
+    st.floats(-3.0, 0.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_envelope_depth_folded_phases_match_complex_fft(q, odd, u, log_noise, seed):
+    # n = odd * 2^q with the carrier placed so that the band's m bins exceed a
+    # phase's L = n / 2^q: 2^q phases on two lanes, each phase's bins folded once.
+    n = (2 * odd + 1) << q
+    carrier_frac = (1.0 + u) / (1.2 * 2**q)
+    assume(n >= 16)
+    band = icdx.carrier_band(n, RATE, carrier_frac * RATE)
+    assume(n >> q < band.stop - band.start)
     _check_envelope_depth(n, carrier_frac, log_noise, seed)
 
 
