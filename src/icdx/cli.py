@@ -321,25 +321,22 @@ def _cmd_mix(args: argparse.Namespace, cfg: RunConfig) -> _Run:
 
 def _cmd_unmix(args: argparse.Namespace, cfg: RunConfig) -> _Run:
     mixed = _read(args.input, 2)
-    # One transform per input channel serves all four depths: above DC, the
-    # corrected channels' bins are w_full times these. Only the bins from
+    # Estimated first, so a failing separation's exit 3 comes before a raw depth's
+    # refusal. One transform per input channel serves all four depths: above DC,
+    # the corrected channels' bins are w_full times these. Only the bins from
     # the lower carrier band's first to the upper one's last are kept. One
-    # record is alive at a time: the mixed one is dropped after separating.
+    # record is alive at a time: the mixed one is dropped after unmixing.
     carriers = (cfg.f_het1, cfg.f_het2)
+    result, transform = fastica._estimate(mixed, cfg.ica(), dict(zip(("ch1", "ch2"), carriers)))
     bands = [metrics.carrier_band(mixed.length, mixed.sample_rate, carrier)
              for carrier in carriers]
     first = min(band.start for band in bands)
     spectrum = mixed.spectrum(slice(first, max(band.stop for band in bands)))
     rows = [spectrum[:, band.start - first: band.stop - first] for band in bands]
-    expected = {"ch1": cfg.f_het1, "ch2": cfg.f_het2}
-    try:
-        depth_raw = [metrics.envelope_depth(mixed.data[i], carrier, mixed.sample_rate,
-                                            band_spectrum=rows[i][i])
-                     for i, carrier in enumerate(carriers)]
-    except ValueError:  # a failing separation's exit 3 comes first
-        fastica.separate(mixed, cfg.ica(), expected)
-        raise
-    corrected, result, transform = fastica.separate(mixed, cfg.ica(), expected)
+    depth_raw = [metrics.envelope_depth(mixed.data[i], carrier, mixed.sample_rate,
+                                        band_spectrum=rows[i][i])
+                 for i, carrier in enumerate(carriers)]
+    corrected = fastica.unmix(mixed, result, transform)
     del mixed
     unmixing = result.assignment.apply_rows(result.w_full)
     depth_fixed = [metrics.envelope_depth(corrected.data[i], carrier, corrected.sample_rate,

@@ -24,7 +24,6 @@ __all__ = [
     "parse_metric_value",
     "signed_permutation_error",
     "snr",
-    "tone_band",
 ]
 
 # Relative power below which a residual counts as identically zero.
@@ -261,21 +260,11 @@ def _tone_bins(n: int, sample_rate: float, freq: float) -> tuple[np.ndarray, np.
     return mirrored, np.where(mirrored, n - k, k)
 
 
-def tone_band(n: int, sample_rate: float, freq: float) -> np.ndarray:
-    """The rfft bins of an n-sample record that cross_tone_residual_db() reads for a tone.
-
-    Bins past DC or Nyquist appear as the rfft bins they mirror; the
-    metric conjugates those itself.
-    """
-    return _tone_bins(n, sample_rate, freq)[1]
-
-
 def cross_tone_residual_db(
     channel: np.ndarray,
     own_freq: float,
     other_freq: float,
     sample_rate: float,
-    band_spectrum: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Leakage of a foreign tone relative to the channel's own tone, dB.
 
@@ -289,12 +278,6 @@ def cross_tone_residual_db(
     spectrum at bin k is 0.5 X[k] - 0.25 (X[k-1] + X[k+1]) with X the plain
     DFT; only X's band bins are formed, as direct sums (_rfft_bins), and they
     are divided by the largest windowed bin before squaring, so no power overflows.
-
-    A caller that already has the channel's spectrum passes band_spectrum,
-    the pair (own, other) of rfft(channel) on tone_band(n, rate, own_freq)
-    and on tone_band(n, rate, other_freq), and no bin is summed. Only its
-    bins above DC are read: bin 0 is the sum of the channel's samples, so
-    a spectrum equal above DC will do.
     """
     data, rate = as_channel(channel), _check_positive("sample_rate", sample_rate)
     n = data.shape[0]
@@ -304,13 +287,7 @@ def cross_tone_residual_db(
         raise ValueError("own_freq and other_freq must be distinct")
 
     bands = [_tone_bins(n, rate, freq) for freq in (own_freq, other_freq)]
-    if band_spectrum is not None:
-        shapes = [np.shape(band) for band in band_spectrum]
-        if shapes != [index.shape for _, index in bands]:
-            raise ValueError(
-                f"band_spectrum must hold the {[index.size for _, index in bands]} "
-                f"tone-band bins of own_freq and other_freq, got shapes {shapes}")
-    return _residual_db(data, bands, band_spectrum)
+    return _residual_db(data, bands, None)
 
 
 def _residual_db(data: np.ndarray, bands: list[tuple[np.ndarray, np.ndarray]],

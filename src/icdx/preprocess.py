@@ -101,7 +101,7 @@ class WhiteningTransform:
     """Invertible map between raw channel coordinates and whitened ones.
 
     whitener rows are scaled principal directions; dewhitener undoes the
-    map: whitener @ dewhitener = I. apply() centers with the stored mean
+    map: whitener @ dewhitener = I. whiten() centers with the stored mean
     and rotates/scales; restore() maps whitened data back and re-adds
     the mean.
     """
@@ -134,20 +134,11 @@ class WhiteningTransform:
         """eigvecs @ diag(eigvals)**1/2: whitened coordinates back to raw centered."""
         return self.eigvecs * np.sqrt(self.eigvals)[None, :]
 
-    def _check(self, signal: MultichannelSignal) -> None:
+    def restore(self, signal: MultichannelSignal) -> MultichannelSignal:
+        """Invert whiten(): dewhiten and re-add the stored means."""
         if signal.channels != self.channels:
             raise ValueError(
                 f"signal has {signal.channels} channels, transform has {self.channels}")
-
-    def apply(self, signal: MultichannelSignal) -> MultichannelSignal:
-        """Center with the stored means, then whiten."""
-        self._check(signal)
-        return signal.with_data(
-            Adopted(centered_product(self.whitener, signal.data, self.mean)))
-
-    def restore(self, signal: MultichannelSignal) -> MultichannelSignal:
-        """Invert apply(): dewhiten and re-add the stored means."""
-        self._check(signal)
         return signal.with_data(self.dewhitener @ signal.data + self.mean[:, None])
 
     def to_mapping(self) -> dict[str, object]:

@@ -1,4 +1,4 @@
-"""Acceptance gate: the eight headline claims of the package, one test each.
+"""Acceptance gate: the nine headline claims of the package, one test each.
 
 Every test prints a single line
 
@@ -18,6 +18,7 @@ import numpy as np
 
 import icdx
 from icdx.cli import main
+from icdx.fileio import read_kv
 
 from helpers import (
     CARRIER_1,
@@ -351,3 +352,34 @@ def test_criterion_8_manifest_reruns_are_byte_identical(tmp_path):
              f"gen, mix, unmix, density, and diplex re-run byte-identically "
              f"from their manifests"
              + (f"; differing files: {differing}" if differing else ""))
+
+
+# --------------------------------------------------------------------------
+# 9. Close carriers, the paper's case: at 1.0 and 1.02 MHz the crosstalk
+#    falls inside the demodulator's 40 kHz lowpass, so the uncorrected
+#    density is ruined while the corrected one tracks the truth.
+
+def test_criterion_9_close_carriers_need_correction(tmp_path):
+    settings = ["--f-het2", "1.02e6"]
+    gen, unmix = tmp_path / "gen", tmp_path / "unmix"
+    assert main(["gen", "--out-dir", str(gen), "--samples", str(2**18),
+                 "--snr-db", "30", *settings]) == 0
+    assert main(["unmix", "--in", str(gen / "mixed.bin"), "--out-dir", str(unmix),
+                 *settings]) == 0
+
+    def density(record: Path, out: Path) -> tuple[float, str]:
+        """The density's rms error relative to the truth's rms, and its status."""
+        assert main(["density", "--in", str(record), "--truth",
+                     str(gen / "density_truth.csv"), "--out-dir", str(out), *settings]) == 0
+        report = read_kv(out / "density_report.cfg").values
+        return float(report["rms_error"]) / float(report["truth_rms"]), report["status"]
+
+    rel_with, status_with = density(unmix / "corrected.bin", tmp_path / "with")
+    rel_without, status_without = density(gen / "mixed.bin", tmp_path / "without")
+
+    ok = status_with == "ok" and rel_with < 1e-2 and rel_without >= 20.0 * rel_with
+    _verdict(9, ok,
+             f"1.0/1.02 MHz carriers at 30 dB SNR through gen, unmix and density: "
+             f"corrected density relative rms {rel_with:.2e} (limit 1e-2, "
+             f"status {status_with}), uncorrected {rel_without:.2e} (status "
+             f"{status_without}), {rel_without / rel_with:.0f} times worse (required 20)")

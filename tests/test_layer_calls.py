@@ -19,9 +19,12 @@ carrier band, folded once, in P phases of n / P samples (P = 8 at the
 default carriers), so `icdx unmix` takes no inverse transform as long
 as the record, and `icdx diplex` takes none at all. The depths' phases
 run on two threads, so the counting wrappers count under a lock.
-The reader and the depth are wrapped the same way to check that `icdx
-unmix` holds one input record at a time: the mixed record is gone before
-the corrected depths run, and the truth is read after the last depth.
+Whitening and the depth are wrapped the same way to check that `icdx
+unmix` estimates the separation before the first depth, so a failing
+separation is reported before a depth's refusal. The reader and the depth
+are wrapped to check that it holds one input record at a time: the mixed
+record is gone before the corrected depths run, and the truth is read
+after the last depth.
 """
 
 import collections
@@ -112,6 +115,23 @@ def test_cli_diplex_splits_once(calls, numpy_calls, tmp_path):
     assert main(["diplex", "--out-dir", str(tmp_path), "--diplex-samples", str(n)]) == 0
     assert calls == DIPLEX_ONCE and calls["unmix"] == 0
     assert numpy_calls == {("rfft", (2, n)): 1}  # identification's block only
+
+
+def test_cli_unmix_whitens_before_the_first_depth(monkeypatch, tmp_path):
+    assert main(["gen", "--out-dir", str(tmp_path), "--samples", "4096"]) == 0
+    events = []
+
+    def logging(name, original):
+        def logged(*args, **kwargs):
+            events.append(name)
+            return original(*args, **kwargs)
+        return logged
+
+    for module, name in ((icdx.preprocess, "whiten"), (icdx.metrics, "envelope_depth")):
+        monkeypatch.setattr(module, name, logging(name, getattr(module, name)))
+    assert main(["unmix", "--in", str(tmp_path / "mixed.bin"),
+                 "--out-dir", str(tmp_path / "u")]) == 0
+    assert events == ["whiten"] + ["envelope_depth"] * 4
 
 
 def test_cli_unmix_holds_one_input_record_at_a_time(monkeypatch, tmp_path):
