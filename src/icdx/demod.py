@@ -178,6 +178,14 @@ def _overlap_save(x: np.ndarray, wide: np.ndarray, narrow: np.ndarray,
     n, size = x.shape[0], max(wide.size, narrow.size)
     lead, overlap = (size - 1) // 2, size - 1
     block = max(_BLOCK, 1 << (2 * overlap).bit_length())
+    # No sum either transform forms exceeds the peak times block times a filter's
+    # absolute tap sum, so a peak below this bound keeps every one finite.
+    peak = float(max(x.max(), -x.min()))
+    gain = block * float(max(np.abs(g).sum() for g in (wide, narrow)))
+    if peak * gain >= np.finfo(np.float64).max:  # Python floats: inf, no warning
+        raise ValueError(
+            f"channel peak {peak:.3g} passes the float64 range of the {block}-sample "
+            f"transforms: it must stay below {np.finfo(np.float64).max / gain:.3g}")
     valid = block - overlap
     # Filters centred on delay lead, x at overlap - lead in padded: output j >=
     # overlap of block b is the linear convolution at record sample b * valid + j - overlap.
@@ -208,6 +216,22 @@ def _overlap_save(x: np.ndarray, wide: np.ndarray, narrow: np.ndarray,
 
     _two_lanes(lane)
     return envelope[:n], kept
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a finite 1-D array, from one selection.
+
+    np.median averages the two middle order statistics of an even length
+    (the middle one of an odd length); the lower of the two is the largest
+    entry left of the selected upper one, so the bits are the same. Only a
+    zero median's sign may differ, where -0.0 and 0.0 both occur; the
+    envelope, a magnitude, holds no -0.0.
+    """
+    half = values.size // 2
+    part = np.partition(values, half)
+    if values.size % 2:
+        return float(part[half])
+    return float((part[:half].max() + part[half]) / 2.0)
 
 
 def _find_runs(mask: np.ndarray, min_run: int) -> list[tuple[int, int]]:
@@ -273,7 +297,9 @@ def demodulate(
     otherwise the ranges are recorded on the returned series.
 
     channel is a finite 1-D array sampled at sample_rate. Both filter
-    orders must be at least 8 and envelope_min_run at least 1.
+    orders must be at least 8 and envelope_min_run at least 1. A channel
+    whose peak times the transform block length times a filter's absolute
+    tap sum passes the float64 range raises ValueError before any transform.
     """
     data, rate = as_channel(channel), _check_positive("sample_rate", sample_rate)
     envelope_cutoff = _check_settings(carrier, lowpass_cutoff, decimation, rate, filter_order,
@@ -298,27 +324,33 @@ def demodulate(
                     for h in (env_taps, taps))
     envelope, rail = _overlap_save(data, wide, narrow, decimation)
     margin = min(envelope_order, n // 4)
-    floor = envelope_floor * float(np.median(envelope[margin: n - margin]))
-    mask = envelope < floor
-    # Filter transients are not evidence of signal loss.
-    mask[:margin] = mask[n - margin:] = False
-    lost = tuple(_find_runs(mask, envelope_min_run))
+
+    def floor_runs() -> tuple[tuple[int, int], ...]:
+        floor = envelope_floor * _median(envelope[margin: n - margin])
+        mask = envelope < floor
+        # Filter transients are not evidence of signal loss.
+        mask[:margin] = mask[n - margin:] = False
+        return tuple(_find_runs(mask, envelope_min_run))
+
+    def phase() -> np.ndarray:
+        # Carrier phase at kept input samples k; carrier / rate splits exactly into
+        # hi, whose 26 fractional bits keep k * hi exact, and a rest below 2^-26.
+        k = np.arange(0.0, n, float(decimation)) + (taps.size - 1) // 2
+        ratio = Fraction(carrier) / Fraction(rate)
+        hi = math.floor(ratio * 2**26) / 2**26
+        cycles = np.modf(k * hi)[0] + k * float(ratio - Fraction(hi))
+        return unwrap(_wrap_pi(np.arctan2(rail.imag, rail.real) + 0.5 * np.pi
+                               - 2.0 * np.pi * cycles))
+
+    lost, samples = _two_lanes(lambda j: phase() if j else floor_runs())
     if lost and strict:
         first = lost[0]
         raise PhaseTrackingLostError(
             f"carrier envelope fell below {envelope_floor:g} x median in "
             f"{len(lost)} interval(s); first at input samples "
             f"[{first[0]}, {first[1]})", lost)
-
-    # Carrier phase at kept input samples k; carrier / rate splits exactly into
-    # hi, whose 26 fractional bits keep k * hi exact, and a rest below 2^-26.
-    k = np.arange(0.0, n, float(decimation)) + (taps.size - 1) // 2
-    ratio = Fraction(carrier) / Fraction(rate)
-    hi = math.floor(ratio * 2**26) / 2**26
-    cycles = np.modf(k * hi)[0] + k * float(ratio - Fraction(hi))
-    wrapped = _wrap_pi(np.arctan2(rail.imag, rail.real) + 0.5 * np.pi - 2.0 * np.pi * cycles)
     return PhaseSeries(
-        samples=unwrap(wrapped),
+        samples=samples,
         sample_rate=rate / decimation,
         carrier=carrier,
         decimation=decimation,

@@ -174,24 +174,30 @@ def envelope_depth(
     size = n // phases
     tail = max(m - size, 0)  # bins folded onto the first ones: size < m <= 2 size with two lanes
     angle = (2.0 * np.pi / n) * np.arange(m)
-    ramp = np.cos(angle) + 1j * np.sin(angle)  # exp(2 pi i k / n)
+    ramp = np.empty(m, dtype=np.complex128)  # exp(2 pi i k / n)
     trim = int(_EDGE_TRIM * n)
     # Per lane, views of one block made before the lanes start (freed as one hole):
     # the band times ramp^r, and the phase's bins folded and inverted in place.
     block = np.empty((lanes, m + size), dtype=np.complex128)
+    bands, folds = block[:, :m], block[:, m:]
     mags = np.empty((lanes, min(size, _ABS_CHUNK)))
-    work = []
-    for j in range(lanes):
-        band = block[j, :m]
-        band[:] = band_spectrum
-        if j:
-            band *= ramp
-        work.append((band, block[j, m:], mags[j]))
+
+    def prologue(j: int) -> None:
+        """The ramp's real part (j = 0) or imaginary part (j = 1), and lane j's band."""
+        (np.cos, np.sin)[j](angle, out=(ramp.real, ramp.imag)[j])
+        if j < lanes:
+            bands[j] = band_spectrum
+
     if lanes == 2:
+        _two_lanes(prologue)
+        bands[1] *= ramp
         ramp *= ramp  # a lane steps two phases at a time
+    else:
+        for j in range(2):
+            prologue(j)
 
     def lane(j: int) -> tuple[float, float]:
-        band, folded, mag = work[j]
+        band, folded, mag = bands[j], folds[j], mags[j]
         hi, lo = 0.0, math.inf
         for r in range(j, phases, lanes):
             if r > j:
@@ -237,10 +243,17 @@ def _rfft_bins(rows: np.ndarray, bins: np.ndarray) -> np.ndarray:
     shift_cos, shift_sin = twiddles(np.arange(0, split, piece))
     tail_cos, tail_sin = twiddles(np.arange(split, n))
     out = np.empty((rows.shape[0], keep.size), dtype=np.complex128)
-    for row, dft in zip(rows, out):
-        c, s = np.hsplit(row[:split].reshape(-1, piece) @ table, 2)
-        dft.real = (shift_cos * c - shift_sin * s).sum(axis=0) + row[split:] @ tail_cos
-        dft.imag = -(shift_sin * c + shift_cos * s).sum(axis=0) - row[split:] @ tail_sin
+
+    def lane(j: int) -> None:
+        for row, dft in zip(rows[j::2], out[j::2]):
+            c, s = np.hsplit(row[:split].reshape(-1, piece) @ table, 2)
+            dft.real = (shift_cos * c - shift_sin * s).sum(axis=0) + row[split:] @ tail_cos
+            dft.imag = -(shift_sin * c + shift_cos * s).sum(axis=0) - row[split:] @ tail_sin
+
+    if rows.shape[0] > 1:
+        _two_lanes(lane)
+    else:
+        lane(0)
     return out[:, where]
 
 

@@ -167,12 +167,17 @@ def whiten(signal: MultichannelSignal, *,
     float64 range (rms times sqrt(length) above about 1.3e154).
     Eigenvalues at or below 1e-12 (_RANK_FLOOR) times the largest raise
     RankDeficientError: such directions carry no usable signal and would
-    amplify noise without bound.
+    amplify noise without bound. So does a record that holds no more
+    samples than channels after skip, before any pass over it.
     """
     if not 0 <= skip < signal.length:
         raise ValueError(f"skip must be in [0, {signal.length}), got {skip}")
     data = signal.data[:, skip:]
     n = data.shape[1]
+    if n <= signal.channels:  # centered, n samples span at most n - 1 dimensions
+        raise RankDeficientError(
+            f"only {n} of {signal.length} samples remain after skipping {skip}: the covariance of "
+            f"{signal.channels} channels needs more samples than channels")
     gram, total = np.zeros((signal.channels,) * 2), np.zeros(signal.channels)
     # A huge record overflows here; the non-finite Gram matrix is refused below.
     with np.errstate(over="ignore", invalid="ignore"):

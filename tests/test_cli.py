@@ -637,6 +637,34 @@ def test_record_past_the_float64_range_exit_2_makes_no_directory(tmp_path, capsy
     assert _written(out) is None
 
 
+def test_density_on_a_record_past_the_transforms_range_exit_2(tmp_path, capsys):
+    # At 1e306 the overlap-save transforms of 8192-sample blocks overflow: the
+    # channel is refused with the bound before any transform, and no warning
+    # (an error here) comes first.
+    t = np.arange(2**14) / RATE
+    carriers = np.vstack([np.sin(2.0 * np.pi * 1.0e6 * t), np.sin(2.0 * np.pi * 1.1e6 * t)])
+    path, out = tmp_path / "huge.bin", tmp_path / "out"
+    icdx.write_signal(path, icdx.MultichannelSignal(1e306 * carriers, RATE))
+    assert main(["density", "--in", str(path), "--out-dir", str(out)]) == 2
+    assert re.search(r"error: channel peak 1e\+306 passes the float64 range of the "
+                     r"8192-sample transforms: it must stay below \d\.\d\de\+303",
+                     capsys.readouterr().err)
+    assert _written(out) is None
+
+
+@pytest.mark.parametrize("order, left", [("1022", 2), ("1023", 1)])
+def test_diplex_order_leaving_too_few_samples_exit_3(tmp_path, capsys, order, left):
+    # The separation skips the first `order` samples; what remains cannot hold
+    # two independent directions, and the message says so instead of naming
+    # the covariance's zero eigenvalues.
+    out = tmp_path / "dx"
+    assert main(["diplex", "--out-dir", str(out), "--diplex-samples", "1024",
+                 "--diplex-order", order]) == 3
+    err = capsys.readouterr().err
+    assert f"only {left} of 1024 samples remain after skipping {order}" in err
+    assert "eigenvalues" not in err
+
+
 @pytest.mark.parametrize("order", ["1000000000000", "16384"])
 def test_diplex_filter_longer_than_record_exit_2(tmp_path, capsys, order):
     # The order is compared with the composite before either bandpass is

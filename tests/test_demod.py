@@ -1,5 +1,7 @@
 """Quadrature demodulation, envelope supervision, two-color density."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,25 @@ def test_demodulate_validation():
             icdx.demodulate(x, CARRIER_1, 4.0e4, 8, RATE, envelope_order=order)
     assert len(icdx.demodulate(x, CARRIER_1, 4.0e4, 8, RATE, envelope_order=n - 1,
                                strict=False)) == n // 8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", ["carrier", "constant", "nyquist"])
+def test_demodulate_refuses_a_channel_past_the_transforms_range(shape):
+    # The peak times the block length times the larger absolute tap sum must
+    # stay below the float64 maximum. Past the bound the channel is refused
+    # before any transform; just below it every transform stays finite, so no
+    # warning (an error here) is raised and the phase series is finite.
+    k = np.arange(4096)
+    x = {"carrier": np.sin(2.0 * np.pi * CARRIER_1 * k / RATE), "constant": np.ones(k.size),
+         "nyquist": np.where(k % 2, -1.0, 1.0)}[shape]
+    with pytest.raises(ValueError, match=r"^channel peak 1e\+306 passes the float64 range "
+                                         r"of the 8192-sample transforms") as refused:
+        icdx.demodulate(1e306 * x, CARRIER_1, 4.0e4, 8, RATE)
+    bound = float(re.search(r"must stay below (\S+)$", str(refused.value)).group(1))
+    assert 1e303 < bound < 1e304
+    series = icdx.demodulate(0.99 * bound * x, CARRIER_1, 4.0e4, 8, RATE, strict=False)
+    assert np.all(np.isfinite(series.samples))
 
 
 @pytest.mark.parametrize("decimation", [1, 3, 8, 64])

@@ -215,6 +215,17 @@ def test_whiten_rank_deficient_raises():
         icdx.whiten(dup)
 
 
+@pytest.mark.parametrize("skip, left", [(4094, 2), (4095, 1)])
+def test_whiten_refuses_no_more_samples_than_channels_after_the_skip(skip, left):
+    # Two centered samples span one dimension: the message names the count and
+    # the skip, not the covariance's zero eigenvalues.
+    signal = icdx.MultichannelSignal(np.random.default_rng(1).standard_normal((2, 4096)), RATE)
+    with pytest.raises(icdx.RankDeficientError,
+                       match=rf"only {left} of 4096 samples remain after skipping {skip}"):
+        icdx.whiten(signal, skip=skip)
+    icdx.whiten(signal, skip=4093)
+
+
 def test_whitening_transform_serializes_flat():
     _, _, _, mixed = scenario_pair(n=2**14)
     _, transform = icdx.whiten(mixed)

@@ -4,7 +4,7 @@ Each property compares an implementation against an independent
 reference: numpy.unwrap, a per-row permutation loop, a brute-force set
 of lost decimated indices, a decomposition built to have a known
 least-squares answer, the step-by-step form of a fused product, the
-full-rate convolution, the complex-FFT envelope (for record lengths
+full-rate convolution, np.median, the complex-FFT envelope (for record lengths
 with every power-of-two factor up to 2^12, and for bands folded once
 onto each phase), an explicitly windowed
 periodic-Hann spectrum, np.fft.rfft on a few bins, rfftfreq's band
@@ -32,7 +32,7 @@ from hypothesis.extra.numpy import arrays
 
 import icdx
 from icdx.cli import RunConfig, _mask_lost
-from icdx.demod import _BLOCK, _overlap_save
+from icdx.demod import _BLOCK, _median, _overlap_save
 from icdx.fastica import _orthonormalize
 from icdx.fileio import _CSV_CHUNK_ROWS, _read_csv, _write_csv, format_matrix, parse_matrix
 from icdx.metrics import _DFT_PIECE, _fit, _rfft_bins
@@ -192,6 +192,19 @@ def test_overlap_save_matches_direct_convolution(data):
     reference = direct(narrow)[::step]
     assert kept.shape == reference.shape
     assert np.max(np.abs(kept - reference)) <= tol
+
+
+@given(st.data())
+def test_one_selection_median_is_np_median_bit_for_bit(data):
+    # Odd and even lengths from 1; values drawn from a pool of one to four
+    # (constant arrays and repeated values) or free. Adding 0.0 turns -0.0
+    # into 0.0: the envelope is a magnitude, and the two zeros tie.
+    size = data.draw(st.integers(1, 64), label="size")
+    value = st.floats(-1e300, 1e300)
+    if data.draw(st.booleans(), label="pooled"):
+        value = st.sampled_from(data.draw(st.lists(value, min_size=1, max_size=4)))
+    values = np.array(data.draw(st.lists(value, min_size=size, max_size=size))) + 0.0
+    assert _median(values).hex() == float(np.median(values)).hex()
 
 
 def _envelope_depth_reference(data, carrier, rate):
