@@ -144,11 +144,13 @@ def envelope_depth(
     is |ifft_L| of those bins times exp(2 pi i k r / n), folded once onto
     L = n / Q bins (bin k + L adds onto bin k; L < m <= 2L when Q = 2P):
     one length-L transform per phase r, the extrema reduced phase by phase.
-    The 2P phases run on two lanes (signalgen._two_lanes), the even ones on
-    the calling thread and the odd ones on one worker, each lane with its
-    own band copy and one length-L buffer inverted in place, so the two
-    hold no more than P phases of 2L bins on one thread would. No length-n
-    complex array is formed, and the result does not depend on thread timing.
+    The ramp exp(2 pi i k / n) takes its cos and sin halves on two lanes
+    (signalgen._two_lanes), each lane also copying its band. The 2P phases
+    then run on the two lanes, the even ones on the calling thread and the
+    odd ones on one worker, each lane with its own band copy and one
+    length-L buffer inverted in place, so the two hold no more than P
+    phases of 2L bins on one thread would. No length-n complex array is
+    formed, and the result does not depend on thread timing.
 
     A caller that already has the channel's spectrum passes
     band_spectrum, rfft(channel) on the carrier_band() bins, and the
@@ -188,13 +190,10 @@ def envelope_depth(
         if j < lanes:
             bands[j] = band_spectrum
 
+    _two_lanes(prologue)
     if lanes == 2:
-        _two_lanes(prologue)
         bands[1] *= ramp
         ramp *= ramp  # a lane steps two phases at a time
-    else:
-        for j in range(2):
-            prologue(j)
 
     def lane(j: int) -> tuple[float, float]:
         band, folded, mag = bands[j], folds[j], mags[j]

@@ -39,15 +39,14 @@ TWO_LANES = signalgen._two_lanes
 
 
 @pytest.fixture(scope="module")
-def channel():
-    _, _, _, mixed = scenario_pair(n=N, snr_db=30.0)
-    return mixed.data[0]
-
-
-@pytest.fixture(scope="module")
 def scenario():
     params, tracks, _, mixed = scenario_pair(n=N, snr_db=30.0)
     return params, tracks, mixed.data[0]
+
+
+@pytest.fixture(scope="module")
+def channel(scenario):
+    return scenario[2]
 
 
 def _both(x):
@@ -62,19 +61,13 @@ def _second_lane_first(lane):
     return lane(0), second
 
 
-def _demodulate(params, tracks, x):
-    return demod.demodulate(x, CARRIER_1, 4.0e4, 8, RATE, strict=False)
-
-
-def _envelope_depth(params, tracks, x):
-    return metrics.envelope_depth(x, CARRIER_1, RATE)
-
-
 # site: (the module whose _two_lanes it calls, which of the call's _two_lanes
 # calls is the site, counted from 0, and the call on the scenario).
 SITES = {
-    "demodulate_floor_and_phase": (demod, 1, _demodulate),
-    "envelope_depth_prologue": (metrics, 0, _envelope_depth),
+    "demodulate_floor_and_phase": (demod, 1, lambda params, tracks, x: demod.demodulate(
+        x, CARRIER_1, 4.0e4, 8, RATE, strict=False)),
+    "envelope_depth_prologue": (metrics, 0, lambda params, tracks, x: metrics.envelope_depth(
+        x, CARRIER_1, RATE)),
     "fir_split": (diplexer, 0, lambda params, tracks, x: diplexer.fir_split(
         x, CARRIER_1, CARRIER_2, 16, RATE)),
     "rfft_bins_two_rows": (metrics, 0, lambda params, tracks, x: metrics._rfft_bins(
