@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diplexer import _check_design, design_fir_lowpass
-from .signalgen import (InterferometerParams, _check_frequency, _check_positive,
+from .signalgen import (Adopted, InterferometerParams, _check_frequency, _check_positive,
                         _check_same_rate, _two_lanes, as_channel, own_arrays)
 
 __all__ = [
@@ -135,9 +135,24 @@ def unwrap(wrapped: np.ndarray) -> np.ndarray:
     w = np.asarray(wrapped, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("wrapped must be 1-D")
-    if w.size == 0:
-        return w.copy()
-    return np.concatenate(([w[0]], w[0] + np.cumsum(_wrap_pi(np.diff(w)))))
+    return _unwrap_in_place(w.copy())
+
+
+def _unwrap_in_place(w: np.ndarray) -> np.ndarray:
+    """unwrap(w) written over w, _BLOCK samples at a time.
+
+    Each block's running sum starts from the previous block's last one, so the
+    additions are those of one cumsum over the record, in the same order.
+    """
+    for start in range(1, w.size, _BLOCK):
+        block = w[start: start + _BLOCK]
+        steps = _wrap_pi(np.diff(block, prepend=w[0] if start == 1 else last))
+        last = block[-1]
+        if start > 1:
+            steps[0] += total
+        total = np.cumsum(steps, out=block)[-1]
+        block += w[0]
+    return w
 
 
 def _wrap_pi(values: np.ndarray) -> np.ndarray:
@@ -324,6 +339,7 @@ def demodulate(
                     for h in (env_taps, taps))
     envelope, rail = _overlap_save(data, wide, narrow, decimation)
     margin = min(envelope_order, n // 4)
+    samples = np.empty(rail.size)  # the phase lane's output, made before the lanes start
 
     def floor_runs() -> tuple[tuple[int, int], ...]:
         floor = envelope_floor * _median(envelope[margin: n - margin])
@@ -332,17 +348,23 @@ def demodulate(
         mask[:margin] = mask[n - margin:] = False
         return tuple(_find_runs(mask, envelope_min_run))
 
-    def phase() -> np.ndarray:
+    def phase() -> None:
         # Carrier phase at kept input samples k; carrier / rate splits exactly into
         # hi, whose 26 fractional bits keep k * hi exact, and a rest below 2^-26.
-        k = np.arange(0.0, n, float(decimation)) + (taps.size - 1) // 2
+        # Every step is elementwise but the unwrap, so _BLOCK samples at a time
+        # keep the lane's temporaries small beside the floor's envelope copy.
         ratio = Fraction(carrier) / Fraction(rate)
         hi = math.floor(ratio * 2**26) / 2**26
-        cycles = np.modf(k * hi)[0] + k * float(ratio - Fraction(hi))
-        return unwrap(_wrap_pi(np.arctan2(rail.imag, rail.real) + 0.5 * np.pi
-                               - 2.0 * np.pi * cycles))
+        rest = float(ratio - Fraction(hi))
+        for start in range(0, rail.size, _BLOCK):
+            part = rail[start: start + _BLOCK]
+            k = np.arange(start, start + part.size) * float(decimation) + (taps.size - 1) // 2
+            cycles = np.modf(k * hi)[0] + k * rest
+            samples[start: start + part.size] = _wrap_pi(
+                np.arctan2(part.imag, part.real) + 0.5 * np.pi - 2.0 * np.pi * cycles)
+        _unwrap_in_place(samples)
 
-    lost, samples = _two_lanes(lambda j: phase() if j else floor_runs())
+    lost, _ = _two_lanes(lambda j: phase() if j else floor_runs())
     if lost and strict:
         first = lost[0]
         raise PhaseTrackingLostError(
@@ -350,7 +372,7 @@ def demodulate(
             f"{len(lost)} interval(s); first at input samples "
             f"[{first[0]}, {first[1]})", lost)
     return PhaseSeries(
-        samples=samples,
+        samples=Adopted(samples),
         sample_rate=rate / decimation,
         carrier=carrier,
         decimation=decimation,

@@ -32,7 +32,7 @@ from hypothesis.extra.numpy import arrays
 
 import icdx
 from icdx.cli import RunConfig, _mask_lost
-from icdx.demod import _BLOCK, _median, _overlap_save
+from icdx.demod import _BLOCK, _median, _overlap_save, _wrap_pi
 from icdx.fastica import _orthonormalize
 from icdx.fileio import _CSV_CHUNK_ROWS, _read_csv, _write_csv, format_matrix, parse_matrix
 from icdx.metrics import _DFT_PIECE, _fit, _rfft_bins
@@ -55,6 +55,23 @@ def test_unwrap_matches_numpy_away_from_pi_jumps(wrapped):
     assert np.allclose(ours, np.unwrap(wrapped), rtol=0.0, atol=1e-9)
     steps = np.diff(ours)
     assert np.all((steps > -np.pi) & (steps <= np.pi))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 3 * _BLOCK + 2), st.floats(1e-3, 1e6), st.integers(0, 2**32 - 1))
+@example(0, 1.0, 0)
+@example(1, 1.0, 0)
+@example(_BLOCK + 1, 8.0, 1)
+@example(2 * _BLOCK + 2, 8.0, 2)
+def test_unwrap_by_blocks_is_one_cumsum_bit_for_bit(n, scale, seed):
+    # unwrap() sums _BLOCK steps at a time, each block carrying the running sum
+    # on: the same additions as one cumsum over the whole series. The examples:
+    # empty, one sample, one whole block after the first sample, and a last
+    # block of one sample.
+    w = np.random.default_rng(seed).uniform(-scale, scale, n)
+    reference = (np.concatenate(([w[0]], w[0] + np.cumsum(_wrap_pi(np.diff(w)))))
+                 if n else w)
+    assert icdx.unwrap(w).tobytes() == reference.tobytes()
 
 
 @st.composite
