@@ -18,7 +18,7 @@ import numpy as np
 from . import fastica, metrics
 from .preprocess import _CHUNK, centered_product
 from .signalgen import (Adopted, MultichannelSignal, _check_positive, _check_same_rate,
-                        _two_lanes, as_channel, own_arrays)
+                        as_channel, own_arrays)
 
 __all__ = [
     "FirFilter",
@@ -196,10 +196,11 @@ def fir_split(
     if order + 1 > channel.size:
         raise ValueError(
             f"signal length {channel.size} shorter than filter ({order + 1} taps)")
-    taps = [design_fir_bandpass(order, freq * (1.0 - band_frac), freq * (1.0 + band_frac),
-                                rate).taps for freq in (tone_a, tone_b)]
     branches = np.empty((2, channel.size))
-    _two_lanes(lambda j: _filter_into(branches[j], channel, taps[j]))
+    for row, freq in zip(branches, (tone_a, tone_b)):
+        fir = design_fir_bandpass(
+            order, freq * (1.0 - band_frac), freq * (1.0 + band_frac), rate)
+        _filter_into(row, channel, fir.taps)
     return MultichannelSignal(Adopted(branches), rate)
 
 

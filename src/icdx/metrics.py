@@ -144,8 +144,8 @@ def envelope_depth(
     is |ifft_L| of those bins times exp(2 pi i k r / n), folded once onto
     L = n / Q bins (bin k + L adds onto bin k; L < m <= 2L when Q = 2P):
     one length-L transform per phase r, the extrema reduced phase by phase.
-    The ramp exp(2 pi i k / n) takes its cos and sin halves on two lanes
-    (signalgen._two_lanes), each lane also copying its band. The 2P phases
+    The ramp exp(2 pi i k / n) is formed in two halves of its bins on two
+    lanes (signalgen._two_lanes), each lane also copying its band. The 2P phases
     then run on the two lanes, the even ones on the calling thread and the
     odd ones on one worker, each lane with its own band copy and one
     length-L buffer inverted in place, so the two hold no more than P
@@ -184,9 +184,13 @@ def envelope_depth(
     bands, folds = block[:, :m], block[:, m:]
     mags = np.empty((lanes, min(size, _ABS_CHUNK)))
 
+    half = -(-m // 16) * 8  # a multiple of 8 bins: the first half ends on whole SIMD blocks
+
     def prologue(j: int) -> None:
-        """The ramp's real part (j = 0) or imaginary part (j = 1), and lane j's band."""
-        (np.cos, np.sin)[j](angle, out=(ramp.real, ramp.imag)[j])
+        """Half j of the ramp, cos and sin each over a contiguous slice, and lane j's band."""
+        cut = slice(half * j, half * (j + 1))
+        part = ramp[cut]
+        part.real, part.imag = np.cos(angle[cut]), np.sin(angle[cut])
         if j < lanes:
             bands[j] = band_spectrum
 
@@ -242,17 +246,10 @@ def _rfft_bins(rows: np.ndarray, bins: np.ndarray) -> np.ndarray:
     shift_cos, shift_sin = twiddles(np.arange(0, split, piece))
     tail_cos, tail_sin = twiddles(np.arange(split, n))
     out = np.empty((rows.shape[0], keep.size), dtype=np.complex128)
-
-    def lane(j: int) -> None:
-        for row, dft in zip(rows[j::2], out[j::2]):
-            c, s = np.hsplit(row[:split].reshape(-1, piece) @ table, 2)
-            dft.real = (shift_cos * c - shift_sin * s).sum(axis=0) + row[split:] @ tail_cos
-            dft.imag = -(shift_sin * c + shift_cos * s).sum(axis=0) - row[split:] @ tail_sin
-
-    if rows.shape[0] > 1:
-        _two_lanes(lane)
-    else:
-        lane(0)
+    for row, dft in zip(rows, out):
+        c, s = np.hsplit(row[:split].reshape(-1, piece) @ table, 2)
+        dft.real = (shift_cos * c - shift_sin * s).sum(axis=0) + row[split:] @ tail_cos
+        dft.imag = -(shift_sin * c + shift_cos * s).sum(axis=0) - row[split:] @ tail_sin
     return out[:, where]
 
 

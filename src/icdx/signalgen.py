@@ -275,15 +275,11 @@ def synth_clean_pair(
             raise ValueError(f"track{i} length {len(track)} != track1 length {n}")
         _check_same_rate(f"track{i}", track.sample_rate, "params", params.sample_rate)
     t = np.arange(n) / params.sample_rate
-    data = np.empty((2, n))
-
-    def lane(j: int) -> None:
-        row = np.multiply(2.0 * np.pi * (params.f_het1, params.f_het2)[j], t, out=data[j])
-        row += (track1, track2)[j].samples
-        np.sin(row, out=row)
-
-    _two_lanes(lane)
-    return MultichannelSignal(Adopted(data), params.sample_rate)
+    data = np.vstack([
+        np.sin(2.0 * np.pi * params.f_het1 * t + track1.samples),
+        np.sin(2.0 * np.pi * params.f_het2 * t + track2.samples),
+    ])
+    return MultichannelSignal(data, params.sample_rate)
 
 
 def _trapezoid(t: np.ndarray, duration: float) -> np.ndarray:

@@ -2,14 +2,12 @@
 
 Each site runs two independent pieces of one call on two lanes: the
 calling thread and one worker started for that call
-(signalgen._two_lanes). The sites are envelope_depth's prologue (the
-ramp's cos and sin halves, each lane's band copy) and its inverse
-transforms, demodulate's overlap-save blocks and its floor and phase
-rails, fir_split's two branches, _rfft_bins on two or more rows, and
-synth_clean_pair's two carriers. The outputs must not depend on which
-lane runs first, no thread may outlive a call, a forked child must still
-run every site, and an exception raised in the worker must reach the
-caller. Callers on several threads at once, with the interpreter
+(signalgen._two_lanes). The sites are envelope_depth's prologue (each
+lane's half of the ramp and its band copy) and its inverse transforms,
+and demodulate's overlap-save blocks and its floor and phase rails. The
+outputs must not depend on which lane runs first, no thread may outlive
+a call, a forked child must still run every site, and an exception
+raised in the worker must reach the caller. Callers on several threads at once, with the interpreter
 switching threads as often as it can, must each get the serial answer.
 A lane calls no function the benchmark's tracer wraps, so every traced
 entry, in a CLI run of gen, unmix, density and diplex, is on the main
@@ -24,29 +22,22 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import icdx
-from icdx import demod, diplexer, metrics, signalgen
+from icdx import demod, metrics, signalgen
 from icdx.cli import main
 
-from helpers import CARRIER_1, CARRIER_2, RATE, scenario_pair
+from helpers import CARRIER_1, RATE, scenario_pair
 
 N = 2**16  # eight depth phases on two lanes; nine overlap-save blocks in three groups
-BINS = np.array([3, 800, 8192, 9011, 32767])
 TWO_LANES = signalgen._two_lanes
 
 
 @pytest.fixture(scope="module")
-def scenario():
-    params, tracks, _, mixed = scenario_pair(n=N, snr_db=30.0)
-    return params, tracks, mixed.data[0]
-
-
-@pytest.fixture(scope="module")
-def channel(scenario):
-    return scenario[2]
+def channel():
+    _, _, _, mixed = scenario_pair(n=N, snr_db=30.0)
+    return mixed.data[0]
 
 
 def _both(x):
@@ -62,18 +53,12 @@ def _second_lane_first(lane):
 
 
 # site: (the module whose _two_lanes it calls, which of the call's _two_lanes
-# calls is the site, counted from 0, and the call on the scenario).
+# calls is the site, counted from 0, and the call on the channel).
 SITES = {
-    "demodulate_floor_and_phase": (demod, 1, lambda params, tracks, x: demod.demodulate(
+    "demodulate_floor_and_phase": (demod, 1, lambda x: demod.demodulate(
         x, CARRIER_1, 4.0e4, 8, RATE, strict=False)),
-    "envelope_depth_prologue": (metrics, 0, lambda params, tracks, x: metrics.envelope_depth(
+    "envelope_depth_prologue": (metrics, 0, lambda x: metrics.envelope_depth(
         x, CARRIER_1, RATE)),
-    "fir_split": (diplexer, 0, lambda params, tracks, x: diplexer.fir_split(
-        x, CARRIER_1, CARRIER_2, 16, RATE)),
-    "rfft_bins_two_rows": (metrics, 0, lambda params, tracks, x: metrics._rfft_bins(
-        np.vstack((x, x[::-1], 2.0 * x)), BINS)),
-    "synth_clean_pair": (signalgen, 0, lambda params, tracks, x: signalgen.synth_clean_pair(
-        params, *tracks)),
 }
 
 
@@ -81,10 +66,6 @@ def _bytes(result) -> bytes:
     """A site's answer as bytes: every sample, and a phase series' lost ranges."""
     if isinstance(result, demod.PhaseSeries):
         return result.samples.tobytes() + repr(result.lost_ranges).encode()
-    if isinstance(result, icdx.MultichannelSignal):
-        return result.data.tobytes()
-    if isinstance(result, np.ndarray):
-        return result.tobytes()
     return float(result).hex().encode()
 
 
@@ -109,12 +90,12 @@ def test_outputs_do_not_depend_on_lane_order(channel, monkeypatch):
 
 
 @pytest.mark.parametrize("site", SITES)
-def test_a_site_does_not_depend_on_lane_order(site, scenario, monkeypatch):
+def test_a_site_does_not_depend_on_lane_order(site, channel, monkeypatch):
     module, index, call = SITES[site]
-    threaded = _bytes(call(*scenario))
+    threaded = _bytes(call(channel))
     two_lanes, calls = _at_site(index, _second_lane_first)
     monkeypatch.setattr(module, "_two_lanes", two_lanes)
-    assert _bytes(call(*scenario)) == threaded
+    assert _bytes(call(channel)) == threaded
     assert len(calls) > index  # the site ran on the lanes
 
 
@@ -127,9 +108,9 @@ def test_no_thread_outlives_a_call(channel):
 
 
 @pytest.mark.parametrize("site", SITES)
-def test_no_thread_outlives_a_site_call(site, scenario):
+def test_no_thread_outlives_a_site_call(site, channel):
     before = threading.active_count()
-    SITES[site][2](*scenario)
+    SITES[site][2](channel)
     assert threading.active_count() == before
 
 
@@ -138,7 +119,7 @@ class LaneFailure(Exception):
 
 
 @pytest.mark.parametrize("site", SITES)
-def test_a_second_lane_exception_at_a_site_reaches_the_caller(site, scenario, monkeypatch):
+def test_a_second_lane_exception_at_a_site_reaches_the_caller(site, channel, monkeypatch):
     module, index, call = SITES[site]
 
     def failing(lane):
@@ -152,17 +133,9 @@ def test_a_second_lane_exception_at_a_site_reaches_the_caller(site, scenario, mo
     monkeypatch.setattr(module, "_two_lanes", two_lanes)
     before = threading.active_count()
     with pytest.raises(LaneFailure, match=site):
-        call(*scenario)
+        call(channel)
     assert threading.active_count() == before
     assert len(calls) == index + 1  # nothing ran on the lanes after the failing site
-
-
-def test_one_row_rfft_bins_stays_on_the_calling_thread(channel, monkeypatch):
-    two_rows = metrics._rfft_bins(np.vstack((channel, channel)), BINS)
-    monkeypatch.setattr(metrics, "_two_lanes", None)  # a call would raise TypeError
-    one_row = metrics._rfft_bins(channel[None], BINS)
-    assert one_row.tobytes() == two_rows[:1].tobytes()
-    metrics.cross_tone_residual_db(channel, CARRIER_1, CARRIER_2, RATE)
 
 
 def test_concurrent_callers_get_the_serial_answer(channel, monkeypatch):
@@ -223,9 +196,9 @@ def test_a_forked_child_runs_both_calls(channel):
     _in_a_forked_child(check)
 
 
-def test_a_forked_child_gets_every_site_answer(scenario):
-    answers = {site: _bytes(call(*scenario)) for site, (_, _, call) in SITES.items()}
-    _in_a_forked_child(lambda: sum(_bytes(call(*scenario)) != answers[site]
+def test_a_forked_child_gets_every_site_answer(channel):
+    answers = {site: _bytes(call(channel)) for site, (_, _, call) in SITES.items()}
+    _in_a_forked_child(lambda: sum(_bytes(call(channel)) != answers[site]
                                    for site, (_, _, call) in SITES.items()))
 
 
