@@ -7,8 +7,9 @@ lane's half of the ramp and its band copy) and its inverse transforms,
 and demodulate's overlap-save blocks and its floor and phase rails. The
 outputs must not depend on which lane runs first, no thread may outlive
 a call, a forked child must still run every site, and an exception
-raised in the worker must reach the caller. Callers on several threads at once, with the interpreter
-switching threads as often as it can, must each get the serial answer.
+raised in the worker must reach the caller. Callers on several threads
+at once, with the interpreter switching threads as often as it can,
+must each get the serial answer.
 A lane calls no function the benchmark's tracer wraps, so every traced
 entry, in a CLI run of gen, unmix, density and diplex, is on the main
 thread and spans nest as they do serially.
