@@ -43,7 +43,6 @@ __all__ = [
     "PhaseTrackingLostError",
     "PhaseSeries",
     "DensitySeries",
-    "unwrap",
     "demodulate",
     "line_integrated_density",
 ]
@@ -111,10 +110,6 @@ class PhaseSeries(_Settled):
         if not (self.carrier > 0 and self.decimation >= 1):
             raise ValueError("carrier and decimation must be positive")
 
-    @property
-    def tracking_lost(self) -> bool:
-        return len(self.lost_ranges) > 0
-
 
 @dataclass(frozen=True)
 class DensitySeries(_Settled):
@@ -125,21 +120,12 @@ class DensitySeries(_Settled):
     settle: int
 
 
-def unwrap(wrapped: np.ndarray) -> np.ndarray:
-    """Unwrap a phase series so successive differences lie in (-pi, pi].
-
-    The first output sample equals the first input sample; each later
-    sample adds the wrapped difference. Equivalent to numpy.unwrap up to
-    the half-open interval convention at exactly pi jumps.
-    """
-    w = np.asarray(wrapped, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError("wrapped must be 1-D")
-    return _unwrap_in_place(w.copy())
-
-
 def _unwrap_in_place(w: np.ndarray) -> np.ndarray:
-    """unwrap(w) written over w, _BLOCK samples at a time.
+    """The 1-D phase series w unwrapped in place, _BLOCK samples at a time.
+
+    w[0] stays; each later sample becomes the previous output plus the
+    difference wrapped into (-pi, pi]. That is numpy.unwrap up to the
+    half-open convention at jumps of exactly pi.
 
     Each block's running sum starts from the previous block's last one, so the
     additions are those of one cumsum over the record, in the same order.

@@ -17,14 +17,12 @@ import numpy as np
 
 from . import fastica, metrics
 from .preprocess import _CHUNK, centered_product
-from .signalgen import (Adopted, MultichannelSignal, _check_positive, _check_same_rate,
-                        as_channel, own_arrays)
+from .signalgen import Adopted, MultichannelSignal, _check_positive, as_channel, own_arrays
 
 __all__ = [
     "FirFilter",
     "design_fir_bandpass",
     "design_fir_lowpass",
-    "filter_signal",
     "fir_split",
     "diplex",
 ]
@@ -111,21 +109,6 @@ def design_fir_lowpass(order: int, cutoff: float, sample_rate: float) -> FirFilt
     taps = _windowed_sinc(order, 0.0, cutoff, sample_rate)
     taps = taps / taps.sum()
     return FirFilter(taps=taps, band=(0.0, cutoff), design_rate=sample_rate)
-
-
-def filter_signal(signal: np.ndarray, fir: FirFilter, sample_rate: float) -> np.ndarray:
-    """Causal FIR filtering with zero-padded edges, same output length.
-
-    The output is delayed by the group delay, (fir.taps.size - 1) / 2
-    samples; callers needing aligned outputs compensate with that
-    constant. The signal rate must match the filter's design rate.
-    """
-    channel, rate = as_channel(signal), _check_positive("sample_rate", sample_rate)
-    _check_same_rate("signal", rate, "filter design", fir.design_rate)
-    if channel.size < fir.taps.size:
-        raise ValueError(
-            f"signal length {channel.size} shorter than filter ({fir.taps.size} taps)")
-    return _filter_into(np.empty(channel.size), channel, fir.taps)
 
 
 def _filter_into(out: np.ndarray, channel: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ import itertools
 import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -190,6 +191,7 @@ def _read_csv(path: Path) -> tuple[np.ndarray, float]:
                         raise FormatError(f"{path}: bad sample_rate_hz comment") from exc
                 continue
             if text.startswith("t,"):
+                columns = text.count(",") + 1
                 break
             raise FormatError(f"{path}: line {lineno} is neither comment nor header")
         body_start = fh.tell()
@@ -199,31 +201,30 @@ def _read_csv(path: Path) -> tuple[np.ndarray, float]:
             last = block[-1]
         capacity += last != "\n"  # a last line with no newline
         fh.seek(body_start)
-        data = None
+        data = np.empty((columns - 1, capacity))
         rows = 0
         head_times: list[float] = []
         while lines := list(itertools.islice(fh, _CSV_CHUNK_ROWS)):
+            start, lineno = lineno + 1, lineno + len(lines)
             try:
-                table = np.loadtxt(lines, delimiter=",", ndmin=2)
+                with warnings.catch_warnings():  # a chunk of blank lines: no rows, no warning
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    table = np.loadtxt(lines, delimiter=",", ndmin=2)
             except ValueError as exc:
+                _check_columns(path, lines, start, columns)
                 raise FormatError(f"{path}: malformed numeric row: {exc} "
-                                  f"(chunk starting at line {lineno + 1})") from exc
-            lineno += len(lines)
+                                  f"(chunk starting at line {start})") from exc
             if not table.shape[0]:
                 continue
-            if data is None:
-                if table.shape[1] < 2:
-                    break
-                data = np.empty((table.shape[1] - 1, capacity))
-            elif table.shape[1] != data.shape[0] + 1:
-                raise FormatError(
-                    f"{path}: malformed numeric row: the number of columns changed "
-                    f"from {data.shape[0] + 1} to {table.shape[1]} before line {lineno + 1}")
+            if not rows and table.shape[1] < 2:
+                raise FormatError(f"{path}: need a time column plus at least one channel")
+            if table.shape[1] != columns:
+                _check_columns(path, lines, start, columns)
             data[:, rows:rows + table.shape[0]] = table[:, 1:].T
             rows += table.shape[0]
             head_times.extend(table[:2 - len(head_times), 0].tolist())
-    if data is None:
-        raise FormatError(f"{path}: need a time column plus at least one channel")
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
     if rate is None:
         if rows < 2:
             raise FormatError(f"{path}: cannot infer sample rate from one row")
@@ -232,6 +233,15 @@ def _read_csv(path: Path) -> tuple[np.ndarray, float]:
             raise FormatError(f"{path}: non-increasing time column")
         rate = 1.0 / dt
     return data[:, :rows], rate
+
+
+def _check_columns(path: Path, lines: list[str], first: int, columns: int) -> None:
+    """Raise FormatError at the first of lines, numbered from first, without columns columns."""
+    for lineno, line in enumerate(lines, first):
+        text = line.partition("#")[0].strip()
+        if text and text.count(",") + 1 != columns:
+            raise FormatError(f"{path}: malformed numeric row: line {lineno} has "
+                              f"{text.count(',') + 1} columns, the header {columns}")
 
 
 def format_matrix(mat: np.ndarray) -> str:

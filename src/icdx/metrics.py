@@ -23,7 +23,6 @@ __all__ = [
     "isr",
     "parse_metric_value",
     "signed_permutation_error",
-    "snr",
 ]
 
 # Relative power below which a residual counts as identically zero.
@@ -37,14 +36,6 @@ _ABS_CHUNK = 1 << 14  # envelope_depth(): magnitudes taken per pass, so none is 
 
 _NEG_INF_TOKEN = "neg-inf"
 _POS_INF_TOKEN = "pos-inf"
-
-
-def _pair(estimated, truth) -> tuple[np.ndarray, np.ndarray]:
-    """Both series validated, with equal shapes."""
-    e, t = as_channel(estimated, "estimated"), as_channel(truth, "truth")
-    if e.shape != t.shape:
-        raise ValueError(f"shape mismatch: {e.shape} vs {t.shape}")
-    return e, t
 
 
 def _fit(e: np.ndarray, t: np.ndarray) -> tuple[float, float]:
@@ -64,7 +55,9 @@ def isr(estimated, truth) -> float:
     power returns -inf (exact recovery up to scale); an estimate
     orthogonal to the truth returns +inf.
     """
-    e, t = _pair(estimated, truth)
+    e, t = as_channel(estimated, "estimated"), as_channel(truth, "truth")
+    if e.shape != t.shape:
+        raise ValueError(f"shape mismatch: {e.shape} vs {t.shape}")
     c, tt = _fit(e, t)
     if float(e @ e) == 0.0:
         raise ValueError("estimated is identically zero")
@@ -76,23 +69,6 @@ def isr(estimated, truth) -> float:
     if residual_power <= _ZERO_RESIDUAL * fit_power:
         return -math.inf
     return 10.0 * math.log10(residual_power / fit_power)
-
-
-def snr(estimated, truth) -> float:
-    """Signal-to-noise ratio of an estimate against its ground truth, dB.
-
-    10 log10(P_truth / P_error) with error = estimated - truth (no
-    rescaling: calibration errors count as noise). Returns +inf for an
-    exact match.
-    """
-    e, t = _pair(estimated, truth)
-    signal_power = float(np.mean(t * t))
-    if signal_power == 0.0:
-        raise ValueError("truth is identically zero")
-    error_power = float(np.mean((e - t) ** 2))
-    if error_power <= _ZERO_RESIDUAL * signal_power:
-        return math.inf
-    return 10.0 * math.log10(signal_power / error_power)
 
 
 def carrier_band(

@@ -102,8 +102,7 @@ class WhiteningTransform:
 
     whitener rows are scaled principal directions; dewhitener undoes the
     map: whitener @ dewhitener = I. whiten() centers with the stored mean
-    and rotates/scales; restore() maps whitened data back and re-adds
-    the mean.
+    and rotates/scales.
     """
 
     mean: np.ndarray
@@ -133,13 +132,6 @@ class WhiteningTransform:
     def dewhitener(self) -> np.ndarray:
         """eigvecs @ diag(eigvals)**1/2: whitened coordinates back to raw centered."""
         return self.eigvecs * np.sqrt(self.eigvals)[None, :]
-
-    def restore(self, signal: MultichannelSignal) -> MultichannelSignal:
-        """Invert whiten(): dewhiten and re-add the stored means."""
-        if signal.channels != self.channels:
-            raise ValueError(
-                f"signal has {signal.channels} channels, transform has {self.channels}")
-        return signal.with_data(self.dewhitener @ signal.data + self.mean[:, None])
 
     def to_mapping(self) -> dict[str, object]:
         """Flat key/value form for the text serialization format."""

@@ -11,6 +11,8 @@ tested.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import icdx
@@ -86,6 +88,12 @@ def aligned_gain(result, transform, coupling, source_rms):
     gain = result.w @ transform.whitener @ coupling @ np.diag(source_rms)
     asg = result.assignment
     return np.array([asg.signs[s] * gain[asg.perm[s]] for s in range(len(asg.perm))])
+
+
+def snr_db(estimate: np.ndarray, truth: np.ndarray) -> float:
+    """10 log10(P_truth / P_error) in dB, error = estimate - truth with no rescaling."""
+    error = estimate - truth
+    return 10.0 * math.log10(float(np.mean(truth * truth)) / float(np.mean(error * error)))
 
 
 def relative_rms(estimate: np.ndarray, truth: np.ndarray) -> float:

@@ -29,6 +29,7 @@ from helpers import (
     relative_rms,
     scenario_pair,
     separate,
+    snr_db,
     two_tone_clean,
 )
 
@@ -168,7 +169,7 @@ def test_criterion_4_strong_coupling_needs_correction():
     corrected_held = True
     for channel, carrier in ((0, CARRIER_1), (1, CARRIER_2)):
         phase = icdx.demodulate(corrected.data[channel], carrier, 40e3, 8, RATE)
-        corrected_held &= not phase.tracking_lost
+        corrected_held &= not phase.lost_ranges
         keep = slice(phase.settle, len(phase) - phase.settle)
         error = phase.samples[keep] - tracks[channel].samples[::8][keep]
         worst_rms = max(worst_rms, float(np.sqrt(np.mean(error**2))))
@@ -268,7 +269,7 @@ def test_criterion_7_correction_buys_20_db_of_density_snr():
         phase2 = icdx.demodulate(pair.data[1], CARRIER_2, cutoff, 8, RATE)
         density = icdx.line_integrated_density(phase1, phase2, params)
         keep = slice(density.settle, len(density) - density.settle)
-        return icdx.snr(density.samples[keep], truth[keep])
+        return snr_db(density.samples[keep], truth[keep])
 
     uncorrected_lost = False
     snr_without = None

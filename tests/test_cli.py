@@ -174,11 +174,17 @@ def _patched_raw(path, offset, value):
     path.write_bytes(bytes(raw))
 
 
+# A header naming two channels over rows of one: once read as a 1-channel signal.
+_NARROW_ROWS = "# sample_rate_hz = 8e6\nt,ch0,ch1\n0,1\n1,2\n"
+
+
 @pytest.mark.parametrize("name, content, message", [
     ("version.bin", (4, 99), "unsupported version 99"),
     ("shape.bin", (8, 0), "invalid shape 0 x 4"),
     ("rate.csv", "# sample_rate_hz = fast\nt,ch0\n0,1\n1,1\n", "bad sample_rate_hz comment"),
     ("columns.csv", "t,ch0\n0\n1\n", "need a time column plus at least one channel"),
+    ("header.csv", _NARROW_ROWS, "malformed numeric row: line 3 has 2 columns, the header 3"),
+    ("empty.csv", "# sample_rate_hz = 8e6\nt,ch0,ch1\n\n", "no data rows"),
     ("one_row.csv", "t,ch0\n0,1\n", "cannot infer sample rate from one row"),
     ("time.csv", "t,ch0\n0,1\n0,2\n", "non-increasing time column"),
 ])
@@ -707,6 +713,17 @@ def test_report_lists_a_malformed_config_and_goes_on(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"bad.cfg: unreadable ({tmp_path / 'bad.cfg'}:2: expected 'key = value')" in out
     assert out.index("bad.cfg") < out.index("[good.cfg]") and "seed  7" in out
+
+
+def test_report_lists_a_csv_whose_rows_do_not_match_its_header(tmp_path, capsys):
+    (tmp_path / "narrow.csv").write_text(_NARROW_ROWS)
+    (tmp_path / "empty.csv").write_text("t,ch0\n")
+    assert main(["report", "--in-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert f"empty.csv: unreadable ({tmp_path / 'empty.csv'}: no data rows)" in out
+    assert (f"narrow.csv: unreadable ({tmp_path / 'narrow.csv'}: malformed numeric row: "
+            "line 3 has 2 columns, the header 3)") in out
+    assert "channel(s)" not in out
 
 
 def test_report_lists_undecodable_files_and_goes_on(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import icdx
+from icdx.demod import _unwrap_in_place
 
 from helpers import CARRIER_1, CARRIER_2, RATE
 
@@ -29,7 +30,7 @@ def test_unwrap_matches_library_on_random_walk():
     walk = np.cumsum(rng.uniform(-2.5, 2.5, 4096))
     walk[0] = rng.uniform(-3.0, 3.0)
     wrapped = np.angle(np.exp(1j * walk))
-    ours = icdx.unwrap(wrapped)
+    ours = _unwrap_in_place(wrapped.copy())
     theirs = np.unwrap(wrapped)
     assert np.max(np.abs(ours - theirs)) < 1e-9
 
@@ -40,14 +41,12 @@ def test_unwrap_recovers_continuous_walk_exactly():
     rng = np.random.default_rng(4)
     walk = 0.5 + np.concatenate(([0.0], np.cumsum(rng.uniform(-3.0, 3.0, 2047))))
     wrapped = np.angle(np.exp(1j * walk))
-    assert np.max(np.abs(icdx.unwrap(wrapped) - walk)) < 1e-9
+    assert np.max(np.abs(_unwrap_in_place(wrapped.copy()) - walk)) < 1e-9
 
 
 def test_unwrap_edge_cases():
-    assert icdx.unwrap(np.array([])).size == 0
-    assert np.array_equal(icdx.unwrap(np.array([1.25])), [1.25])
-    with pytest.raises(ValueError):
-        icdx.unwrap(np.zeros((2, 3)))
+    assert _unwrap_in_place(np.array([])).size == 0
+    assert np.array_equal(_unwrap_in_place(np.array([1.25])), [1.25])
 
 
 @pytest.mark.parametrize("phi0", [0.0, 0.3])
@@ -58,7 +57,7 @@ def test_demodulate_pure_carrier_is_flat(phi0):
     t = np.arange(n) / RATE
     x = np.sin(2.0 * np.pi * CARRIER_1 * t + phi0)
     phase = icdx.demodulate(x, CARRIER_1, 4.0e4, 8, RATE)
-    assert not phase.tracking_lost
+    assert not phase.lost_ranges
     assert np.max(np.abs(phase.steady() - phi0)) < 1e-6
 
 
@@ -130,7 +129,7 @@ def _time_domain_demodulate(x, cutoff, decimation, filter_order=256):
     taps = np.convolve(icdx.design_fir_lowpass(filter_order, cutoff, RATE).taps,
                        np.convolve(box, box))
     rail_i, rail_q = (rail[::decimation] for rail in lowpass(taps / taps.sum()))
-    return icdx.unwrap(np.angle(np.exp(1j * (np.arctan2(rail_q, rail_i) + 0.5 * np.pi)))), lost
+    return np.unwrap(np.angle(np.exp(1j * (np.arctan2(rail_q, rail_i) + 0.5 * np.pi)))), lost
 
 
 @pytest.mark.parametrize("decimation, filter_order, n", [
@@ -142,14 +141,13 @@ def test_demodulate_matches_time_domain_rails(decimation, filter_order, n):
     phase = icdx.demodulate(x, CARRIER_1, 4.0e4, decimation, RATE,
                             filter_order=filter_order, strict=False)
     samples, lost = _time_domain_demodulate(x, 4.0e4, decimation, filter_order)
-    assert phase.tracking_lost and phase.lost_ranges == lost
+    assert phase.lost_ranges and phase.lost_ranges == lost
     assert np.max(np.abs(phase.samples - samples)) <= 1e-9
 
 
 def test_moderate_crosstalk_keeps_tracking():
     mixed = _coupled_shot_ramp(0.4)
     phase = icdx.demodulate(mixed.data[0], CARRIER_1, 4.0e4, 8, RATE)
-    assert not phase.tracking_lost
     assert phase.lost_ranges == ()
 
 
@@ -174,7 +172,7 @@ def test_strong_crosstalk_nonstrict_records_ranges():
     with pytest.raises(icdx.PhaseTrackingLostError) as info:
         icdx.demodulate(mixed.data[0], CARRIER_1, 4.0e4, 8, RATE)
     phase = icdx.demodulate(mixed.data[0], CARRIER_1, 4.0e4, 8, RATE, strict=False)
-    assert phase.tracking_lost
+    assert phase.lost_ranges
     assert phase.lost_ranges == info.value.ranges
 
 
@@ -277,7 +275,7 @@ def test_settle_covers_exactly_the_filter_transient(decimation):
 def test_phase_series_steady_degenerate():
     series = _phase_series(np.arange(10.0), settle=5)
     assert series.steady().size == 0
-    assert not series.tracking_lost
+    assert not series.lost_ranges
 
 
 def test_density_unit_phase_constants():

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import icdx
-from icdx.fileio import (_RAW_CHUNK_FRAMES, HEADER_SIZE, KeyValueFile, format_matrix,
-                         parse_matrix)
+from icdx.fileio import (_CSV_CHUNK_ROWS, _RAW_CHUNK_FRAMES, HEADER_SIZE, KeyValueFile,
+                         format_matrix, parse_matrix)
 
 from helpers import RATE
 
@@ -174,6 +174,29 @@ def test_csv_rejects_malformed(tmp_path):
     stray.write_text("hello\nt,ch0\n0,1\n")
     with pytest.raises(icdx.FormatError, match="neither comment nor header"):
         icdx.read_signal(stray)
+
+
+@pytest.mark.parametrize("body, line, found, header", [
+    ("0,1\n1,2\n", 3, 2, 3),  # every row one channel short
+    ("0,1,2\n\n# note\n1,2\n", 6, 2, 3),  # blank and comment lines count
+    ("0,1,2,3\n1,2,3,4\n", 3, 4, 3),  # every row one channel long
+    ("".join(f"{k},1,2\n" for k in range(_CSV_CHUNK_ROWS)) + "9,1\n",
+     _CSV_CHUNK_ROWS + 3, 2, 3),  # the only short row opens the second chunk
+])
+def test_csv_rows_must_have_the_header_column_count(tmp_path, body, line, found, header):
+    path = tmp_path / "rows.csv"
+    path.write_text("# sample_rate_hz = 8e6\nt,ch0,ch1\n" + body)
+    with pytest.raises(icdx.FormatError,
+                       match=f"line {line} has {found} columns, the header {header}$"):
+        icdx.read_signal(path)
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "# only a comment\n"])
+def test_csv_without_data_rows_says_so(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_text("t,ch0,ch1\n" + body)
+    with pytest.raises(icdx.FormatError, match="no data rows$"):
+        icdx.read_signal(path)
 
 
 def test_matrix_text_round_trip():

@@ -12,10 +12,10 @@ mask, np.savetxt or np.loadtxt, or a one-shot product or Gram matrix of
 the whole record. The
 linear-algebra properties check the defining equations instead: a
 matrix rebuilt from its eigenpairs, the polar factor's orthonormality
-and symmetric positive semidefinite remainder, whiten() undone by
-restore(). The file-format properties check round trips, bit for bit:
-write_kv then read_kv, format_matrix then parse_matrix, metric tokens,
-and raw and CSV signal files. RunConfig.validate() is checked against
+and symmetric positive semidefinite remainder, whiten() undone by the
+dewhitener and the mean. The file-format properties check round trips,
+bit for bit: write_kv then read_kv, format_matrix then parse_matrix,
+metric tokens, and raw and CSV signal files. RunConfig.validate() is checked against
 the stages that take its settings: it accepts what they accept.
 """
 
@@ -32,7 +32,8 @@ from hypothesis.extra.numpy import arrays
 
 import icdx
 from icdx.cli import RunConfig, _mask_lost
-from icdx.demod import _BLOCK, _median, _overlap_save, _wrap_pi
+from icdx.demod import _BLOCK, _median, _overlap_save, _unwrap_in_place, _wrap_pi
+from icdx.diplexer import _filter_into
 from icdx.fastica import _orthonormalize
 from icdx.fileio import _CSV_CHUNK_ROWS, _read_csv, _write_csv, format_matrix, parse_matrix
 from icdx.metrics import _DFT_PIECE, _fit, _rfft_bins
@@ -50,7 +51,7 @@ def test_unwrap_matches_numpy_away_from_pi_jumps(wrapped):
     # At a jump of exactly +-pi the two conventions pick different branches.
     gaps = np.mod(np.diff(wrapped), 2.0 * np.pi)
     assume(np.all(np.abs(gaps - np.pi) > 1e-6))
-    ours = icdx.unwrap(wrapped)
+    ours = _unwrap_in_place(wrapped.copy())
     assert ours[0] == wrapped[0]
     assert np.allclose(ours, np.unwrap(wrapped), rtol=0.0, atol=1e-9)
     steps = np.diff(ours)
@@ -64,14 +65,14 @@ def test_unwrap_matches_numpy_away_from_pi_jumps(wrapped):
 @example(_BLOCK + 1, 8.0, 1)
 @example(2 * _BLOCK + 2, 8.0, 2)
 def test_unwrap_by_blocks_is_one_cumsum_bit_for_bit(n, scale, seed):
-    # unwrap() sums _BLOCK steps at a time, each block carrying the running sum
-    # on: the same additions as one cumsum over the whole series. The examples:
-    # empty, one sample, one whole block after the first sample, and a last
-    # block of one sample.
+    # _unwrap_in_place() sums _BLOCK steps at a time, each block carrying the
+    # running sum on: the same additions as one cumsum over the whole series.
+    # The examples: empty, one sample, one whole block after the first sample,
+    # and a last block of one sample.
     w = np.random.default_rng(seed).uniform(-scale, scale, n)
     reference = (np.concatenate(([w[0]], w[0] + np.cumsum(_wrap_pi(np.diff(w)))))
                  if n else w)
-    assert icdx.unwrap(w).tobytes() == reference.tobytes()
+    assert _unwrap_in_place(w.copy()).tobytes() == reference.tobytes()
 
 
 @st.composite
@@ -634,8 +635,8 @@ _FIR_RATE = 200.0e6
 @given(st.data(), st.integers(2, 64), st.integers(0, 2**32 - 1))
 def test_fir_split_rows_are_filter_signal_bit_for_bit(data, order, seed):
     # From one filter length up to several blocks, across each block edge:
-    # every branch is filter_signal of its design, which is the full-rate
-    # convolution truncated to the record.
+    # every branch is the full-rate convolution with its design's taps,
+    # truncated to the record.
     n = data.draw(st.one_of(
         st.sampled_from([order + 1, order + 2, _CHUNK - 1, _CHUNK, _CHUNK + 1,
                          _CHUNK + order, 3 * _CHUNK + 5]),
@@ -645,9 +646,7 @@ def test_fir_split_rows_are_filter_signal_bit_for_bit(data, order, seed):
     for row, tone in zip(split.data, _FIR_TONES):
         edges = (tone * (1.0 - 0.2), tone * (1.0 + 0.2))  # fir_split's default band_frac
         fir = icdx.design_fir_bandpass(order, *edges, _FIR_RATE)
-        filtered = icdx.filter_signal(composite, fir, _FIR_RATE)
-        assert row.tobytes() == filtered.tobytes()
-        assert filtered.tobytes() == np.convolve(composite, fir.taps)[:n].tobytes()
+        assert row.tobytes() == np.convolve(composite, fir.taps)[:n].tobytes()
 
 
 @pytest.mark.parametrize("extra", [0, 1, _CHUNK + 1])
@@ -655,7 +654,7 @@ def test_filter_longer_than_a_block_is_the_full_convolution(extra):
     # A first block shorter than the filter would swap np.convolve's operands.
     fir = icdx.design_fir_lowpass(_CHUNK + 2, 1.0e6, _FIR_RATE)
     x = np.random.default_rng(extra).standard_normal(fir.taps.size + extra)
-    filtered = icdx.filter_signal(x, fir, _FIR_RATE)
+    filtered = _filter_into(np.empty(x.size), x, fir.taps)
     assert filtered.tobytes() == np.convolve(x, fir.taps)[:x.size].tobytes()
 
 
@@ -671,7 +670,8 @@ def test_whiten_then_restore_reproduces_the_input(channels, n, seed):
     assert np.max(np.abs(np.cov(whitened.data, bias=True).reshape(channels, channels)
                          - np.eye(channels))) <= 1e-9
     scale = np.max(np.abs(data))
-    assert np.max(np.abs(transform.restore(whitened).data - data)) <= 1e-12 * scale
+    restored = transform.dewhitener @ whitened.data + transform.mean[:, None]
+    assert np.max(np.abs(restored - data)) <= 1e-12 * scale
 
 
 # Every non-NaN float, infinities, -0.0 and subnormals included.
