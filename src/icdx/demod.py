@@ -71,7 +71,7 @@ class _Settled:
 
     def __post_init__(self) -> None:
         own_arrays(self, samples=1)
-        _check_positive("sample_rate", self.sample_rate)
+        object.__setattr__(self, "sample_rate", _check_positive("sample_rate", self.sample_rate))
         if self.settle < 0:
             raise ValueError("settle must be non-negative")
 

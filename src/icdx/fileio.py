@@ -9,7 +9,11 @@ Raw binary layout (little endian):
 
 CSV signals carry a "# sample_rate_hz = <value>" comment, a header row
 "t,ch0,ch1,...", and one row per frame. Values use %.17g so float64
-round-trips exactly.
+round-trips exactly. The writer lays that text out with numpy
+(_format_rows): where numpy's long double is the x87 80-bit or the IEEE
+binary128 format, each value's 17 digits come from one extended-precision
+product, and only the values it cannot certify (zeros, subnormals, |x|
+outside about [1e-11, 1e44], near ties) go through Python's %.
 
 The key-value text format is line oriented: "key = value" pairs, "#"
 full-line comments, blank lines ignored. Readers report the offending
@@ -45,11 +49,40 @@ MAGIC = b"ICDX"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIQd")
 HEADER_SIZE = 64
-# Rows per %-format in the CSV writer and per parse in the reader: their
-# Python floats, text and parsed tables are O(chunk).
+# Rows per formatted chunk in the CSV writer and per parse in the reader:
+# their digit arrays, text and parsed tables are O(chunk).
 _CSV_CHUNK_ROWS = 8192
 # Frames per readinto or write of raw samples: the interleaved copy is O(chunk).
 _RAW_CHUNK_FRAMES = 2**16
+
+# The %.17g kernel's constants, derived from the long double format (see _format_rows).
+_LONG = np.finfo(np.longdouble)
+# 10^k = 2^k 5^k is exact while 5^k fits the significand: k <= 27 for the 64-bit one.
+_POW_MAX = max(k for k in range(64) if (5**k).bit_length() <= _LONG.nmant + 1)
+_POW10 = np.cumprod([1] + [10] * _POW_MAX, dtype=np.longdouble)
+# Half an ulp of a product in [2^56, 2^57), which holds [1e16, 1e17): 2^-8 for the 64-bit one.
+_TIE_MARGIN = 2.0 ** (55 - _LONG.nmant)
+# The x87 80-bit and IEEE binary128 formats, the two with 15 exponent bits, round each
+# product once; a plain double (margin 8) or IBM double-double long double does not.
+_KERNEL = _LONG.nexp == 15 and _TIE_MARGIN < 0.5
+# Each value's text sits in one 32-byte slot: byte 0 its separator, bytes 8..23 its
+# last 16 digits as four uint32 words from _QUADS, bytes 24..27 any "e+XX" suffix.
+_SLOT = 32
+_QUADS = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), np.uint32)
+_QUAD_ZEROS = np.array([4 - len(("%04d" % i).rstrip("0")) for i in range(10000)], np.intp)
+# Bytes 0..7 by layout and lead digit: "d." before the digits for the exponent form,
+# the lead digit at byte 7 for the fixed form (its integer part moves left one byte
+# to make room for the point), "0.", zeros and the lead digit for 1e-4 <= |x| < 1.
+_PREFIXES = np.frombuffer(b"".join(
+    (form % d).rjust(8) for form in (b"-%d.", b"-?%d", b"-0.%d", b"-0.0%d", b"-0.00%d",
+                                     b"-0.000%d") for d in range(10)), np.uint64)
+# Byte masks by key (first, last, exponent form): the separator, first..last, "e+XX".
+_COLUMNS = np.arange(_SLOT)
+_MASKS = ((_COLUMNS == 0)
+          | (_COLUMNS >= np.arange(7)[:, None, None, None])
+          & (_COLUMNS <= np.arange(25)[:, None, None])
+          | (_COLUMNS >= 24) & (_COLUMNS < 28) & np.array([False, True])[:, None]
+          ).reshape(-1, _SLOT).view(np.dtype((np.void, _SLOT))).ravel()
 
 
 class FormatError(ValueError):
@@ -150,17 +183,127 @@ def _read_raw(path: Path) -> tuple[np.ndarray, float]:
 
 def _write_csv(path: Path, signal: MultichannelSignal) -> None:
     header = "t," + ",".join(f"ch{i}" for i in range(signal.channels))
-    # One %-format per chunk of rows: the bytes np.savetxt(fmt="%.17g")
-    # writes, without its per-row Python loop.
-    row = ",".join(["%.17g"] * (signal.channels + 1)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# sample_rate_hz = {signal.sample_rate!r}\n")
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# sample_rate_hz = {signal.sample_rate!r}\n{header}\n".encode())
+        # The bytes np.savetxt(fmt="%.17g") writes, formatted a chunk of rows at a time.
         for start in range(0, signal.length, _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, signal.length)
             t = np.arange(start, stop) / signal.sample_rate
-            table = np.column_stack([t, signal.data[:, start:stop].T])
-            fh.write((row * (stop - start)) % tuple(table.ravel().tolist()))
+            fh.write(_format_rows(np.column_stack([t, signal.data[:, start:stop].T])))
+
+
+def _format_rows(table: np.ndarray) -> bytes:
+    """The bytes of (row * rows) % tuple(table.ravel().tolist()), row = "%.17g,...%.17g\n".
+
+    Each value's 17 digits come from _seventeen_digits, in order of its
+    decimal exponent X, so every layout fills contiguous slices: fixed for
+    -4 <= X < 17, else d.ddde+XX, with trailing zeros and a bare point
+    dropped. The values it cannot certify go through one "%-24.17g" % per
+    chunk, %.17g padded to 24 bytes. Where the long double cannot certify
+    any (_KERNEL false), the whole table goes through the % row format.
+    """
+    rows, cols = table.shape
+    if not _KERNEL:
+        row = ",".join(["%.17g"] * cols) + "\n"
+        return ((row * rows) % tuple(table.ravel().tolist())).encode()
+    n = table.size
+    order, groups, digits = _seventeen_digits(table.ravel())
+    values = table.ravel()[order]
+    fallback = np.flatnonzero(digits == 0)
+    digits[fallback] = 10**16  # any 17 digits: their text is replaced below
+
+    head, low = np.divmod(digits, 10**8)
+    lead, high = np.divmod(head, 10**8)
+    quads = np.stack(np.divmod(np.stack([high, low], axis=1), 10**4), axis=2).reshape(n, 4)
+    zeros = _QUAD_ZEROS[quads[:, 3]]  # trailing zeros of the 17 digits
+    open_ = np.flatnonzero(quads[:, 3] == 0)
+    for k in (2, 1, 0):
+        zeros[open_] += _QUAD_ZEROS[quads[open_, k]]
+        open_ = open_[quads[open_, k] == 0]
+    slots = np.empty((n, _SLOT), np.uint8)
+    slots.view(np.uint32)[:, 2:6] = _QUADS[quads]
+    # key = (first, last, exponent form): the text is bytes first..last, then any suffix
+    key = np.empty(n, np.intp)
+    unsigned = values >= 0
+    for a, b, x in groups:
+        part = slots[a:b]
+        if x > 16 or x < -4:  # d.ddd: last 6 keeps only d
+            layout, first, keep, short = 0, 5, 16, 6
+            part.view(np.uint32)[:, 6] = np.frombuffer(b"e%+03d" % x, np.uint32)[0]
+        elif x >= 0:  # the integer part moves left over byte 6, the point follows it
+            layout, first, keep, short = 1, 5, 16 - x, 6 + x
+        else:  # 0.000ddd: always some digit after the point
+            layout, first, keep, short = 1 - x, 5 + x, 17, 0
+        part.view(np.uint64)[:, 0] = _PREFIXES[10 * layout + lead[a:b]]
+        if layout == 1:
+            part[:, 6:7 + x] = part[:, 7:8 + x]
+            part[:, 7 + x] = ord(".")
+        last = np.where(zeros[a:b] < keep, 23 - zeros[a:b], short)
+        key[a:b] = ((first + unsigned[a:b]) * 25 + last) * 2 + (layout == 0)
+    if fallback.size:
+        text = ("%-24.17g" * fallback.size) % tuple(values[fallback].tolist())
+        block = np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
+        slots[fallback, 1:25] = block
+        key[fallback] = (25 + np.count_nonzero(block != ord(" "), axis=1)) * 2
+    inverse = np.empty(n, np.intp)
+    inverse[order] = np.arange(n)
+    slots = slots.view(_MASKS.dtype).ravel().take(inverse).view(np.uint8).reshape(rows, cols, -1)
+    slots[:, :, 0] = ord(",")
+    slots[:, 0, 0] = ord("\n")
+    # Each value follows its separator, so the chunk's first byte is its last newline.
+    text = slots[_MASKS.take(key.take(inverse)).view(bool).reshape(slots.shape)]
+    return np.roll(text, -1).tobytes()
+
+
+def _seventeen_digits(values: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]],
+                                                    np.ndarray]:
+    """(order, groups, digits) for a 1-D float64 array, where _KERNEL holds.
+
+    values[order] runs in groups (a, b, X) of one decimal exponent X, and
+    digits[i] is the 17 correctly rounded significant digits D of
+    values[order][i] (10^16 <= D < 10^17), or 0 where they are not
+    certified: zeros, subnormals, X outside [16 - _POW_MAX, 16 + _POW_MAX]
+    and near ties.
+
+    %.17g prints D = round(|x| 10^s), s = 16 - X, rounding half to even.
+    That product is formed as p = |x| * 10^s (or |x| / 10^-s) in long
+    double: |x| and 10^|s| <= 10^_POW_MAX are exact, so p carries one
+    rounding, at most half an ulp, _TIE_MARGIN, below 2^57 > 10^17. X
+    comes from a float log10, which can be one off next to a power of
+    ten, so D is certified only when floor(p) >= 10^16 and round(p) < 10^17:
+    if X is then one too high, |x| 10^s lies within _TIE_MARGIN below
+    10^16, and its true 17 digits round up to 10^16 at X as well. round(p) is
+    round(|x| 10^s) unless p lies within _TIE_MARGIN of a half-integer.
+    There, an exact tie |x| 10^s = k + 1/2 holds iff |x| 2^(s+1) is odd:
+    5^s is odd for s >= 0, and for s < 0 a tie would need an |x| >= 10^17
+    with more than 53 significant bits. A tie rounds half to even; any
+    other value that near is left uncertified.
+    """
+    with np.errstate(divide="ignore"):  # log10(0) = -inf: out of range
+        exp10 = np.floor(np.log10(np.abs(values)))
+    in_range = np.abs(16.0 - exp10) <= _POW_MAX
+    exp10 = np.where(in_range, exp10, 16.0).astype(np.int16)
+    order = np.argsort(exp10, kind="stable")
+    exp10, in_range = exp10[order], in_range[order]
+    edges = [0, *(np.flatnonzero(np.diff(exp10)) + 1).tolist(), values.size]
+    groups = [(a, b, int(exp10[a])) for a, b in zip(edges[:-1], edges[1:])]
+    mag = np.where(in_range, np.abs(values[order]), 1.0)
+    p = mag.astype(np.longdouble)
+    for a, b, x in groups:
+        if x <= 16:
+            p[a:b] *= _POW10[16 - x]
+        else:
+            p[a:b] /= _POW10[x - 16]
+    floor = p.astype(np.uint64)
+    frac = (p - floor).astype(np.float64)  # keeps its side of 0.5, and 0.5 itself
+    digits = floor + (frac > 0.5)
+    near = np.flatnonzero(np.abs(frac - 0.5) <= _TIE_MARGIN)
+    s = 16 - exp10[near].astype(np.intp)
+    tie = (s >= 0) & (np.fmod(np.ldexp(mag[near], s + 1), 2.0) == 1.0)
+    digits[near[tie]] += floor[near[tie]] & 1
+    certified = in_range & (floor >= 10**16) & (digits < 10**17)
+    certified[near[~tie]] = False
+    return order, groups, np.where(certified, digits, 0)
 
 
 def _read_csv(path: Path) -> tuple[np.ndarray, float]:

@@ -194,7 +194,7 @@ class PhaseTrack:
 
     def __post_init__(self) -> None:
         own_arrays(self, samples=1)
-        _check_positive("sample_rate", self.sample_rate)
+        object.__setattr__(self, "sample_rate", _check_positive("sample_rate", self.sample_rate))
         if self.label not in self._LABELS:
             raise ValueError(f"label must be one of {self._LABELS}, got {self.label!r}")
 
@@ -216,7 +216,7 @@ class MultichannelSignal:
         own_arrays(self, data=2)
         if self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise ValueError(f"data must be non-empty, got shape {self.data.shape}")
-        _check_positive("sample_rate", self.sample_rate)
+        object.__setattr__(self, "sample_rate", _check_positive("sample_rate", self.sample_rate))
 
     @property
     def channels(self) -> int:

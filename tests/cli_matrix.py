@@ -17,7 +17,9 @@ The matrix: gen (raw and CSV), unmix --truth, density --truth, diplex,
 mix --snr-db 30 and report at default options; re-runs of gen, unmix,
 density and diplex from their manifests; the two exit-3 runs (unmix out
 of iterations, density on a strong coupling); gen with noise and a
-12-bit ADC, and unmix --truth on that record; and six refusals: a
+12-bit ADC, unmix --truth on that record, unmix of it with
+--file-format csv and density on that corrected.csv, so the CSV writer
+and reader see a large two-channel noisy record; and six refusals: a
 setting (exit 2 before any subcommand runs), a missing input (exit 4),
 a filter longer than the record (exit 2 inside density), a one-channel
 input to mix (exit 2), a coupling near the float64 limit (exit 2) and
@@ -71,6 +73,8 @@ STEPS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("refused_filter_order", ("density", "--in", "gen/clean.bin", "--filter-order", "300000")),
     ("gen_noisy", ("gen", "--snr-db", "30", "--adc-bits", "12")),
     ("unmix_noisy", ("unmix", "--in", "gen_noisy/mixed.bin", "--truth", "gen_noisy/clean.bin")),
+    ("unmix_csv", ("unmix", "--in", "gen_noisy/mixed.bin", "--file-format", "csv")),
+    ("density_csv", ("density", "--in", "unmix_csv/corrected.csv")),
     ("refused_mix_channels", ("mix", "--in", "gen/density_truth.csv")),
     ("refused_coupling_overflow", ("gen", "--coupling", "1e308,0;0,1e308")),
     ("refused_snr_overflow", ("gen", "--snr-db", "-2000")),

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import icdx
+from icdx import fileio
 from icdx.fileio import (_CSV_CHUNK_ROWS, _RAW_CHUNK_FRAMES, HEADER_SIZE, KeyValueFile,
-                         format_matrix, parse_matrix)
+                         _seventeen_digits, format_matrix, parse_matrix)
 
 from helpers import RATE
 
@@ -149,6 +150,94 @@ def test_csv_layout(tmp_path):
     assert lines[1] == "t,ch0,ch1"
     first = [float(tok) for tok in lines[2].split(",")]
     assert first == [0.0, 1.0, 3.0]
+
+
+def _percent_csv(signal):
+    """The CSV file's bytes with every row formatted by one Python %."""
+    table = np.column_stack([np.arange(signal.length) / signal.sample_rate, signal.data.T])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    header = "t," + ",".join(f"ch{i}" for i in range(signal.channels))
+    return (f"# sample_rate_hz = {signal.sample_rate!r}\n{header}\n"
+            + (row * table.shape[0]) % tuple(table.ravel().tolist())).encode()
+
+
+# Where %g switches layout, where 10^s stops being exact in a double, exact
+# halves, the ends of the float64 range, and (below) each one's neighbours.
+_CSV_BOUNDARY = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                          1e-4, 1e-5, 1e16, 1e17, 1e-6, 1e22, 1e23,
+                          0.5, 2.5, 2.0**53, 2.0**60])
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+def test_csv_bytes_at_boundary_values_are_the_percent_format(tmp_path, monkeypatch, kernel):
+    # kernel=False is the route of a long double no wider than a double.
+    monkeypatch.setattr(fileio, "_KERNEL", fileio._KERNEL and kernel)
+    below = np.nextafter(_CSV_BOUNDARY, -np.inf)
+    above = np.nextafter(_CSV_BOUNDARY[:3], np.inf), np.nextafter(_CSV_BOUNDARY[4:], np.inf)
+    column = np.concatenate([_CSV_BOUNDARY, below, *above])
+    signal = icdx.MultichannelSignal(np.stack([column, -column]), 3.0e6 / 7)
+    path = tmp_path / "boundary.csv"
+    icdx.write_signal(path, signal)
+    assert path.read_bytes() == _percent_csv(signal)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_csv_bytes_across_the_chunk_edge_are_the_percent_format(tmp_path, channels):
+    # Each sample is drawn from one of four kinds: magnitudes over the whole
+    # certified range and past it, raw bit patterns, dyadic values (exact
+    # ties), and short decimals.
+    rng = np.random.default_rng(channels)
+    n = _CSV_CHUNK_ROWS + 500
+    bits = rng.integers(0, 2**64, (channels, n), dtype=np.uint64).view(np.float64)
+    kinds = np.stack([
+        rng.standard_normal((channels, n)) * 10.0 ** rng.integers(-14, 48, (channels, n)),
+        np.where(np.isfinite(bits), bits, 1.0),
+        rng.integers(-2**40, 2**40, (channels, n)) / 2.0 ** rng.integers(0, 60, (channels, n)),
+        rng.integers(-10**6, 10**6, (channels, n)) / 10.0 ** rng.integers(0, 9, (channels, n)),
+    ])
+    data = np.take_along_axis(kinds, rng.integers(0, 4, (1, channels, n)), axis=0)[0]
+    signal = icdx.MultichannelSignal(data, 1.0e6 / 3)
+    path = tmp_path / "drawn.csv"
+    icdx.write_signal(path, signal)
+    assert path.read_bytes() == _percent_csv(signal)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="the share is sized for the 64-bit x87 significand")
+def test_csv_writer_certifies_most_time_and_density_values(tmp_path, monkeypatch):
+    # A change that sends every value through % still writes the same bytes;
+    # only the certified share per column shows it.
+    certified = np.zeros(2, int)
+
+    def recording(values):
+        order, groups, digits = _seventeen_digits(values)
+        chunk = np.empty(values.size, bool)
+        chunk[order] = digits != 0
+        certified[:] += chunk.reshape(-1, 2).sum(axis=0)
+        return order, groups, digits
+
+    monkeypatch.setattr(fileio, "_seventeen_digits", recording)
+    rng = np.random.default_rng(0)
+    density = rng.uniform(1e17, 7e19, 131072) * rng.choice([-1.0, 1.0], 131072)
+    icdx.write_signal(tmp_path / "density.csv", icdx.MultichannelSignal(density[None], 1e6))
+    assert np.all(certified >= 0.95 * density.size), certified
+
+
+@pytest.mark.parametrize("rate", [np.float64(8e6), np.float32(8e6), 8_000_000])
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+def test_a_numpy_or_int_rate_is_stored_as_a_float_and_read_back(tmp_path, rate, suffix):
+    # repr(np.float64(8e6)) is "np.float64(8000000.0)", which the CSV
+    # reader refused as a bad sample_rate_hz comment.
+    signal = icdx.MultichannelSignal(np.ones((1, 4)), rate)
+    series = (icdx.PhaseTrack(np.zeros(4), rate, "density"),
+              icdx.PhaseSeries(np.zeros(4), rate, 1.0, 1, 0),
+              icdx.DensitySeries(np.zeros(4), rate, 0))
+    assert all(type(obj.sample_rate) is float for obj in (signal, *series))
+    path = tmp_path / f"sig{suffix}"
+    icdx.write_signal(path, signal)
+    loaded = icdx.read_signal(path)
+    assert loaded.sample_rate == 8e6
+    assert np.array_equal(loaded.data, signal.data)
 
 
 def test_csv_rate_inferred_from_time_column(tmp_path):
