@@ -68,7 +68,7 @@ _KERNEL = _LONG.nexp == 15 and _TIE_MARGIN < 0.5
 # Each value's text sits in one 32-byte slot: byte 0 its separator, bytes 8..23 its
 # last 16 digits as four uint32 words from _QUADS, bytes 24..27 any "e+XX" suffix.
 _SLOT = 32
-_QUADS = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), np.uint32)
+_QUADS = np.frombuffer(("%04d" * 10000 % tuple(range(10000))).encode(), np.uint32)
 _QUAD_ZEROS = np.array([4 - len(("%04d" % i).rstrip("0")) for i in range(10000)], np.intp)
 # Bytes 0..7 by layout and lead digit: "d." before the digits for the exponent form,
 # the lead digit at byte 7 for the fixed form (its integer part moves left one byte
